@@ -31,6 +31,13 @@ struct Job {
   gcr::exp::ExperimentConfig config;
 };
 
+/// Host seconds of one set-up and of its layers.
+struct SetupTimes {
+  double total_s = 0;
+  double profile_s = 0;    ///< exp::profile_app, 0 without trace-derived GP
+  double formation_s = 0;  ///< group::form_groups_from_trace or constructors
+};
+
 struct Workload {
   std::string name;
   std::vector<Job> jobs;
@@ -39,25 +46,20 @@ struct Workload {
   double interval_s = 0;
   int max_rounds = 0;
   bool faults = false;
-  // Set-up: host seconds of each timed run, a way to time one more, and
-  // what it produced (medians over the initial repeats).
-  std::vector<double> setup_samples;
-  std::function<double()> setup_once;
-  double profile_s = 0;    ///< exp::profile_app, 0 without trace-derived GP
-  double formation_s = 0;  ///< group::form_groups_from_trace or constructors
+  // Set-up: the times of each timed run (the first built the jobs' inputs)
+  // and a way to time one more.
+  std::vector<SetupTimes> setup_samples;
+  std::function<SetupTimes()> setup_once;
   std::int64_t trace_records = 0;
   int gp_groups = 0;
   int gp_max_group = 0;
 };
 
-/// Builds `name`'s inputs from the benchmark seed. `small` selects the
-/// reduced-size variant the self-test runs; `per_mode` > 0 overrides the
-/// number of job seeds per mode (a value at least the pool size runs the
-/// whole pool, which is how the pools were vetted). Set-up runs
-/// `setup_reps` times, each timed into `setup_samples`. Returns false for
-/// an unknown name.
+/// Builds `name`'s inputs from the benchmark seed, timing the set-up once
+/// into `setup_samples`. `small` selects the reduced-size variant the
+/// self-test runs. Returns false for an unknown name.
 bool make_workload(const std::string& name, std::uint64_t seed, bool small,
-                   int per_mode, int setup_reps, Workload& out);
+                   Workload& out);
 
 const std::vector<std::string>& workload_names();
 

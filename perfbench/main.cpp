@@ -1,15 +1,17 @@
 // gcr end-to-end and per-layer benchmark (README.md).
 //
-//   gcr_perfbench --workload NAME --seed N --seconds S --trace 0|1
-//                 [--small] [--per-mode K] [--setup-reps R] [--spans PATH]
+//   gcr_perfbench --workload NAME --seed N --seconds S --trace 0|1 [--small]
 //
 // Builds the workload's inputs from --seed (timed: setup_s), then runs the
 // workload's jobs one at a time, in passes, until --seconds have elapsed
 // (at least one pass). --trace 0 reports the end-to-end metrics; --trace 1
-// spends the first half on untraced passes, the rest on traced passes, and
-// reports the per-layer metrics. Per-job rows and metric lines go to
-// stdout; the last line is one JSON object {correct, attempted, failed,
-// metrics}. Exit code 0 unless the arguments are bad.
+// alternates untraced and traced passes and reports the per-layer metrics,
+// writing its spans to spans/<workload>-seed<N>.jsonl beside the binary.
+// --small runs the reduced-size variant the self-test uses. Per-job rows
+// and metric lines go to stdout; the last line is one JSON object
+// {correct, attempted, failed, metrics}. Exit code 0 unless the arguments
+// are bad.
+#include <malloc.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -19,7 +21,9 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -35,16 +39,16 @@ struct Args {
   double seconds = 10;
   bool trace = false;
   bool small = false;
-  int per_mode = 0;
-  int setup_reps = 3;
-  std::string spans;
 };
+
+/// Set-ups timed before the first job (the first builds the jobs' inputs);
+/// --small times only that one.
+constexpr int kSetupReps = 3;
 
 [[noreturn]] void usage(const char* msg) {
   std::fprintf(stderr,
                "gcr_perfbench: %s\nusage: gcr_perfbench --workload NAME "
-               "--seed N --seconds S --trace 0|1 [--small] [--per-mode K] "
-               "[--setup-reps R] [--spans PATH]\nworkloads:",
+               "--seed N --seconds S --trace 0|1 [--small]\nworkloads:",
                msg);
   for (const std::string& n : workload_names()) {
     std::fprintf(stderr, " %s", n.c_str());
@@ -71,12 +75,6 @@ Args parse(int argc, char** argv) {
       a.trace = value() != "0";
     } else if (flag == "--small") {
       a.small = true;
-    } else if (flag == "--per-mode") {
-      a.per_mode = std::atoi(value().c_str());
-    } else if (flag == "--setup-reps") {
-      a.setup_reps = std::atoi(value().c_str());
-    } else if (flag == "--spans") {
-      a.spans = value();
     } else {
       usage(("unknown flag " + flag).c_str());
     }
@@ -169,13 +167,20 @@ struct ChildReport {
   double host_s = 0;
 };
 
+/// Times one more set-up in a child, so the heap the jobs inherit stays put.
+void sample_setup(Workload& w) {
+  SetupTimes sample;
+  double rss = 0;
+  if (in_child(w.setup_once, sample, rss)) w.setup_samples.push_back(sample);
+}
+
 /// Runs one pass, each job in its own child process: every job starts
 /// from the same heap, its peak resident set is its own, and a crash fails
-/// only that job. Between jobs, set-up is timed again (also in a child, so
-/// the heap the jobs inherit stays put) while its samples total under a
-/// tenth of the run so far: set-up samples then span the run instead of one
-/// short window, whose host speed may not be the run's.
-Pass run_untraced(Workload& w, Clock::time_point run_start, Tally& tally) {
+/// only that job. Between jobs, set-up is timed again while its samples
+/// total under a tenth of the run so far: set-up samples then span the run
+/// instead of one short window, whose host speed may not be the run's.
+Pass run_in_children(Workload& w, Clock::time_point run_start,
+                     Tally& tally) {
   Pass p;
   for (const Job& job : w.jobs) {
     std::fprintf(stderr, "job %s\n", job_label(job).c_str());
@@ -202,14 +207,33 @@ Pass run_untraced(Workload& w, Clock::time_point run_start, Tally& tally) {
     p.wall_s += r.host_s;
     p.outcomes.push_back(r.outcome);
     double setup_total = 0;
-    for (const double x : w.setup_samples) setup_total += x;
-    double sample = 0;
-    if (setup_total < 0.1 * seconds_since(run_start) &&
-        in_child(w.setup_once, sample, rss)) {
-      w.setup_samples.push_back(sample);
-    }
+    for (const SetupTimes& x : w.setup_samples) setup_total += x.total_s;
+    if (setup_total < 0.1 * seconds_since(run_start)) sample_setup(w);
   }
   return p;
+}
+
+/// Runs one untraced pass in this process: the reference the traced pass
+/// beside it is compared with, under the same process model.
+Pass run_in_process(const Workload& w, Tally& tally) {
+  Pass p;
+  for (const Job& job : w.jobs) {
+    std::fprintf(stderr, "job %s\n", job_label(job).c_str());
+    const Clock::time_point t0 = Clock::now();
+    const gcr::exp::ExperimentResult res = gcr::exp::run_experiment(job.config);
+    p.host_s.push_back(seconds_since(t0));
+    p.wall_s += p.host_s.back();
+    p.outcomes.push_back(outcome_of(res));
+    check(w, job, p.outcomes.back(), tally);
+  }
+  return p;
+}
+
+std::vector<double> setup_field(const Workload& w,
+                                double SetupTimes::*field) {
+  std::vector<double> v;
+  for (const SetupTimes& x : w.setup_samples) v.push_back(x.*field);
+  return v;
 }
 
 /// Every pass must reproduce the first one's simulated outcomes exactly.
@@ -258,7 +282,7 @@ std::vector<Metric> end_to_end(const Workload& w,
   }
   const double n = static_cast<double>(w.jobs.size());
   return {{"wall_s", median(walls), "s"},
-          {"setup_s", median(w.setup_samples), "s"},
+          {"setup_s", median(setup_field(w, &SetupTimes::total_s)), "s"},
           {"peak_rss_mb", rss / n, "MB"},
           {"sim_exec_s", exec / n, "s"},
           {"sim_ckpt_s", ckpt / n, "s"}};
@@ -270,9 +294,11 @@ std::vector<Metric> per_layer(const Workload& w, const LayerStats& s,
   const auto d = [](std::int64_t v) { return static_cast<double>(v); };
   const double loops = s.loop_s + s.restart_loop_s;
   std::vector<Metric> m = {
-      {"trace.profile_s", w.profile_s, "s"},
+      {"trace.profile_s", median(setup_field(w, &SetupTimes::profile_s)),
+       "s"},
       {"trace.records", d(w.trace_records), "count"},
-      {"group.formation_s", w.formation_s, "s"},
+      {"group.formation_s",
+       median(setup_field(w, &SetupTimes::formation_s)), "s"},
       {"group.count", static_cast<double>(w.gp_groups), "count"},
       {"group.max_size", static_cast<double>(w.gp_max_group), "count"},
       {"sim.events", static_cast<double>(s.events), "count"},
@@ -347,35 +373,49 @@ void print_result(const Tally& t, const std::vector<Metric>& metrics) {
   std::printf("}}\n");
 }
 
+/// spans/<workload>-seed<N>[-small].jsonl in the binary's directory.
+std::filesystem::path spans_path(const Args& a) {
+  std::error_code ec;
+  const std::filesystem::path dir =
+      std::filesystem::read_symlink("/proc/self/exe", ec).parent_path() /
+      "spans";
+  std::filesystem::create_directories(dir, ec);
+  return dir / (a.workload + "-seed" + std::to_string(a.seed) +
+                (a.small ? "-small" : "") + ".jsonl");
+}
+
+void print_walls(const char* what, const std::vector<Pass>& passes) {
+  std::printf("%s passes %zu, wall_s per pass:", what, passes.size());
+  for (const Pass& p : passes) std::printf(" %.4f", p.wall_s);
+  std::printf("\n");
+}
+
 int run(const Args& a) {
   Workload w;
-  if (!make_workload(a.workload, a.seed, a.small, a.per_mode, a.setup_reps,
-                     w)) {
+  if (!make_workload(a.workload, a.seed, a.small, w)) {
     usage(("unknown workload " + a.workload).c_str());
   }
+  // Hand the set-up's freed heap back, so the jobs' children do not start
+  // from it (their peak resident set counts the parent's resident pages).
+  malloc_trim(0);
+  for (int i = 1; i < (a.small ? 1 : kSetupReps); ++i) sample_setup(w);
   std::printf("workload %s seed %" PRIu64 " jobs %zu setup_s %.4g%s\n",
-              w.name.c_str(), a.seed, w.jobs.size(), median(w.setup_samples),
+              w.name.c_str(), a.seed, w.jobs.size(),
+              median(setup_field(w, &SetupTimes::total_s)),
               a.small ? " (small)" : "");
   std::fflush(stdout);
 
   Tally tally;
   const Clock::time_point t0 = Clock::now();
-  // Untraced passes: all of --seconds, or the first half when tracing.
-  const double untraced_budget = a.trace ? a.seconds / 2 : a.seconds;
   std::vector<Pass> passes;
-  do {
-    passes.push_back(run_untraced(w, t0, tally));
-    if (passes.size() > 1) {
-      check_same(w, passes.front(), passes.back(), "untraced", tally);
-    }
-  } while (seconds_since(t0) < untraced_budget);
-  std::vector<double> walls;
-  for (const Pass& p : passes) walls.push_back(p.wall_s);
-  std::printf("untraced passes %zu, wall_s per pass:", passes.size());
-  for (const double x : walls) std::printf(" %.4f", x);
-  std::printf("\n");
-
   if (!a.trace) {
+    do {
+      passes.push_back(run_in_children(w, t0, tally));
+      if (passes.size() > 1) {
+        check_same(w, passes.front(), passes.back(), "untraced", tally);
+      }
+    } while (seconds_since(t0) < a.seconds);
+    print_walls("untraced", passes);
     print_jobs(w, passes);
     // sim_restart_s is zero on a workload that never restarts, so it is
     // printed here and carried in the JSON only as the per-layer
@@ -390,10 +430,17 @@ int run(const Args& a) {
     return 0;
   }
 
+  // Untraced and traced passes alternate in this process, so tracing
+  // overhead compares neighbours in time under the same process model.
   SpanLog spans;
   std::vector<LayerStats> traced;
-  std::vector<double> traced_walls;
+  std::vector<Pass> traced_passes;
+  std::vector<double> overheads;
   do {
+    passes.push_back(run_in_process(w, tally));
+    if (passes.size() > 1) {
+      check_same(w, passes.front(), passes.back(), "untraced", tally);
+    }
     LayerStats stats;
     Pass p;
     const int root = spans.begin("workload." + w.name, -1);
@@ -406,24 +453,24 @@ int run(const Args& a) {
     p.wall_s = spans.duration(root);
     check_same(w, passes.front(), p, "traced", tally);
     traced.push_back(std::move(stats));
-    traced_walls.push_back(p.wall_s);
+    overheads.push_back(p.wall_s - passes.back().wall_s);
+    traced_passes.push_back(std::move(p));
   } while (seconds_since(t0) < a.seconds);
-  std::printf("traced passes %zu, wall_s per pass:", traced.size());
-  for (const double x : traced_walls) std::printf(" %.4f", x);
-  std::printf("\n");
+  print_walls("untraced", passes);
+  print_walls("traced", traced_passes);
   // Report the traced pass with the median wall time.
   std::vector<std::size_t> order(traced.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    return traced_walls[x] < traced_walls[y];
+    return traced_passes[x].wall_s < traced_passes[y].wall_s;
   });
   const std::size_t mid = order[(order.size() - 1) / 2];
-  const double overhead = traced_walls[mid] - median(walls);
-  if (!a.spans.empty() && !spans.write_jsonl(a.spans)) {
-    std::fprintf(stderr, "gcr_perfbench: cannot write %s\n", a.spans.c_str());
+  const std::filesystem::path path = spans_path(a);
+  if (!spans.write_jsonl(path.string())) {
+    std::fprintf(stderr, "gcr_perfbench: cannot write %s\n", path.c_str());
   }
   print_jobs(w, passes);
-  print_result(tally, per_layer(w, traced[mid], overhead));
+  print_result(tally, per_layer(w, traced[mid], median(overheads)));
   return 0;
 }
 

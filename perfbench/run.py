@@ -10,11 +10,8 @@ The benchmark is configured with CMake into .bench_build/perfbench (it
 compiles the repository's library from src/), rebuilt incrementally on
 every call, and run once. Build output goes to stderr. The benchmark's
 stdout is passed through; its last line is the JSON result. With
---trace 1 the run's spans are written to
+--trace 1 the binary writes the run's spans to
 .bench_build/perfbench/spans/<workload>-seed<N>.jsonl.
-
-Extra flags after the four standard ones (--small, --per-mode K,
---setup-reps R) are handed to the binary unchanged.
 """
 import argparse
 import os
@@ -44,7 +41,7 @@ def main():
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    args, extra = parser.parse_known_args()
+    args = parser.parse_args()
 
     try:
         build()
@@ -54,13 +51,8 @@ def main():
 
     cmd = [BINARY, "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace)]
-    if args.trace:
-        spans = os.path.join(BUILD, "spans")
-        os.makedirs(spans, exist_ok=True)
-        cmd += ["--spans", os.path.join(
-            spans, f"{args.workload}-seed{args.seed}.jsonl")]
     try:
-        proc = subprocess.run(cmd + extra, stdout=subprocess.PIPE,
+        proc = subprocess.run(cmd, stdout=subprocess.PIPE,
                               timeout=RUN_TIMEOUT_S, text=True)
     except subprocess.TimeoutExpired:
         print(f"run.py: benchmark exceeded {RUN_TIMEOUT_S} s",

@@ -7,7 +7,7 @@ Run from the repository root:
 
 Builds the benchmark (as run.py does), then runs every workload at
 reduced size (--small: CG and HPL at 16 ranks, the
-fat-tree at 64) with --trace 0 and --trace 1. Each run must exit 0, pass
+fat-trees at 64) with --trace 0 and --trace 1. Each run must exit 0, pass
 every output check (correct, no failed job), print every metric
 BENCHMARK.json names for that mode as a "metric NAME VALUE UNIT" line and
 in the JSON result with the same unit, and nothing else; a traced run must
@@ -22,18 +22,17 @@ import run
 
 # Every workload the benchmark defines, including fattree-storm-1024, which
 # BENCHMARK.json leaves out (README.md, "Workloads and why").
-WORKLOADS = ("cg-restart-128", "fattree-storm-1024", "hpl-faults-drain-128")
+WORKLOADS = ("cg-restart-128", "fattree-storm-1024", "fattree-storm-512",
+             "hpl-faults-drain-128")
 
 
 def check_run(workload, trace, spec):
     """Returns the list of problems found in one reduced-size run."""
-    spans = os.path.join(run.BUILD, "spans", f"selftest-{workload}.jsonl")
+    spans = os.path.join(run.BUILD, "spans", f"{workload}-seed7-small.jsonl")
     if os.path.exists(spans):
         os.remove(spans)
-    os.makedirs(os.path.dirname(spans), exist_ok=True)
     cmd = [run.BINARY, "--workload", workload, "--seed", "7",
-           "--seconds", "0", "--trace", str(trace), "--small",
-           "--setup-reps", "1", "--spans", spans]
+           "--seconds", "0", "--trace", str(trace), "--small"]
     proc = subprocess.run(cmd, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True, timeout=170)
     if proc.returncode != 0:

@@ -69,34 +69,26 @@ SetupResult setup_traced(const AppFactory& app, int nranks, int max_group) {
   return s;
 }
 
-/// Runs `once` `reps` times, keeps the last result and the median layer
-/// times, and records each run's time (divided by `batch`, the set-ups one
-/// call of `once` performs) as a set-up sample. `once` is kept in
-/// `w.setup_once` for more samples later in the run.
+/// Runs `once` (which performs `batch` set-ups) and records its time per
+/// set-up as the first set-up sample; `once` is kept in `w.setup_once` for
+/// more samples later in the run.
 template <class Fn>
-SetupResult timed_setup(int reps, int batch, Workload& w, Fn once) {
-  w.setup_once = [once, batch] {
+SetupResult timed_setup(int batch, Workload& w, Fn once) {
+  const auto timed = [once, batch](SetupResult& r) {
     const Clock::time_point t0 = Clock::now();
-    once();
-    return seconds_since(t0) / batch;
+    r = once();
+    return SetupTimes{seconds_since(t0) / batch, r.profile_s, r.formation_s};
   };
-  std::vector<double> profile, formation;
-  SetupResult last;
-  for (int i = 0; i < std::max(1, reps); ++i) {
-    const Clock::time_point t0 = Clock::now();
-    last = once();
-    w.setup_samples.push_back(seconds_since(t0) / batch);
-    profile.push_back(last.profile_s);
-    formation.push_back(last.formation_s);
-  }
-  last.profile_s = median(profile);
-  last.formation_s = median(formation);
-  return last;
+  w.setup_once = [timed] {
+    SetupResult r;
+    return timed(r);
+  };
+  SetupResult s;
+  w.setup_samples.push_back(timed(s));
+  return s;
 }
 
 void fill_groups(Workload& w, const SetupResult& s) {
-  w.profile_s = s.profile_s;
-  w.formation_s = s.formation_s;
   w.trace_records = s.records;
   w.gp_groups = s.gp.num_groups();
   w.gp_max_group = 0;
@@ -130,12 +122,11 @@ void add_jobs(Workload& w, const SetupResult& s, const ExperimentConfig& base,
 // --- cg-restart-128 --------------------------------------------------------
 // NPB CG on the flat fabric, one checkpoint at t=60 s and a whole-application
 // restart after finish (the Figure 11 protocol).
-void make_cg_restart(std::uint64_t seed, bool small, int per_mode, int reps,
-                     Workload& w) {
+void make_cg_restart(std::uint64_t seed, bool small, Workload& w) {
   const int n = small ? 16 : 128;
   const AppFactory app = [](int nr) { return gcr::apps::make_cg(nr); };
-  const SetupResult s = timed_setup(
-      reps, 1, w, [app, n] { return setup_traced(app, n, 0); });
+  const SetupResult s =
+      timed_setup(1, w, [app, n] { return setup_traced(app, n, 0); });
   fill_groups(w, s);
 
   ExperimentConfig base;
@@ -147,20 +138,21 @@ void make_cg_restart(std::uint64_t seed, bool small, int per_mode, int reps,
   base.restart_after_finish = true;
   w.first_at_s = base.schedule.first_at_s;
   w.max_rounds = 1;
-  add_jobs(w, s, base, pick_seeds(seed, 0xc6, 16, per_mode, {}),
-           pick_seeds(seed, 0xc7, 16, per_mode, {}));
+  add_jobs(w, s, base, pick_seeds(seed, 0xc6, 16, 6, {}),
+           pick_seeds(seed, 0xc7, 16, 6, {}));
 }
 
-// --- fattree-storm-1024 ----------------------------------------------------
+// --- fattree-storm-1024, fattree-storm-512 ---------------------------------
 // The fig_scale_extrapolation config: a block-local stencil on an adaptive
 // fat-tree, one checkpoint round; NORM's global bookmark storm against GP's
 // blocks of 8. No restart: a whole-application restart at 1024 ranks costs
-// about 19 s of host time per job and would bury the storm.
+// about 19 s of host time per job and would bury the storm. At 512 ranks a
+// NORM job is short enough to run four per mode, whose median over passes
+// is steady enough for BENCHMARK.json (README.md, "Workloads and why").
 constexpr int kBlockWidth = 8;
 
-void make_fattree_storm(std::uint64_t seed, bool small, int per_mode,
-                        int reps, Workload& w) {
-  const int n = small ? 64 : 1024;
+void make_fattree_storm(std::uint64_t seed, int n, int per_mode,
+                        Workload& w) {
   const AppFactory app = [](int nranks) {
     gcr::apps::Stencil1dParams p;
     p.iterations = 40;
@@ -173,16 +165,17 @@ void make_fattree_storm(std::uint64_t seed, bool small, int per_mode,
   // Set-up is two constructors (microseconds), so each sample times a
   // batch of them.
   constexpr int kBatch = 64;
-  const SetupResult s = timed_setup(reps, kBatch, w, [n] {
+  const SetupResult s = timed_setup(kBatch, w, [n] {
     SetupResult r;
+    const Clock::time_point t0 = Clock::now();
     for (int i = 0; i < kBatch; ++i) {
       r.gp = gcr::group::make_blocks(n, kBlockWidth);
       r.norm = gcr::group::make_norm(n);
     }
+    r.formation_s = seconds_since(t0) / kBatch;
     return r;
   });
   fill_groups(w, s);
-  w.formation_s = median(w.setup_samples);
 
   ExperimentConfig base;
   base.app = app;
@@ -202,12 +195,11 @@ void make_fattree_storm(std::uint64_t seed, bool small, int per_mode,
 // --- hpl-faults-drain-128 --------------------------------------------------
 // HPL with periodic checkpoints through the burst buffer with PFS
 // write-behind, under exponential node faults.
-void make_hpl_faults(std::uint64_t seed, bool small, int per_mode, int reps,
-                     Workload& w) {
+void make_hpl_faults(std::uint64_t seed, bool small, Workload& w) {
   const int n = small ? 16 : 128;
   const gcr::apps::HplParams hpl;
   const AppFactory app = [hpl](int nr) { return gcr::apps::make_hpl(nr, hpl); };
-  const SetupResult s = timed_setup(reps, 1, w, [app, n, hpl] {
+  const SetupResult s = timed_setup(1, w, [app, n, hpl] {
     return setup_traced(app, n, hpl.grid_rows);
   });
   fill_groups(w, s);
@@ -226,8 +218,8 @@ void make_hpl_faults(std::uint64_t seed, bool small, int per_mode, int reps,
   w.interval_s = base.schedule.interval_s;
   w.faults = true;
   // NORM seeds 36 and 51 abort with "commit target already passed".
-  add_jobs(w, s, base, pick_seeds(seed, 0x86, 64, per_mode, {}),
-           pick_seeds(seed, 0x87, 64, per_mode, {36, 51}));
+  add_jobs(w, s, base, pick_seeds(seed, 0x86, 64, 32, {}),
+           pick_seeds(seed, 0x87, 64, 32, {36, 51}));
 }
 
 std::uint64_t fnv(std::uint64_t h, const void* data, std::size_t n) {
@@ -248,23 +240,23 @@ std::uint64_t fnv(std::uint64_t h, const T& v) {
 
 const std::vector<std::string>& workload_names() {
   static const std::vector<std::string> names = {
-      "cg-restart-128", "fattree-storm-1024", "hpl-faults-drain-128"};
+      "cg-restart-128", "fattree-storm-1024", "fattree-storm-512",
+      "hpl-faults-drain-128"};
   return names;
 }
 
 bool make_workload(const std::string& name, std::uint64_t seed, bool small,
-                   int per_mode, int setup_reps, Workload& out) {
+                   Workload& out) {
   out = Workload{};
   out.name = name;
-  const auto jobs = [per_mode](int dflt) {
-    return per_mode > 0 ? per_mode : dflt;
-  };
   if (name == "cg-restart-128") {
-    make_cg_restart(seed, small, jobs(6), setup_reps, out);
+    make_cg_restart(seed, small, out);
   } else if (name == "fattree-storm-1024") {
-    make_fattree_storm(seed, small, jobs(1), setup_reps, out);
+    make_fattree_storm(seed, small ? 64 : 1024, 1, out);
+  } else if (name == "fattree-storm-512") {
+    make_fattree_storm(seed, small ? 64 : 512, 4, out);
   } else if (name == "hpl-faults-drain-128") {
-    make_hpl_faults(seed, small, jobs(32), setup_reps, out);
+    make_hpl_faults(seed, small, out);
   } else {
     return false;
   }
