@@ -415,8 +415,10 @@ sim::Co<void> GroupProtocol::handle_ctrl(mpi::Rank& rank, mpi::Message msg) {
       const auto epoch = static_cast<std::uint64_t>(msg.ctrl_data.at(0));
       const auto target = static_cast<std::uint64_t>(msg.ctrl_data.at(1));
       if (st.aborted.count(epoch)) co_return;
-      if (rank.finished()) {
-        // Can no longer participate; abort the epoch group-wide.
+      if (rank.finished() || rank.iteration() >= target) {
+        // Can no longer checkpoint at the target — finished, or already
+        // past it (a member that raced ahead of the prepare round's
+        // estimate) — so abort the epoch group-wide.
         st.aborted.insert(epoch);
         mpi::Message abort;
         abort.ctrl = mpi::CtrlKind::kAbort;
@@ -426,8 +428,6 @@ sim::Co<void> GroupProtocol::handle_ctrl(mpi::Rank& rank, mpi::Message msg) {
         }
         co_return;
       }
-      GCR_CHECK_MSG(rank.iteration() < target,
-                    "commit target already passed — raise commit_margin");
       st.commit_pending = true;
       st.commit_epoch = epoch;
       st.commit_iteration = target;

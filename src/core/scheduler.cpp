@@ -13,15 +13,26 @@ CheckpointScheduler CheckpointScheduler::for_groups(mpi::Runtime& rt,
   return CheckpointScheduler(
       rt,
       [p, r, spread] {
-        const int ngroups = p->groups().num_groups();
+        const group::GroupSet& groups = p->groups();
+        const int ngroups = groups.num_groups();
         for (int g = 0; g < ngroups; ++g) {
           if (spread <= 0) {
             p->request_group_checkpoint(g);
-          } else {
-            const double offset = spread * g / ngroups;
-            r->engine().call_after(sim::from_seconds(offset),
-                                   [p, g] { p->request_group_checkpoint(g); });
+            continue;
           }
+          // A staggered request names the group by its leader rank, not
+          // its index: an elastic regroup before the request fires can
+          // renumber (or dissolve) the group. Resolved at fire time; the
+          // request is dropped if that rank no longer leads a group.
+          const mpi::RankId leader = groups.members(g).front();
+          const double offset = spread * g / ngroups;
+          r->engine().call_after(sim::from_seconds(offset), [p, leader] {
+            const group::GroupSet& now = p->groups();
+            const int cur = now.group_of(leader);
+            if (now.members(cur).front() == leader) {
+              p->request_group_checkpoint(cur);
+            }
+          });
         }
       },
       options);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "mpi/message.hpp"
+#include "util/assert.hpp"
 
 namespace gcr::group {
 
@@ -23,11 +24,14 @@ class GroupSet {
   int num_groups() const { return static_cast<int>(groups_.size()); }
 
   const std::vector<mpi::RankId>& members(int group) const {
+    GCR_CHECK_MSG(group >= 0 && group < num_groups(),
+                  "group index out of range");
     return groups_[static_cast<std::size_t>(group)];
   }
 
   /// Group index of a rank.
   int group_of(mpi::RankId rank) const {
+    GCR_CHECK_MSG(rank >= 0 && rank < nranks_, "rank id out of range");
     return group_of_[static_cast<std::size_t>(rank)];
   }
 

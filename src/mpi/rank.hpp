@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -35,7 +34,7 @@ struct RankSnapshot {
   std::vector<PeerVolume> sent;         ///< S_X table
   std::vector<PeerVolume> recvd;        ///< R_X table
   std::vector<std::uint64_t> consumed;  ///< per-src consumed seq (verification)
-  std::deque<Message> pending;          ///< delivered, unconsumed messages
+  std::vector<Message> pending;         ///< delivered, unconsumed messages
 };
 
 class Rank {
@@ -101,8 +100,10 @@ class Rank {
   std::vector<PeerVolume> recvd_;
   std::vector<std::uint64_t> consumed_;
 
-  // Delivered app messages not yet consumed by the app.
-  std::deque<Message> pending_;
+  // Delivered app messages not yet consumed by the app, in arrival order.
+  // A vector keeps its capacity as it cycles through empty, so the warm
+  // message path never allocates here.
+  std::vector<Message> pending_;
 
   // The single outstanding blocking receive (the app coroutine is
   // sequential, so there is at most one).

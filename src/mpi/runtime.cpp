@@ -59,7 +59,7 @@ sim::Co<Message> AppHandle::sendrecv(RankId dst, int stag, std::int64_t sbytes,
                                      RankId src, int rtag) {
   return rt_->sendrecv(*rank_, dst, stag, sbytes, src, rtag);
 }
-sim::Co<void> AppHandle::compute(double seconds) {
+sim::Delay AppHandle::compute(double seconds) {
   return rt_->compute(*rank_, seconds);
 }
 double AppHandle::now_s() const {
@@ -262,6 +262,50 @@ sim::Co<Message> Runtime::sendrecv(Rank& rank, RankId dst, int stag,
   co_return in;
 }
 
+struct Runtime::RecvAwaiter {
+  sim::Engine* eng;
+  Rank* rank;
+  RankId src;
+  int tag;
+  Message msg{};
+  sim::WaiterHandle waiter{};
+
+  bool await_ready() {
+    const std::uint64_t consumed =
+        rank->consumed_[static_cast<std::size_t>(src)];
+    auto& pending = rank->pending_;
+    for (auto it = pending.begin(); it != pending.end(); ++it) {
+      if (is_next_in_sequence(*it, src, consumed)) {
+        check_tag(*it, tag);
+        msg = std::move(*it);
+        pending.erase(it);
+        return true;
+      }
+    }
+    GCR_CHECK_MSG(!rank->waiting_.has_value(),
+                  "only one outstanding blocking recv per rank");
+    return false;
+  }
+  void await_suspend(std::coroutine_handle<> h) {
+    waiter = eng->suspend_current(h);
+    rank->waiting_ = Rank::WaitingRecv{src, tag, waiter, &msg};
+  }
+  Message await_resume() {
+    if (waiter) {
+      // On a kill-unwind the matcher never ran; clear our registration.
+      if (rank->waiting_ && rank->waiting_->waiter == waiter) {
+        rank->waiting_.reset();
+      }
+      eng->finish_wait(waiter);
+    }
+    return std::move(msg);
+  }
+};
+
+Runtime::RecvAwaiter Runtime::wait_match(Rank& rank, RankId src, int tag) {
+  return RecvAwaiter{&engine_of(rank), &rank, src, tag};
+}
+
 sim::Co<Message> Runtime::recv(Rank& rank, RankId src, int tag) {
   GCR_CHECK(src >= 0 && src < nranks());
   Message msg = co_await wait_match(rank, src, tag);
@@ -269,44 +313,6 @@ sim::Co<Message> Runtime::recv(Rank& rank, RankId src, int tag) {
   verify_consume(rank, msg);
   for (Observer* obs : observers_) obs->on_consume(rank, msg);
   co_return msg;
-}
-
-sim::Co<Message> Runtime::wait_match(Rank& rank, RankId src, int tag) {
-  const std::uint64_t consumed =
-      rank.consumed_[static_cast<std::size_t>(src)];
-  for (auto it = rank.pending_.begin(); it != rank.pending_.end(); ++it) {
-    if (is_next_in_sequence(*it, src, consumed)) {
-      check_tag(*it, tag);
-      Message msg = std::move(*it);
-      rank.pending_.erase(it);
-      co_return msg;
-    }
-  }
-  GCR_CHECK_MSG(!rank.waiting_.has_value(),
-                "only one outstanding blocking recv per rank");
-  struct RecvAwaiter {
-    sim::Engine* eng;
-    Rank* rank;
-    RankId src;
-    int tag;
-    Message msg{};
-    sim::WaiterHandle waiter;
-
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      waiter = eng->suspend_current(h);
-      rank->waiting_ = Rank::WaitingRecv{src, tag, waiter, &msg};
-    }
-    Message await_resume() {
-      // On a kill-unwind the matcher never ran; clear our registration.
-      if (rank->waiting_ && rank->waiting_->waiter == waiter) {
-        rank->waiting_.reset();
-      }
-      eng->finish_wait(waiter);
-      return std::move(msg);
-    }
-  };
-  co_return co_await RecvAwaiter{&engine_of(rank), &rank, src, tag, {}, {}};
 }
 
 void Runtime::verify_consume(Rank& rank, const Message& msg) {
@@ -373,8 +379,8 @@ void Runtime::match_or_buffer(Rank& rank, Message msg) {
   rank.pending_.push_back(std::move(msg));
 }
 
-sim::Co<void> Runtime::compute(Rank& rank, double seconds) {
-  co_await sim::delay(engine_of(rank), sim::from_seconds(seconds));
+sim::Delay Runtime::compute(Rank& rank, double seconds) {
+  return sim::delay(engine_of(rank), sim::from_seconds(seconds));
 }
 
 sim::Co<void> Runtime::safepoint(Rank& rank, std::uint64_t iteration) {

@@ -17,6 +17,7 @@
 #include "mpi/hooks.hpp"
 #include "mpi/message.hpp"
 #include "mpi/rank.hpp"
+#include "sim/awaitables.hpp"
 #include "sim/cluster.hpp"
 #include "sim/co.hpp"
 
@@ -48,8 +49,8 @@ class AppHandle {
   /// Simultaneous exchange (isend + recv + wait) — deadlock-free pairwise.
   sim::Co<Message> sendrecv(RankId dst, int stag, std::int64_t sbytes,
                             RankId src, int rtag);
-  /// Models `seconds` of local computation.
-  sim::Co<void> compute(double seconds);
+  /// Models `seconds` of local computation (a plain engine delay).
+  sim::Delay compute(double seconds);
   /// Current simulated time on this rank's engine (its shard when
   /// resident). Open-loop workloads use this to sleep until the next
   /// scheduled arrival instead of a fixed per-iteration compute.
@@ -122,7 +123,7 @@ class Runtime {
   sim::Co<Message> recv(Rank& rank, RankId src, int tag);
   sim::Co<Message> sendrecv(Rank& rank, RankId dst, int stag,
                             std::int64_t sbytes, RankId src, int rtag);
-  sim::Co<void> compute(Rank& rank, double seconds);
+  sim::Delay compute(Rank& rank, double seconds);
   sim::Co<void> safepoint(Rank& rank, std::uint64_t iteration);
 
   // ---- collectives ----
@@ -240,7 +241,11 @@ class Runtime {
   void note_finished_delta(const Rank& rank, int delta);
   bool is_duplicate(const Rank& rank, const Message& msg) const;
   void match_or_buffer(Rank& rank, Message msg);
-  sim::Co<Message> wait_match(Rank& rank, RankId src, int tag);
+  /// Awaitable matched receive (runtime.cpp): takes the next in-sequence
+  /// message from `src` if it is already buffered, else suspends as the
+  /// rank's single outstanding receive until match_or_buffer fills it.
+  struct RecvAwaiter;
+  RecvAwaiter wait_match(Rank& rank, RankId src, int tag);
   void verify_consume(Rank& rank, const Message& msg);
   void spawn_app_coroutine(Rank& rank);
   /// Assigns seq/cum_bytes/checksum and bumps the sender's S table.

@@ -12,12 +12,16 @@
 //  * A coroutine chain is pinned to the shard (Engine) it was spawned on;
 //    resumption always comes from that engine's dispatch loop, never from
 //    another shard's thread (sim/shard.hpp).
+//  * Frames come from the per-thread frame pool (sim/frame_pool.hpp), so a
+//    warm call chain allocates nothing.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <utility>
 
+#include "sim/frame_pool.hpp"
 #include "util/assert.hpp"
 
 namespace gcr::sim {
@@ -50,6 +54,13 @@ struct CoPromiseBase {
   std::suspend_always initial_suspend() noexcept { return {}; }
   FinalAwaiter final_suspend() noexcept { return {}; }
   void unhandled_exception() { error = std::current_exception(); }
+
+  static void* operator new(std::size_t bytes) {
+    return frame_pool::allocate(bytes);
+  }
+  static void operator delete(void* frame, std::size_t bytes) noexcept {
+    frame_pool::deallocate(frame, bytes);
+  }
 };
 
 }  // namespace detail

@@ -1,17 +1,16 @@
-// SmallFn: move-only callable with small-buffer-optimized storage, the
-// payload type of the engine's typed event queue.
+// SmallFn: move-only callable stored in a fixed inline buffer, the payload
+// type of the engine's typed event queue.
 //
-// The common engine callbacks (timer lambdas, delivery thunks capturing a
-// couple of pointers) fit in the 48-byte inline buffer and cost zero heap
-// allocations to enqueue; oversized captures (e.g. a full Message copy on
-// the network delivery path) fall back to one heap allocation, exactly like
-// std::function but without its copyability requirement or 16-byte SBO
-// limit. Relocation (vector growth, pool reuse) is a flat function-pointer
-// call on a 3-entry ops table.
+// Every callable lives in the 112-byte inline buffer (one SmallFn is two
+// cache lines): timer lambdas, fabric thunks capturing a couple of
+// pointers, and the MiniMPI delivery thunk carrying a whole mpi::Message.
+// A callable that does not fit is a compile error, so enqueueing a callback
+// never touches the heap. Unlike std::function it needs no copyability.
+// Relocation (vector growth, pool reuse) is a flat function-pointer call on
+// a 3-entry ops table.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -20,7 +19,7 @@ namespace gcr::sim {
 
 class SmallFn {
  public:
-  static constexpr std::size_t kInlineBytes = 48;
+  static constexpr std::size_t kInlineBytes = 112;
 
   SmallFn() = default;
 
@@ -30,13 +29,11 @@ class SmallFn {
                                      std::is_invocable_r_v<void, D&>>>
   SmallFn(F&& f) {  // NOLINT(google-explicit-constructor): drop-in for
                     // std::function at call_at/post call sites
-    if constexpr (fits_inline<D>()) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      ops_ = &kInlineOps<D>;
-    } else {
-      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
-      ops_ = &kHeapOps<D>;
-    }
+    static_assert(fits_inline<D>(),
+                  "SmallFn callables must be nothrow-movable and fit "
+                  "kInlineBytes; capture a pointer to larger state");
+    ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+    ops_ = &kOps<D>;
   }
 
   SmallFn(SmallFn&& other) noexcept { move_from(other); }
@@ -76,7 +73,7 @@ class SmallFn {
   }
 
   template <class D>
-  static constexpr Ops kInlineOps = {
+  static constexpr Ops kOps = {
       [](void* obj) { (*as<D>(obj))(); },
       [](void* dst, void* src) noexcept {
         D* s = as<D>(src);
@@ -84,15 +81,6 @@ class SmallFn {
         s->~D();
       },
       [](void* obj) noexcept { as<D>(obj)->~D(); },
-  };
-
-  // Heap fallback stores a single D* in the buffer; the pointer itself is
-  // trivially destructible, so relocate/destroy only manage the pointee.
-  template <class D>
-  static constexpr Ops kHeapOps = {
-      [](void* obj) { (**as<D*>(obj))(); },
-      [](void* dst, void* src) noexcept { ::new (dst) D*(*as<D*>(src)); },
-      [](void* obj) noexcept { delete *as<D*>(obj); },
   };
 
   void move_from(SmallFn& other) noexcept {

@@ -7,6 +7,8 @@
 #include <cstdint>
 
 #include "apps/service.hpp"
+#include "apps/simple.hpp"
+#include "core/scheduler.hpp"
 #include "exp/experiment.hpp"
 #include "group/strategies.hpp"
 #include "sim/churn.hpp"
@@ -180,6 +182,53 @@ TEST(ChurnTest, ChurnRunsAreDeterministic) {
   ASSERT_TRUE(a.service.has_value() && b.service.has_value());
   EXPECT_EQ(a.service->p999_latency_s, b.service->p999_latency_s);
   EXPECT_EQ(a.service->slo_miss_rate, b.service->slo_miss_rate);
+}
+
+// Regression (ablation_elastic on its defaults): a staggered checkpoint
+// request fires up to round_spread_s after its round's tick, and a regroup
+// in between renumbers groups. The request names its group by leader rank:
+// it follows the leader to the group's new index, and is dropped when that
+// rank no longer leads — never dispatched to a stale or out-of-range index.
+TEST(ElasticSchedule, StaggeredRequestFollowsLeaderAcrossRegroup) {
+  sim::ClusterParams cp;
+  cp.num_nodes = kRanks + 1;
+  cp.jitter.enabled = false;
+  sim::Cluster cluster(cp);
+  mpi::Runtime rt(cluster, kRanks);
+  apps::RingParams ring;
+  ring.iterations = 400;
+  const apps::AppSpec app = apps::make_ring(kRanks, ring);
+  ckpt::Checkpointer checkpointer(cluster);
+  ckpt::ImageRegistry registry;
+  core::Metrics metrics;
+  // Blocks of two: {0,1} {2,3} {4,5} {6,7}, requested at 1.0/1.1/1.2/1.3 s.
+  core::GroupProtocol protocol(rt, group::make_blocks(kRanks, 2), checkpointer,
+                               registry, app.image_bytes, metrics);
+  rt.set_protocol(&protocol);
+  core::SchedulerOptions opts;
+  opts.first_at_s = 1.0;
+  opts.round_spread_s = 0.4;
+  core::CheckpointScheduler sched =
+      core::CheckpointScheduler::for_groups(rt, protocol, opts);
+  sched.start();
+  // After the tick, before the staggered requests: merge {2,3} and {4,5}.
+  // Three groups remain, so the fourth request's old index is out of range.
+  cluster.engine().call_at(sim::from_seconds(1.05), [&protocol] {
+    protocol.install_groups(
+        group::GroupSet(kRanks, {{0, 1}, {2, 3, 4, 5}, {6, 7}}));
+  });
+  rt.start_app(app.body);
+  cluster.engine().run_while([&rt] { return !rt.job_finished(); });
+  ASSERT_TRUE(rt.job_finished());
+  // Leader 2's request reaches the merged group, leader 4's is dropped (4
+  // no longer leads), leader 6's reaches {6,7} at its new index: every
+  // rank checkpoints exactly once and no round aborts.
+  std::vector<int> per_rank(kRanks, 0);
+  for (const core::CkptRecord& rec : metrics.ckpts) {
+    ++per_rank[static_cast<std::size_t>(rec.rank)];
+  }
+  EXPECT_EQ(per_rank, std::vector<int>(kRanks, 1));
+  EXPECT_EQ(metrics.aborted_rounds, 0);
 }
 
 }  // namespace

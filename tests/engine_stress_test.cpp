@@ -2,40 +2,21 @@
 // storms, same-timestamp bursts, kill-while-queued, pooled waiter-slot
 // recycling, allocation-free steady state, and run-to-run determinism.
 //
-// This TU replaces the global allocator with a counting shim so the
-// zero-allocation acceptance criterion ("no heap traffic per steady-state
-// timer event or suspension") is enforced by a test, not a claim.
+// This TU replaces the global allocator with a counting shim
+// (counting_allocator.hpp) so the zero-allocation acceptance criterion ("no
+// heap traffic per steady-state timer event or suspension") is enforced by a
+// test, not a claim.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include "apps/simple.hpp"
+#include "counting_allocator.hpp"
 #include "exp/experiment.hpp"
 #include "sim/awaitables.hpp"
 #include "sim/channel.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
-
-namespace {
-std::size_t g_allocs = 0;
-}
-
-void* operator new(std::size_t n) {
-  ++g_allocs;
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) {
-  ++g_allocs;
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace gcr::sim {
 namespace {

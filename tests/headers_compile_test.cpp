@@ -35,6 +35,7 @@
 #include "sim/co.hpp"
 #include "sim/engine.hpp"
 #include "sim/faults.hpp"
+#include "sim/frame_pool.hpp"
 #include "sim/jitter.hpp"
 #include "sim/network.hpp"
 #include "sim/smallfn.hpp"

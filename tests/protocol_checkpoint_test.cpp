@@ -2,6 +2,7 @@
 // coordination phases, drain, and abort-at-job-end handling.
 #include <gtest/gtest.h>
 
+#include "apps/hpl.hpp"
 #include "apps/simple.hpp"
 #include "exp/experiment.hpp"
 #include "group/strategies.hpp"
@@ -181,6 +182,31 @@ TEST(GroupCkpt, CoordinationScalesWithGroupSizeNotSystemSize) {
   const double gp32 = mean_coord(32, 8);  // groups of 4
   EXPECT_GT(norm32, norm16 * 0.8);  // global cost does not shrink
   EXPECT_LT(gp32, norm32);          // grouping cuts coordination
+}
+
+// Regression: a member whose iteration has already reached the commit target
+// when the kCommit arrives (HPL runs ahead of the prepare round's estimate)
+// aborts the epoch group-wide through kAbort instead of the process. HPL
+// 128 under NORM with drain storage and node faults, seed 36, hits it once.
+TEST(GroupCkpt, CommitTargetAlreadyPassedAbortsTheRound) {
+  const apps::HplParams hpl;
+  ExperimentConfig cfg;
+  cfg.app = [hpl](int n) { return apps::make_hpl(n, hpl); };
+  cfg.nranks = 128;
+  cfg.seed = 36;
+  cfg.groups = group::make_norm(128);
+  cfg.checkpoints = true;
+  cfg.schedule.first_at_s = 60.0;
+  cfg.schedule.interval_s = 60.0;
+  cfg.schedule.round_spread_s = 0.4;
+  cfg.storage.mode = ckpt::StorageMode::kDrain;
+  cfg.fault_model.kind = sim::FaultModelKind::kExponential;
+  cfg.fault_model.mtbf_s = 20000.0;
+  const ExperimentResult res = run_experiment(cfg);
+  ASSERT_TRUE(res.finished);
+  EXPECT_EQ(res.metrics.aborted_rounds, 1);
+  EXPECT_EQ(res.failures_injected,
+            res.recoveries_completed + res.recoveries_aborted);
 }
 
 }  // namespace

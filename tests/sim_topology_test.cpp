@@ -1,37 +1,17 @@
 // Topology conformance: analytic checks of route shapes and of the routed
 // fabric's fair-share arithmetic against closed forms.
 //
-// This TU replaces the global allocator with a counting shim (the
-// engine_stress_test idiom) so the fabric's "allocation-free steady path"
+// This TU replaces the global allocator with a counting shim
+// (counting_allocator.hpp) so the fabric's "allocation-free steady path"
 // claim is enforced by a test, not a comment.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "counting_allocator.hpp"
 #include "sim/network.hpp"
 #include "sim/topology.hpp"
 #include "util/rng.hpp"
-
-namespace {
-std::size_t g_allocs = 0;
-}
-
-void* operator new(std::size_t n) {
-  ++g_allocs;
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) {
-  ++g_allocs;
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace gcr::sim {
 namespace {
