@@ -43,7 +43,6 @@ int main(int argc, char** argv) {
   const int reps = cli.get_reps(3);
   const bool csv = cli.get_bool("csv", false, "emit CSV");
   const int jobs = cli.get_jobs();
-  const int shards = cli.get_shards();
   const double ckpt_first = cli.get_double("first-at", 60.0, "first ckpt (s)");
   const double ckpt_every = cli.get_double("interval", 120.0, "ckpt period (s)");
   const double fail_at = cli.get_double("fail-at", 200.0,
@@ -79,10 +78,6 @@ int main(int argc, char** argv) {
     cfg.schedule.first_at_s = ckpt_first;
     cfg.schedule.interval_s = ckpt_every;
     cfg.schedule.round_spread_s = 0.4;
-    // Tier modes pass the residency gate (the home arbiter is reached over
-    // the ±L control edge); the direct cell stays remote-storage-bound and
-    // is demoted to one shard — loudly, and surfaced in the result.
-    cfg.shards = shards;
     const ckpt::StorageMode storage = exp::storage_mode_at(point);
     cfg.storage = storage_config(storage, bb_mbps, pfs_mbps, capacity_mb);
     if (storage == ckpt::StorageMode::kDirect) {

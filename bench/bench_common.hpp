@@ -5,11 +5,8 @@
 // paper's expected qualitative shape, (b) a table of measured values, and
 // optionally CSV (--csv).
 //
-// Parallelism knobs multiply: `--jobs J` runs J simulations concurrently
-// and `--shards S` (where a bench declares it; Cli::get_shards) gives each
-// simulation S engine threads, so the process uses up to J*S threads. Use
-// --jobs for throughput across a sweep and --shards for latency of a
-// single big run; outputs are byte-identical either way. Modes follow the paper's notation: GP
+// `--jobs J` runs J simulations concurrently, each on one engine thread;
+// outputs are byte-identical for any J. Modes follow the paper's notation: GP
 // (trace-derived groups), GP1 (uncoordinated + logging), GP4 (ad-hoc 4
 // sequential-rank groups), NORM (global coordinated).
 #pragma once

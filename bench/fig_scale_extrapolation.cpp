@@ -87,7 +87,6 @@ int main(int argc, char** argv) {
   const int reps = cli.get_reps(3);
   const bool csv = cli.get_bool("csv", false, "emit CSV");
   const int jobs = cli.get_jobs();
-  const int shards = cli.get_shards();
   cli.finish();
 
   std::vector<sim::TopologyKind> topos;
@@ -118,10 +117,6 @@ int main(int argc, char** argv) {
     // Adaptive (least-loaded) fat-tree uplinks: the bookmark storm is the
     // exact hotspot adaptive routing exists for. Dragonfly stays minimal.
     config.topology.fattree_routing = sim::FatTreeRouting::kAdaptive;
-    // Group-resident shards: routed fabrics pass the residency gate, so
-    // every topology in the sweep parallelizes (byte-identically) when
-    // --shards > 1.
-    config.shards = shards;
     config.checkpoints = true;
     config.schedule.first_at_s = 0.1;  // inside the ~0.4 s stencil run
     config.schedule.max_rounds = 1;

@@ -16,11 +16,6 @@ struct HplSweepOptions {
   double ckpt_at_s = 60.0;
   double round_spread_s = 0.4;  ///< mpirun per-group propagation window
   bool restart_after_finish = true;
-  int shards = 1;  ///< engine shards per simulation (Cli::get_shards)
-  /// Injected group failures (default none — the paper's figures are
-  /// failure-free). CI's shard-TSan e2e uses this to drive kill/restore
-  /// across the resident-shard edge.
-  std::vector<exp::FailurePlan> failures;
   apps::HplParams hpl{};
 };
 
@@ -50,8 +45,6 @@ exp::Scenario hpl_scenario(std::string name, const HplSweepOptions& opt,
     cfg.schedule.first_at_s = opt.ckpt_at_s;
     cfg.schedule.round_spread_s = opt.round_spread_s;
     cfg.restart_after_finish = opt.restart_after_finish;
-    cfg.shards = opt.shards;
-    cfg.failures = opt.failures;
     return cfg;
   };
   sc.collect = [collect](const exp::SweepPoint& point,

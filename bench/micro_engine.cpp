@@ -19,16 +19,12 @@
 //                       flat as the resident count grows
 //   * far_future_cascade — events log-spread across the wheel's full 2^48 ns
 //                       span, so dispatch pays worst-case level cascades
-//   * shard_scaling   — per-shard callback storms plus a cross-shard token
-//                       ring through the windowed coordinator
-//                       (sim/shard.hpp), at 1/2/4/8 shards
 //
 // Output is one JSON object per line (events = Engine::events_processed()
 // delta; rate = events / wall second), plus a trailing summary object.
 // `--out FILE` additionally persists the JSON lines (BENCH_engine.json at
 // the repo root is the committed reference capture). CI uploads the JSON as
 // the perf-smoke artifact; docs/BENCHMARKS.md records reference numbers.
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -40,7 +36,6 @@
 #include "sim/channel.hpp"
 #include "sim/engine.hpp"
 #include "sim/network.hpp"
-#include "sim/shard.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -311,112 +306,6 @@ std::uint64_t far_future_overflow(int count) {
   return eng.events_processed();
 }
 
-std::uint64_t shard_scaling(int shards, int outstanding, int rounds) {
-  // One callback storm per shard (independent work, the parallel payoff)
-  // plus a cross-shard token ring so every window boundary, barrier, and
-  // mailbox merge in the coordinator is on the clock. Work scales with the
-  // shard count, so events/second measures parallel throughput directly.
-  sim::ShardedEngine se(shards, /*lookahead=*/1'000);
-  std::array<long, 64> sink{};
-  struct Tick {
-    Engine* eng;
-    long* sink;
-    int left;
-    void operator()() {
-      ++*sink;
-      if (left > 0) {
-        eng->call_at(eng->now() + 1 + left % 7, Tick{eng, sink, left - 1});
-      }
-    }
-  };
-  for (int s = 0; s < shards; ++s) {
-    Engine& eng = se.shard(s);
-    for (int i = 0; i < outstanding; ++i) {
-      eng.call_at(i % 64, Tick{&eng, &sink[static_cast<std::size_t>(s)],
-                               rounds - 1});
-    }
-  }
-  struct Ring {
-    sim::ShardedEngine* se;
-    int left;
-    void arrive(int s) {
-      if (left-- <= 0) return;
-      const int next = (s + 1) % se->num_shards();
-      se->post_at(s, next, se->shard(s).now() + 10'000,
-                  [this, next] { arrive(next); });
-    }
-  };
-  Ring ring{&se, 200};
-  se.post_at(0, 0, 1, [&ring] { ring.arrive(0); });
-  se.run();
-  for (int s = 0; s < shards; ++s) {
-    if (sink[static_cast<std::size_t>(s)] !=
-        static_cast<long>(outstanding) * rounds) {
-      std::abort();
-    }
-  }
-  return se.events_processed();
-}
-
-std::uint64_t shard_parallel_ranks(int shards, int ranks_per_shard,
-                                   int rounds, int burst,
-                                   std::vector<std::uint64_t>* occupancy) {
-  // Rank-like actors resident on every shard, the shape the model layer has
-  // once `exp::plan_rank_shards` places ranks: each actor runs a burst of
-  // local self-rescheduling callbacks on its own shard's engine (intra-shard
-  // storm), then hands off to its counterpart on the next shard through the
-  // windowed mailbox (cross-shard ring). Unlike shard_scaling's token ring —
-  // whose storms are pre-seeded and whose ring carries no work — here the
-  // cross-shard edge *carries the work forward*, so the row measures
-  // parallel dispatch of model events, not coordinator overhead. Occupancy
-  // (events dispatched per shard) comes back via `occupancy` and lands in
-  // the JSON row; every shard busy is the tentpole's proof obligation.
-  sim::ShardedEngine se(shards, /*lookahead=*/1'000);
-  struct Actor {
-    sim::ShardedEngine* se;
-    int shard;
-    int left;  // ring handoffs remaining
-    int burst;
-    int burst_left = 0;
-    void start_round() {
-      burst_left = burst;
-      step();
-    }
-    void step() {
-      Engine& eng = se->shard(shard);
-      if (burst_left-- > 0) {
-        eng.call_at(eng.now() + 1 + burst_left % 7, [this] { step(); });
-        return;
-      }
-      if (left-- <= 0) return;
-      const int next = (shard + 1) % se->num_shards();
-      // The actor migrates: subsequent bursts run on the successor shard.
-      se->post_at(shard, next, eng.now() + se->lookahead(), [this, next] {
-        shard = next;
-        start_round();
-      });
-    }
-  };
-  std::vector<std::unique_ptr<Actor>> actors;
-  for (int s = 0; s < shards; ++s) {
-    for (int r = 0; r < ranks_per_shard; ++r) {
-      actors.push_back(
-          std::make_unique<Actor>(Actor{&se, s, rounds, burst}));
-      Actor* a = actors.back().get();
-      se.shard(s).call_at(r % 16, [a] { a->start_round(); });
-    }
-  }
-  se.run();
-  for (const auto& a : actors) {
-    if (a->left != -1 || a->burst_left != -1) std::abort();
-  }
-  if (occupancy != nullptr) {
-    occupancy->clear();
-    for (int s = 0; s < shards; ++s) occupancy->push_back(se.shard_events(s));
-  }
-  return se.events_processed();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -460,43 +349,6 @@ int main(int argc, char** argv) {
          best_of(reps, [&] { return far_future_cascade(200'000 * scale); }));
   record("far_future_overflow",
          best_of(reps, [&] { return far_future_overflow(200'000 * scale); }));
-  // Shard rows: per-shard work is constant, so events/second measures the
-  // coordinator's parallel throughput. On a single hardware thread the rows
-  // stay roughly flat (the structural overhead of windows + barriers); the
-  // >= 1.5x at 4 shards acceptance figure is for a multi-core host.
-  for (const int shards : {1, 2, 4, 8}) {
-    record("shard_scaling_s" + std::to_string(shards),
-           best_of(reps,
-                   [&] { return shard_scaling(shards, 512, 400 * scale); }));
-  }
-  // Resident-rank rows: the cross-shard ring carries the work, so these
-  // measure parallel dispatch of model events (and the occupancy vector
-  // proves peer shards executed them). Same caveat as shard_scaling on a
-  // single hardware thread.
-  for (const int shards : {1, 2, 4}) {
-    std::vector<std::uint64_t> occupancy;
-    const Result r = best_of(reps, [&] {
-      return shard_parallel_ranks(shards, 64, 40 * scale, 16, &occupancy);
-    });
-    std::string occ = "[";
-    for (std::size_t s = 0; s < occupancy.size(); ++s) {
-      if (s != 0) occ += ",";
-      occ += std::to_string(occupancy[s]);
-    }
-    occ += "]";
-    char pline[320];
-    std::snprintf(
-        pline, sizeof(pline),
-        "{\"bench\":\"shard_parallel_ranks_s%d\",\"events\":%llu,"
-        "\"seconds\":%.6f,\"events_per_sec\":%.0f,\"shard_events\":%s}\n",
-        shards, static_cast<unsigned long long>(r.events), r.seconds,
-        r.seconds > 0 ? static_cast<double>(r.events) / r.seconds : 0.0,
-        occ.c_str());
-    std::fputs(pline, stdout);
-    g_json += pline;
-    total_events += r.events;
-    total_seconds += r.seconds;
-  }
 
   char line[256];
   std::snprintf(

@@ -10,9 +10,8 @@ if command -v python3 >/dev/null 2>&1; then
 else
   echo "check.sh: python3 not found, skipping scripts/check_docs.py" >&2
 fi
-# Bench ON so the golden regression gates (ctest: flat_equivalence and
-# shard_equivalence; scripts/check_flat_equivalence.sh and
-# scripts/check_shard_equivalence.sh) build and run with the suite.
+# Bench ON so the golden regression gate (ctest: golden_equivalence;
+# scripts/check_golden_equivalence.sh) builds and runs with the suite.
 cmake -B build -S . -DGCR_BUILD_BENCH=ON && cmake --build build -j && cd build && ctest --output-on-failure -j
 # Explicit gates on the randomized torture harnesses (also part of the
 # ctest run above; CI additionally runs them under ASan+UBSan).
@@ -22,14 +21,13 @@ cmake -B build -S . -DGCR_BUILD_BENCH=ON && cmake --build build -j && cd build &
 ./topology_torture_test
 # Elastic-service gates (DESIGN.md §16): churn semantics (drain != failure,
 # checkpoint-on-warning, rolling coverage, rejoin + merge) and the service
-# app's SLO/latency accounting incl. its shard-residency equivalence.
+# app's SLO/latency accounting.
 ./churn_test
 ./service_app_test
-# Explicit shard-determinism gate (also the shard_equivalence ctest): all
-# four campaigns must match the committed goldens byte-for-byte at
-# --shards 1, 2, and 4 — with the rank layer shard-resident, this is the
-# primary equivalence proof for DESIGN.md §15.3.
-sh ../scripts/check_shard_equivalence.sh \
+# Explicit golden gate (also the golden_equivalence ctest): fig05, fig13,
+# the routed-fabric scale sweep and the storage-tier ablation must match
+# the committed goldens byte-for-byte.
+sh ../scripts/check_golden_equivalence.sh \
   bench/fig05_execution_time bench/fig13_scale_vcl \
   bench/fig_scale_extrapolation bench/ablation_storage_tiers \
   ../tests/golden

@@ -19,9 +19,7 @@ constexpr double kNotDone = -1.0;
 /// precomputed at spec construction, so the request schedule is a function
 /// of (seed, nranks) alone — faults, churn and restarts cannot perturb it
 /// (that is what makes the stream open-loop). Completion slots are
-/// preallocated per rank; in shard-resident runs each rank writes only its
-/// own vector, so shard threads never share a cache line's worth of
-/// request state with another rank's writer.
+/// preallocated per rank.
 struct ServiceState {
   ServiceParams p;
   std::vector<std::vector<double>> arrival;   ///< [rank][request] seconds

@@ -20,8 +20,7 @@ const char* storage_mode_name(StorageMode mode) {
 
 TierStore::TierStore(sim::Cluster& cluster, const TierStoreOptions& options)
     : cluster_(&cluster), options_(options), space_freed_(cluster.engine()),
-      node_seq_(static_cast<std::size_t>(cluster.num_nodes()), 0),
-      replies_(static_cast<std::size_t>(cluster.shards().num_shards())) {
+      node_seq_(static_cast<std::size_t>(cluster.num_nodes()), 0) {
   GCR_CHECK_MSG(cluster.has_tiered_storage(),
                 "TierStore requires cluster burst buffers (num_burst_buffers)");
   GCR_CHECK_MSG(options_.mode != StorageMode::kDirect,
@@ -31,20 +30,15 @@ TierStore::TierStore(sim::Cluster& cluster, const TierStoreOptions& options)
 
 // --------------------------------------------------------- control edge
 //
-// Same-tick arrivals at the home arbiter are batched and executed in
-// (subject node, per-node seq) order. Every op lands as its own posted
-// event, so by the time the first one executes, all of the tick's ops are
-// already queued; the flush is scheduled via call_at(now) — inserted after
-// them — and therefore sees the complete batch. The sort key is assigned
-// on the subject's shard in its deterministic execution order, so the
-// admission order is a pure function of model state, not of --shards.
+// Same-tick arrivals at the arbiter are batched and executed in (subject
+// node, per-node seq) order. Every op lands as its own scheduled event, so
+// by the time the first one executes, all of the tick's ops are already
+// queued; the flush is scheduled via call_at(now) — inserted after them —
+// and therefore sees the complete batch.
 
 void TierStore::post_op(TierOp op) {
-  sim::ShardedEngine& sh = cluster_->shards();
-  const int from = cluster_->node_shard(op.node);
-  const sim::Time at = sh.shard(from).now() + rpc_latency();
-  sh.post_at(from, /*to=*/0, at,
-             sim::SmallFn([this, op]() mutable { enqueue_op(op); }));
+  home().call_at(home().now() + rpc_latency(),
+                 sim::SmallFn([this, op]() mutable { enqueue_op(op); }));
 }
 
 void TierStore::enqueue_op(TierOp op) {
@@ -67,23 +61,19 @@ void TierStore::flush_ops() {
 }
 
 void TierStore::post_reply(int node, std::uint64_t seq, int result) {
-  sim::ShardedEngine& sh = cluster_->shards();
-  const int to = cluster_->node_shard(node);
-  sh.post_at(/*from=*/0, to, home().now() + rpc_latency(),
-             sim::SmallFn([this, to, node, seq, result] {
-               auto& waiters = replies_[static_cast<std::size_t>(to)];
-               auto it = waiters.find(ReplyKey{node, seq});
-               if (it == waiters.end()) return;  // caller killed mid-wait
-               *it->second.result = result;
-               it->second.trigger->fire();
-             }));
+  home().call_at(home().now() + rpc_latency(),
+                 sim::SmallFn([this, node, seq, result] {
+                   auto it = replies_.find(ReplyKey{node, seq});
+                   if (it == replies_.end()) return;  // caller killed mid-wait
+                   *it->second.result = result;
+                   it->second.trigger->fire();
+                 }));
 }
 
 sim::Co<void> TierStore::await_reply(int node, std::uint64_t seq,
                                      int* result) {
-  auto& waiters = replies_[static_cast<std::size_t>(
-      cluster_->node_shard(node))];
-  sim::Trigger reply(node_engine(node));
+  auto& waiters = replies_;
+  sim::Trigger reply(home());
   const ReplyKey key{node, seq};
   waiters[key] = ReplyWaiter{&reply, result};
   // RAII unregistration: a kill mid-wait must not leave a trigger pointer
@@ -162,7 +152,7 @@ sim::Co<void> TierStore::stage_image(int node, mpi::RankId rank,
   // Memory-speed copy out of the application's address space into the
   // node's staging buffer (the process resumes only after the full image
   // left its memory — same blocking contract as a direct device write).
-  // Runs on the node's own shard; only then does the request cross home.
+  // Only then does the request cross to the arbiter.
   co_await cluster_->node_buffer(node).write(bytes);
   const std::uint64_t seq = node_seq_[static_cast<std::size_t>(node)]++;
   post_op(TierOp{TierOp::Kind::kStage, node, rank, seq, epoch, bytes});
@@ -299,7 +289,7 @@ sim::Co<void> TierStore::read_image(int node, mpi::RankId rank,
   co_await await_reply(node, seq, &result);
   if (result == kReplyReadLocal) {
     // Warm restart: the committed image never left the node's staging
-    // buffer, so the read runs at memory speed on the node's own shard.
+    // buffer, so the read runs at memory speed.
     co_await cluster_->node_buffer(node).read(bytes);
   }
 }

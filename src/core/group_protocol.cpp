@@ -34,7 +34,7 @@ GroupProtocol::GroupProtocol(mpi::Runtime& rt, const group::GroupSet& groups,
     st->rr.assign(static_cast<std::size_t>(n), 0);
     st->first_send.assign(static_cast<std::size_t>(n), 0);
     st->skip_bytes.assign(static_cast<std::size_t>(n), 0);
-    st->event = std::make_unique<sim::Trigger>(rt.engine_of(r));
+    st->event = std::make_unique<sim::Trigger>(rt.engine());
     st->jitter_rng = rt.cluster().make_rng(0x6A00 + static_cast<std::uint64_t>(r));
     states_.push_back(std::move(st));
   }
@@ -57,35 +57,7 @@ std::int64_t GroupProtocol::log_bytes(mpi::RankId rank) const {
   return states_[static_cast<std::size_t>(rank)]->log.total_bytes();
 }
 
-void GroupProtocol::finalize_metrics() {
-  if (!rt_->resident()) return;
-  for (auto& stp : states_) {
-    Metrics& sp = stp->spool;
-    metrics_->logged_messages += sp.logged_messages;
-    metrics_->logged_bytes += sp.logged_bytes;
-    metrics_->flushed_bytes += sp.flushed_bytes;
-    metrics_->resend_ops += sp.resend_ops;
-    metrics_->resend_messages += sp.resend_messages;
-    metrics_->resend_bytes += sp.resend_bytes;
-    metrics_->aborted_rounds += sp.aborted_rounds;
-    for (CkptRecord& r : sp.ckpts) metrics_->ckpts.push_back(std::move(r));
-    for (RestartRecord& r : sp.restarts) {
-      metrics_->restarts.push_back(std::move(r));
-    }
-    sp = Metrics{};
-  }
-  // Restore the unsharded push order — records are pushed at sim time `end`,
-  // so the shared vector is sorted by (end, tie: dispatch order). Matching
-  // it keeps order-sensitive consumers (floating-point aggregate sums) byte-
-  // identical across shard counts.
-  const auto by_end_rank = [](const auto& a, const auto& b) {
-    return a.end != b.end ? a.end < b.end : a.rank < b.rank;
-  };
-  std::stable_sort(metrics_->ckpts.begin(), metrics_->ckpts.end(),
-                   by_end_rank);
-  std::stable_sort(metrics_->restarts.begin(), metrics_->restarts.end(),
-                   by_end_rank);
-}
+void GroupProtocol::finalize_metrics() {}
 
 // ------------------------------------------------------------- send/deliver
 
@@ -105,8 +77,8 @@ sim::Co<bool> GroupProtocol::before_send(mpi::Rank& rank, mpi::Message& msg) {
     // Logged even when transmission is suppressed: the receiver has the
     // message, but a *future* failure of the receiver still needs it.
     st.log.append(msg);
-    ++met(st).logged_messages;
-    met(st).logged_bytes += msg.bytes;
+    ++metrics_->logged_messages;
+    metrics_->logged_bytes += msg.bytes;
   }
   std::int64_t& skip = st.skip_bytes[static_cast<std::size_t>(msg.dst)];
   if (skip > 0) {
@@ -118,7 +90,7 @@ sim::Co<bool> GroupProtocol::before_send(mpi::Rank& rank, mpi::Message& msg) {
   if (logged) {
     // Asynchronous sender-side logging still costs a buffer copy.
     co_await sim::delay(
-        rt_->engine_of(rank),
+        rt_->engine(),
         sim::from_seconds(options_.log_per_msg_s +
                           static_cast<double>(msg.bytes) /
                               options_.log_copy_Bps));
@@ -161,7 +133,7 @@ void GroupProtocol::note_bookmark_progress(RankState& st,
 // ------------------------------------------------------------ daemon / ctrl
 
 void GroupProtocol::rank_started(mpi::Rank& rank) {
-  sim::Engine& eng = rt_->engine_of(rank);
+  sim::Engine& eng = rt_->engine();
   auto proc = eng.spawn("crdaemon" + std::to_string(rank.id()),
                         daemon_loop(rank));
   rt_->set_daemon_proc(rank, std::move(proc));
@@ -173,31 +145,10 @@ void GroupProtocol::rank_started(mpi::Rank& rank) {
   // Deferred exchanges: any peer that restarted while this rank was down
   // re-issues its volume-exchange request now that we are back, so the
   // pair's replay/skip state converges even though the peer's restart
-  // preparation already completed without us. In shard-resident runs a
-  // peer's deferred-set lives on the peer's shard: same-shard peers are
-  // scanned synchronously, every other shard is reached by a closure posted
-  // one lookahead out (ordered after the respawn's incarnation fence, which
-  // was posted earlier this event — mailbox send order is preserved).
-  if (!rt_->resident()) {
-    reissue_deferred_exchanges(/*shard_filter=*/-1, rank.id());
-  } else {
-    const int home = rt_->shard_of(rank.id());
-    reissue_deferred_exchanges(home, rank.id());
-    sim::ShardedEngine& sh = rt_->cluster().shards();
-    const mpi::RankId back = rank.id();
-    for (int s = 0; s < sh.num_shards(); ++s) {
-      if (s == home) continue;
-      sh.post_at(home, s, sh.shard(home).now() + sh.lookahead(),
-                 [this, s, back] { reissue_deferred_exchanges(s, back); });
-    }
-  }
-}
-
-void GroupProtocol::reissue_deferred_exchanges(int shard_filter,
-                                               mpi::RankId back) {
+  // preparation already completed without us.
+  const mpi::RankId back = rank.id();
   for (int p = 0; p < rt_->nranks(); ++p) {
     if (p == back) continue;
-    if (shard_filter >= 0 && rt_->shard_of(p) != shard_filter) continue;
     mpi::Rank& peer = rt_->rank(p);
     RankState& ps = *states_[static_cast<std::size_t>(p)];
     if (!peer.alive() || ps.exchange_deferred.count(back) == 0) continue;
@@ -213,7 +164,7 @@ void GroupProtocol::reissue_deferred_exchanges(int shard_filter,
 
 void GroupProtocol::rank_killed(mpi::Rank& rank) {
   RankState& st = state(rank);
-  sim::Engine& eng = rt_->engine_of(rank);
+  sim::Engine& eng = rt_->engine();
   // Stop auxiliary coroutines still acting for the dead incarnation.
   if (st.restore_proc && st.restore_proc->alive()) {
     eng.kill(*st.restore_proc);
@@ -230,7 +181,7 @@ void GroupProtocol::rank_killed(mpi::Rank& rank) {
   registry_->discard_staged(rank.id());
   checkpointer_->discard_staged(rank.id());
   if (is_leader(rank) && st.round_open) {
-    ++met(st).aborted_rounds;
+    ++metrics_->aborted_rounds;
     st.round_open = false;
   }
   st.commit_pending = false;
@@ -244,30 +195,9 @@ void GroupProtocol::rank_killed(mpi::Rank& rank) {
   // Peers mid-restart waiting on our exchange reply must not wait forever:
   // re-route their exchange to the deferred path (re-issued when we
   // respawn) and wake them so their restart preparation can complete.
-  // Shard-resident: same-shard peers synchronously, remote shards one
-  // lookahead out (after the kill's incarnation fence — same mailbox batch,
-  // earlier send). A remote peer that asks us for an exchange inside that
-  // window is dropped by the incarnation check and rescued by this closure.
-  if (!rt_->resident()) {
-    reroute_pending_exchanges(/*shard_filter=*/-1, rank.id());
-  } else {
-    const int home = rt_->shard_of(rank.id());
-    reroute_pending_exchanges(home, rank.id());
-    sim::ShardedEngine& sh = rt_->cluster().shards();
-    const mpi::RankId dead = rank.id();
-    for (int s = 0; s < sh.num_shards(); ++s) {
-      if (s == home) continue;
-      sh.post_at(home, s, sh.shard(home).now() + sh.lookahead(),
-                 [this, s, dead] { reroute_pending_exchanges(s, dead); });
-    }
-  }
-}
-
-void GroupProtocol::reroute_pending_exchanges(int shard_filter,
-                                              mpi::RankId dead) {
+  const mpi::RankId dead = rank.id();
   for (int p = 0; p < rt_->nranks(); ++p) {
     if (p == dead) continue;
-    if (shard_filter >= 0 && rt_->shard_of(p) != shard_filter) continue;
     RankState& ps = *states_[static_cast<std::size_t>(p)];
     if (ps.exchange_pending.erase(dead) > 0) {
       ps.exchange_deferred.insert(dead);
@@ -279,7 +209,7 @@ void GroupProtocol::reroute_pending_exchanges(int shard_filter,
 void GroupProtocol::rank_finished(mpi::Rank& rank) {
   RankState& st = state(rank);
   if (is_leader(rank) && st.round_open) {
-    ++met(st).aborted_rounds;
+    ++metrics_->aborted_rounds;
     st.round_open = false;
   }
   if (st.commit_pending) {
@@ -316,7 +246,7 @@ sim::Co<void> GroupProtocol::daemon_loop(mpi::Rank& rank) {
       burst = 0;  // pop() will suspend; resumption starts from a fresh stack
     } else if (++burst >= kMaxSyncDrain) {
       burst = 0;
-      co_await sim::delay(rt_->engine_of(rank), sim::Time{0});
+      co_await sim::delay(rt_->engine(), sim::Time{0});
     }
     mpi::Message msg = co_await rank.ctrl_in().pop();
     co_await handle_ctrl(rank, std::move(msg));
@@ -332,11 +262,11 @@ sim::Co<void> GroupProtocol::handle_ctrl(mpi::Rank& rank, mpi::Message msg) {
     case mpi::CtrlKind::kCkptRequest: {
       if (!is_leader(rank) || st.round_open) co_return;
       if (rank.finished()) {
-        ++met(st).aborted_rounds;
+        ++metrics_->aborted_rounds;
         co_return;
       }
       st.round_open = true;
-      st.signal_at = rt_->engine_of(rank).now();
+      st.signal_at = rt_->engine().now();
       const std::uint64_t epoch = st.next_epoch++;
       if (members.size() == 1) {
         st.commit_pending = true;
@@ -357,7 +287,7 @@ sim::Co<void> GroupProtocol::handle_ctrl(mpi::Rank& rank, mpi::Message msg) {
 
     case mpi::CtrlKind::kPrepare: {
       const auto epoch = static_cast<std::uint64_t>(msg.ctrl_data.at(0));
-      st.signal_at = rt_->engine_of(rank).now();
+      st.signal_at = rt_->engine().now();
       mpi::Message reply;
       reply.ctrl = mpi::CtrlKind::kPrepareReply;
       reply.ctrl_data = {
@@ -383,7 +313,7 @@ sim::Co<void> GroupProtocol::handle_ctrl(mpi::Rank& rank, mpi::Message msg) {
       }
       st.prepare_replies.erase(it);
       if (anyone_finished) {
-        ++met(st).aborted_rounds;
+        ++metrics_->aborted_rounds;
         st.aborted.insert(epoch);
         st.round_open = false;
         mpi::Message abort;
@@ -441,7 +371,7 @@ sim::Co<void> GroupProtocol::handle_ctrl(mpi::Rank& rank, mpi::Message msg) {
         st.commit_pending = false;
       }
       if (is_leader(rank) && st.round_open) {
-        ++met(st).aborted_rounds;
+        ++metrics_->aborted_rounds;
         st.round_open = false;
       }
       wake(rank);
@@ -495,7 +425,7 @@ sim::Co<void> GroupProtocol::handle_ctrl(mpi::Rank& rank, mpi::Message msg) {
       std::erase_if(st.serve_procs,
                     [](const sim::ProcPtr& p) { return !p || !p->alive(); });
       st.serve_procs.push_back(
-          rt_->engine_of(rank).spawn("exchsrv" + std::to_string(rank.id()),
+          rt_->engine().spawn("exchsrv" + std::to_string(rank.id()),
                                      serve_exchange(rank, std::move(msg))));
       co_return;
     }
@@ -586,7 +516,7 @@ sim::Co<void> GroupProtocol::run_group_checkpoint(mpi::Rank& rank) {
   const std::uint64_t epoch = st.commit_epoch;
   const int g = groups_.group_of(rank.id());
   const auto& members = groups_.members(g);
-  sim::Engine& eng = rt_->engine_of(rank);
+  sim::Engine& eng = rt_->engine();
 
   const sim::Time t_signal = st.signal_at;
   const sim::Time t_safepoint = eng.now();
@@ -604,7 +534,7 @@ sim::Co<void> GroupProtocol::run_group_checkpoint(mpi::Rank& rank) {
     co_await checkpointer_->flush_log(rank.node(), flush);
   }
   st.log.mark_flushed();
-  met(st).flushed_bytes += flush;
+  metrics_->flushed_bytes += flush;
 
   mpi::Message bookmark;
   bookmark.ctrl = mpi::CtrlKind::kBookmark;
@@ -708,7 +638,7 @@ sim::Co<void> GroupProtocol::run_group_checkpoint(mpi::Rank& rank) {
     rec.phases.coordination = sim::to_seconds(t_coordinated - t_locked);
     rec.phases.checkpoint = sim::to_seconds(t_image - t_coordinated);
     rec.phases.finalize = sim::to_seconds(t_end - t_image);
-    met(st).ckpts.push_back(rec);
+    metrics_->ckpts.push_back(rec);
   }
   // Aborted rounds are counted where the leader's round closes without a
   // checkpoint (kAbort delivery / finish paths), not here.
@@ -771,7 +701,7 @@ void GroupProtocol::stage_restore(mpi::Rank& rank,
 
 sim::Co<void> GroupProtocol::run_restore(mpi::Rank& rank) {
   RankState& st = state(rank);
-  sim::Engine& eng = rt_->engine_of(rank);
+  sim::Engine& eng = rt_->engine();
   const sim::Time t_begin = eng.now();
   if (st.from_image) {
     co_await checkpointer_->read_image(rank.node(), rank.id(),
@@ -808,7 +738,7 @@ sim::Co<void> GroupProtocol::run_restore(mpi::Rank& rank) {
           (!st.from_image || st.restore_cut == qs.restore_cut);
       if (same_cut) continue;
     }
-    if (rt_->peer_alive(rank, q)) {
+    if (rt_->rank(q).alive()) {
       req.ctrl_data = {st.exchange_r[static_cast<std::size_t>(q)],
                        rank.sent_to(q).bytes};
       rt_->send_ctrl(rank.id(), q, req);
@@ -833,7 +763,7 @@ sim::Co<void> GroupProtocol::run_restore(mpi::Rank& rank) {
   rec.end = eng.now();
   rec.image_read_s = sim::to_seconds(t_loaded - t_begin);
   rec.exchange_s = sim::to_seconds(eng.now() - t_loaded);
-  met(st).restarts.push_back(rec);
+  metrics_->restarts.push_back(rec);
 
   const int g = groups_.group_of(rank.id());
   if (restore_done_ && !group_restarting(g)) restore_done_(g);
@@ -842,7 +772,7 @@ sim::Co<void> GroupProtocol::run_restore(mpi::Rank& rank) {
 sim::Co<void> GroupProtocol::serve_exchange(mpi::Rank& rank,
                                             mpi::Message msg) {
   const std::int64_t peer_r_from_me = msg.ctrl_data.at(0);
-  co_await sim::delay(rt_->engine_of(rank),
+  co_await sim::delay(rt_->engine(),
                       sim::from_seconds(options_.exchange_handling_s));
   co_await replay_to(rank, msg.src, peer_r_from_me);
   mpi::Message reply;
@@ -856,15 +786,15 @@ sim::Co<void> GroupProtocol::replay_to(mpi::Rank& rank, mpi::RankId peer,
   RankState& st = state(rank);
   const auto entries = st.log.entries_after(peer, after);
   if (entries.empty()) co_return;
-  ++met(st).resend_ops;
-  sim::Engine& eng = rt_->engine_of(rank);
+  ++metrics_->resend_ops;
+  sim::Engine& eng = rt_->engine();
   for (const mpi::Message& m : entries) {
     co_await sim::delay(eng, sim::from_seconds(options_.replay_per_msg_s));
     const auto times = rt_->replay_send(rank, m);
-    ++met(st).resend_messages;
-    met(st).resend_bytes += m.bytes;
+    ++metrics_->resend_messages;
+    metrics_->resend_bytes += m.bytes;
     if (times.ticket != 0) {
-      co_await rt_->await_egress(eng, times.ticket);
+      co_await rt_->await_egress(times.ticket);
     } else if (times.egress_done > eng.now()) {
       co_await sim::delay(eng, times.egress_done - eng.now());
     }
@@ -874,8 +804,6 @@ sim::Co<void> GroupProtocol::replay_to(mpi::Rank& rank, mpi::RankId peer,
 // ------------------------------------------------------- elastic regrouping
 
 void GroupProtocol::begin_transition(const group::GroupSet& pending) {
-  GCR_CHECK_MSG(!rt_->resident(),
-                "elastic transitions run on the home engine only");
   GCR_CHECK(pending.nranks() == groups_.nranks());
   GCR_CHECK_MSG(!transition_, "a regroup transition is already open");
   transition_ = pending;
@@ -902,8 +830,6 @@ bool GroupProtocol::quiescent_for_regroup(
 }
 
 void GroupProtocol::install_groups(group::GroupSet next) {
-  GCR_CHECK_MSG(!rt_->resident(),
-                "elastic regrouping runs on the home engine only");
   GCR_CHECK(next.nranks() == groups_.nranks());
   retired_groups_.push_back(
       std::make_unique<group::GroupSet>(std::move(groups_)));

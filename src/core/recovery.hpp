@@ -45,8 +45,7 @@
 //              their first joint commit.
 // Regroup operations are serialized through one FIFO so at most one
 // partition transition is open at a time; fault injection stays fully
-// concurrent with them. Churn requires the unsharded path (the residency
-// gate in core/experiment.cpp denies shard residency to churn configs).
+// concurrent with them.
 //
 // Bookkeeping invariant (asserted by tests/fault_torture_test.cpp): once a
 // run completes, failures_injected == recoveries_completed +
@@ -133,7 +132,7 @@ class RecoveryManager {
   /// Arms a churn model (sim/churn.hpp): drains, spot reclaims and joins
   /// are pulled and dispatched until the job finishes. `planner` (may be
   /// null) picks merge targets for rejoining ranks; it must outlive the
-  /// run. Requires the unsharded path.
+  /// run.
   void arm_churn_model(std::unique_ptr<sim::ChurnModel> model,
                        const RegroupPlanner* planner, ChurnOptions options);
 
@@ -199,20 +198,17 @@ class RecoveryManager {
 
   // Groups are identified by a REPRESENTATIVE RANK (members.front() at
   // decision time) everywhere a decision outlives the instant it was made:
-  // queue entries, cross-shard posts, timer callbacks. Group INDICES shift
+  // queue entries, control-edge callbacks, timers. Group INDICES shift
   // when churn installs a new partition; a rank's group membership is
   // re-resolved via group_of(rep) at execution. In static runs rep↔index
   // resolution is the identity, so the legacy timeline is bit-identical.
   void fail_group_now(int group);
   void fail_node_now(int node);
   void kill_members(int group);
-  /// kill_members on the shard that owns the group's ranks: synchronous in
-  /// unsharded runs, posted one lookahead out in shard-resident runs (the
-  /// recovery state machine stays on the home shard; only the member-
-  /// touching work crosses).
+  /// kill_members one control edge after the decision.
   void dispatch_kill(mpi::RankId rep);
-  /// The shard hosting a group's ranks (groups are placed whole).
-  int shard_of_group(int group) const;
+  /// Runs `fn` one control edge (Cluster::control_latency) from now.
+  void after_control_edge(sim::SmallFn fn);
   void enqueue_restore(mpi::RankId rep);
   /// Starts queued restores while slots are free and heads are ready;
   /// re-arms itself for a not-yet-ready head. Idempotent.
@@ -225,7 +221,7 @@ class RecoveryManager {
                                     double mtbf_s);
   void schedule_next_model_event();
 
-  // --- churn driver (home shard only) ---
+  // --- churn driver ---
   void schedule_next_churn_event();
   void on_churn_event(const sim::ChurnEvent& ev);
   void enqueue_churn_op(ChurnOp op);
@@ -304,7 +300,7 @@ class RecoveryManager {
   std::set<std::uint64_t> churn_cancelled_;
   std::uint64_t next_reclaim_token_ = 0;
 
-  /// Availability accounting (home-shard timestamps). -1 = rank is up.
+  /// Availability accounting. -1 = rank is up.
   std::vector<sim::Time> down_since_;
   sim::Time downtime_ = 0;
 };

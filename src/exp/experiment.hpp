@@ -68,16 +68,10 @@ struct ExperimentConfig {
   // contention for the scale-extrapolation campaigns. Link bandwidths of 0
   // inherit net_bandwidth_Bps.
   sim::TopologyParams topology;
-  // Engine shards (sim/shard.hpp). 1 (default) is the literal single-
-  // threaded engine; N > 1 requests the conservative-lookahead window
-  // coordinator with rank-resident shards. The residency gate (group
-  // protocol, no direct-mode remote storage, no whole-app restart — see
-  // run_experiment) covers every fabric topology, the tiered storage modes
-  // and tracing; a denied request is demoted to the single home engine
-  // with a warning and the reason surfaced in ExperimentResult. The count
-  // actually used is clamped to the number of checkpoint groups (the plan
-  // never splits a group). Outputs are byte-identical across shard counts
-  // either way (DESIGN.md §15.3).
+  // Engines per simulation. Only 1 is accepted: every simulation runs on
+  // one sim::Engine, and campaign --jobs supplies the parallelism. The
+  // field stays because perfbench/traced.cpp reads it; the next benchmark
+  // change removes it.
   int shards = 1;
   // Local image writes land in the page cache first (512 MB nodes); the
   // effective rate seen by the checkpointer is memory-copy-bound, not raw
@@ -122,9 +116,7 @@ struct ExperimentConfig {
   // kind != kNone: planned churn (sim/churn.hpp) — drains, spot reclaims
   // and rejoins drive the elastic regrouping state machines in
   // core/recovery.hpp, with merge targets picked by a traffic-affinity
-  // RegroupPlanner. Group protocol only; composable with faults. Churn
-  // configs are denied shard residency (departures and merges move ranks
-  // across group — and therefore shard — boundaries).
+  // RegroupPlanner. Group protocol only; composable with faults.
   sim::ChurnModelParams churn;
   core::ChurnOptions churn_options{};
 
@@ -177,35 +169,11 @@ struct ExperimentResult {
   double restart_aggregate_s = 0;
   std::vector<core::RestartRecord> restart_records;
 
-  /// Shard-residency outcome (DESIGN.md §15.3). `resident` says whether the
-  /// run actually executed rank-resident; `effective_shards` is the count
-  /// used (config.shards clamped to occupied checkpoint groups, or 1 after
-  /// a denial); `denial_reason` is empty unless a multi-shard request was
-  /// demoted — the gate never falls back silently.
-  bool resident = false;
-  int effective_shards = 1;
-  std::string denial_reason;
-
-  /// Events dispatched per engine shard (size == effective_shards). In a
-  /// resident run every shard shows nonzero dispatch — the plan is clamped
-  /// so no shard is left without ranks — the "peer shards actually execute
-  /// model work" proof the shard-equivalence gate pairs with.
+  /// Events the run's engine dispatched, as a one-element vector. Kept in
+  /// this shape because perfbench/workloads.cpp sums it; the next benchmark
+  /// change replaces it with a scalar.
   std::vector<std::uint64_t> shard_events;
 };
-
-/// Group-aligned rank -> engine-shard placement. Checkpoint groups are the
-/// natural partition cut: intra-group traffic is dense and uncoordinated
-/// while cross-group traffic is logged and latency-padded, so every member
-/// of a group lands on one shard. Greedy balance — groups walk largest
-/// first, each landing on the currently least-loaded shard (ties to the
-/// lowest shard index, so the plan is deterministic). With shards == 1 the
-/// plan is all-zero. run_experiment installs this on the Runtime when
-/// config.shards > 1 (Runtime::shard_of); under the residency gate the plan
-/// decides which engine owns each rank's coroutines, channels and local
-/// disk, so it is fixed before the protocol is constructed and never
-/// recomputed mid-run — groups reformed by dynamic regrouping analyses do
-/// not move ranks (DESIGN.md §15.3).
-std::vector<int> plan_rank_shards(const group::GroupSet& groups, int shards);
 
 ExperimentResult run_experiment(const ExperimentConfig& config);
 

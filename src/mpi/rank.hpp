@@ -47,9 +47,8 @@ class Rank {
 
   RankId id() const { return id_; }
   int node() const { return node_; }
-  /// The engine this rank's coroutines and channels are bound to — the
-  /// owning shard's engine under a resident plan, the home engine otherwise.
-  /// Observers use it to stamp trace records with the rank's own clock.
+  /// The engine this rank's coroutines and channels are bound to. Observers
+  /// use it to stamp trace records.
   sim::Engine& engine() const { return *engine_; }
   int nranks() const { return static_cast<int>(sent_.size()); }
 

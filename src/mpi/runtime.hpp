@@ -8,7 +8,6 @@
 // cluster node is reserved for the checkpoint driver ("mpirun").
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -51,9 +50,8 @@ class AppHandle {
                             RankId src, int rtag);
   /// Models `seconds` of local computation (a plain engine delay).
   sim::Delay compute(double seconds);
-  /// Current simulated time on this rank's engine (its shard when
-  /// resident). Open-loop workloads use this to sleep until the next
-  /// scheduled arrival instead of a fixed per-iteration compute.
+  /// Current simulated time. Open-loop workloads use this to sleep until
+  /// the next scheduled arrival instead of a fixed per-iteration compute.
   double now_s() const;
   /// Safe point: top of an app iteration; checkpoints execute here.
   sim::Co<void> safepoint(std::uint64_t iteration);
@@ -79,14 +77,6 @@ class Runtime {
 
   sim::Cluster& cluster() { return *cluster_; }
   sim::Engine& engine() { return cluster_->engine(); }
-  /// The engine a rank's coroutines, channels and timers run on: its shard
-  /// in resident mode, the home shard otherwise. Everything rank-scoped
-  /// (spawns, delays, waiter handles) must go through this, never engine().
-  sim::Engine& engine_of(RankId id) {
-    return resident_ ? cluster_->shards().shard(shard_of(id))
-                     : cluster_->engine();
-  }
-  sim::Engine& engine_of(const Rank& rank) { return engine_of(rank.id()); }
   int nranks() const { return static_cast<int>(ranks_.size()); }
   Rank& rank(RankId id) { return *ranks_[static_cast<std::size_t>(id)]; }
   const RuntimeOptions& options() const { return options_; }
@@ -101,22 +91,9 @@ class Runtime {
   /// Installs the application and spawns all ranks (fresh start).
   void start_app(AppBody body);
 
-  /// True once every rank's app body returned normally. Resident mode reads
-  /// a home-shard mirror that trails each finish by the lookahead: the
-  /// run_while predicate (and the driver's scheduler) then never observes a
-  /// peer shard's sim-future, so the verdict is deterministic. Wall-clock
-  /// results come from finish_time(), which is exact either way.
-  bool job_finished() const {
-    if (resident_) return finished_view_home_ == nranks();
-    return finished_ranks_.load(std::memory_order_relaxed) == nranks();
-  }
+  /// True once every rank's app body returned normally.
+  bool job_finished() const { return finished_ranks_ == nranks(); }
   sim::Trigger& job_done() { return *job_done_; }
-  /// Latest per-rank local time at which an app body returned — the job's
-  /// modeled completion instant (identical to engine().now() at the moment
-  /// the single-shard run_while predicate stops the run).
-  sim::Time finish_time() const {
-    return finish_time_.load(std::memory_order_relaxed);
-  }
 
   // ---- p2p / compute (called via AppHandle) ----
   sim::Co<void> send(Rank& rank, RankId dst, int tag, std::int64_t bytes);
@@ -150,9 +127,8 @@ class Runtime {
 
   /// Blocks until the ticket's transfer clears its bottleneck (routed
   /// fabrics). No-op for a zero ticket or an already-completed transfer;
-  /// kill-safe (the registration is cleared on unwind). `eng` must be the
-  /// sending rank's engine — the ticket's slot is shard-resident there.
-  sim::Co<void> await_egress(sim::Engine& eng, std::uint64_t ticket);
+  /// kill-safe (the registration is cleared on unwind).
+  sim::Co<void> await_egress(std::uint64_t ticket);
 
   /// True when the cluster routes transfers over a multi-link topology —
   /// callers then pace sends via await_egress instead of egress timestamps.
@@ -194,51 +170,13 @@ class Runtime {
   void debug_dump(std::ostream& os) const;
 
   /// Total app-plane bytes/messages ever sent (for reports).
-  std::int64_t app_bytes_sent() const {
-    return app_bytes_sent_.load(std::memory_order_relaxed);
-  }
-  std::int64_t app_messages_sent() const {
-    return app_messages_sent_.load(std::memory_order_relaxed);
-  }
-
-  // ---- shard placement (DESIGN.md §15.3) ----
-  /// Installs a rank -> engine-shard plan (exp::plan_rank_shards keeps
-  /// checkpoint groups whole). With `resident` true and a multi-shard
-  /// cluster, the plan is *applied*: every rank's object, coroutines,
-  /// channels and gates are rebuilt on its shard's engine, the network's
-  /// per-node NIC state is partitioned by shard, and each node's local disk
-  /// moves to its shard. Must run before the protocol is constructed and
-  /// before start_app (engine bindings are fixed at construction). With
-  /// `resident` false (or one shard) the plan stays placement metadata and
-  /// the runtime is byte-identical to the unsharded build.
-  void set_shard_plan(std::vector<int> plan, bool resident = false);
-  /// The planned shard for a rank; 0 (the home shard) when no plan is set.
-  int shard_of(RankId rank) const;
-  /// True when ranks actually execute on their planned shards.
-  bool resident() const { return resident_; }
-
-  /// A reader-shard-consistent view of whether rank q is alive: exact for
-  /// same-shard peers, and a lookahead-lagged mirror for cross-shard peers
-  /// (liveness fences are posted at +lookahead by kill/restart/respawn).
-  /// Identical to rank(q).alive() outside resident mode.
-  bool peer_alive(const Rank& reader, RankId q) const;
+  std::int64_t app_bytes_sent() const { return app_bytes_sent_; }
+  std::int64_t app_messages_sent() const { return app_messages_sent_; }
 
  private:
   friend class AppHandle;
 
   void deliver(Message msg);
-  /// Incarnation of rank r as observed from `shard` (exact when r lives
-  /// there, mirrored otherwise). Message incarnation stamps and delivery
-  /// checks go through this so no shard ever reads a peer shard's
-  /// sim-future; the mirror lags by at most the lookahead, and both
-  /// resulting divergences are absorbed (extra deliveries by duplicate
-  /// suppression, early drops by sender-log replay).
-  std::uint32_t incarnation_view(int shard, RankId r) const;
-  /// Publishes a rank's (incarnation, alive) to every other shard's mirror
-  /// at now + lookahead; no-op outside resident mode.
-  void broadcast_peer_view(const Rank& rank);
-  /// Posts a finished-rank count delta to the home-shard mirror.
-  void note_finished_delta(const Rank& rank, int delta);
   bool is_duplicate(const Rank& rank, const Message& msg) const;
   void match_or_buffer(Rank& rank, Message msg);
   /// Awaitable matched receive (runtime.cpp): takes the next in-sequence
@@ -259,23 +197,10 @@ class Runtime {
   std::vector<Observer*> observers_;
   std::vector<std::unique_ptr<Rank>> ranks_;
   AppBody app_body_;
-  std::atomic<int> finished_ranks_{0};
+  int finished_ranks_ = 0;
   std::unique_ptr<sim::Trigger> job_done_;
-  std::atomic<std::int64_t> app_bytes_sent_{0};
-  std::atomic<std::int64_t> app_messages_sent_{0};
-  std::vector<int> shard_plan_;  // empty = every rank on the home shard
-  bool resident_ = false;
-  /// Per-shard mirror of every rank's lifecycle state (resident mode):
-  /// peer_view_[shard][rank]. Written only by the owning shard's fences
-  /// (through the mailboxes), read only by `shard`'s thread.
-  struct PeerView {
-    std::uint32_t inc = 0;
-    bool alive = true;
-  };
-  std::vector<std::vector<PeerView>> peer_view_;
-  /// Home-shard mirror of finished_ranks_ (resident mode; home-thread only).
-  int finished_view_home_ = 0;
-  std::atomic<sim::Time> finish_time_{0};
+  std::int64_t app_bytes_sent_ = 0;
+  std::int64_t app_messages_sent_ = 0;
 };
 
 }  // namespace gcr::mpi

@@ -6,10 +6,7 @@
 // leaves a stale handle (claimed or generation-bumped) that later pushes
 // skip over via Engine::waiter_live.
 //
-// Shard-local: a channel binds one Engine, so producer and consumer must
-// live on the same shard (sim/shard.hpp). Cross-shard traffic goes through
-// ShardedEngine::post_at, whose delivery callback may then push into a
-// destination-shard channel.
+// A channel binds one Engine; producer and consumer must use it.
 #pragma once
 
 #include <coroutine>

@@ -171,8 +171,7 @@ void Engine::wheel_insert(const Event& e) {
   if (e.at < wheel_cur_) {
     // Behind the lazily-advanced cursor (but still >= now_): the wheel's
     // placement rule would wrap, so the heap absorbs it. Rare — only
-    // possible in the gap a speculative peek opened past now_, or for a
-    // cross-shard arrival injected behind an advanced cursor.
+    // possible in the gap a speculative peek opened past now_.
     heap_push(e);
     return;
   }
@@ -314,22 +313,6 @@ void Engine::wheel_pop_front() {
   wheel_pool_[n].next = wheel_free_;
   wheel_free_ = n;
   --wheel_count_;
-}
-
-Time Engine::wheel_lower_bound() const {
-  if (wheel_count_ == 0) return kTimeMax;
-  if (wheel_bmp_[0] != 0) {
-    const int s = std::countr_zero(wheel_bmp_[0]);
-    return wheel_pool_[wheel_slots_[static_cast<std::size_t>(s)].head].ev.at;
-  }
-  int lvl = 1;
-  while (wheel_bmp_[static_cast<std::size_t>(lvl)] == 0) ++lvl;
-  const int s = std::countr_zero(wheel_bmp_[static_cast<std::size_t>(lvl)]);
-  const int shift = kWheelBits * (lvl + 1);
-  const std::uint64_t base = static_cast<std::uint64_t>(wheel_cur_) >> shift
-                             << shift;
-  return static_cast<Time>(
-      base | (static_cast<std::uint64_t>(s) << (kWheelBits * lvl)));
 }
 
 bool Engine::pop_next(Time until, Event& out) {
@@ -551,36 +534,6 @@ std::uint64_t Engine::run_while(const std::function<bool()>& keep_going) {
     ++events_processed_;
   }
   return processed;
-}
-
-std::uint64_t Engine::run_window(Time until,
-                                 const std::function<bool()>* keep_going) {
-  // `until` may lie behind now() (a shard ahead of a peer's horizon gets an
-  // empty window); pop_next then finds nothing, which is the right answer.
-  std::uint64_t processed = 0;
-  Event ev;
-  while ((keep_going == nullptr || (!idle() && (*keep_going)())) &&
-         pop_next(until, ev)) {
-    GCR_ASSERT(ev.at >= now_);
-    now_ = ev.at;
-    dispatch(ev);
-    ++processed;
-    ++events_processed_;
-  }
-  return processed;
-}
-
-Time Engine::next_event_time() {
-  Time best = kTimeMax;
-  if (due_count_ != 0) best = due_[due_head_].at;
-  if (!heap_.empty() && heap_.front().at < best) best = heap_.front().at;
-  // Bounding by the due/heap minimum keeps the cascade work no larger than
-  // the next pop would do anyway; a nullptr answer proves the wheel's
-  // minimum is later than `best`, so `best` is already exact.
-  if (const Event* w = wheel_peek(best); w != nullptr && w->at < best) {
-    best = w->at;
-  }
-  return best;
 }
 
 }  // namespace gcr::sim

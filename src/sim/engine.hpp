@@ -136,19 +136,6 @@ class Engine {
   /// draining long-lived daemons' future events.
   std::uint64_t run_while(const std::function<bool()>& keep_going);
 
-  /// Bounded-window variant used by the sharded driver (sim/shard.hpp):
-  /// like run(until) but never force-advances now() past the last executed
-  /// event, so repeated windows leave the clock exactly where a single
-  /// uninterrupted run would. `keep_going` (optional) is checked before
-  /// each event, as in run_while.
-  std::uint64_t run_window(Time until,
-                           const std::function<bool()>* keep_going = nullptr);
-
-  /// Exact timestamp of the earliest pending event, or kTimeMax if idle.
-  /// May lazily cascade wheel slots (state mutation invisible to ordering).
-  /// The conservative-lookahead horizon computation relies on exactness.
-  Time next_event_time();
-
   /// True if no events remain.
   bool idle() const {
     return heap_.empty() && due_count_ == 0 && wheel_count_ == 0;
@@ -295,9 +282,6 @@ class Engine {
   /// Removes the event wheel_peek() just returned (the head of the slot the
   /// peek recorded in peek_lvl_/peek_slot_).
   void wheel_pop_front();
-  /// Earliest possible wheel event time without cascading: exact when level
-  /// 0 is occupied, otherwise the lowest occupied slot's start time.
-  Time wheel_lower_bound() const;
   /// Pops the globally smallest event if its time is <= until.
   bool pop_next(Time until, Event& out);
   void dispatch(const Event& ev);

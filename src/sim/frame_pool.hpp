@@ -7,9 +7,8 @@
 // that class on that thread takes it back; a frame larger than the largest
 // class goes straight to ::operator new. Every pooled block itself comes
 // from ::operator new at its class size, so it does not matter which
-// thread frees it: a block allocated on one thread (a --jobs worker, an
-// engine shard) and freed on another simply joins the second thread's
-// list. A thread's lists are returned to ::operator delete when it exits.
+// thread frees it: a block allocated on one thread (a --jobs worker) and
+// freed on another simply joins the second thread's list. A thread's lists are returned to ::operator delete when it exits.
 //
 // Free blocks are ASan-poisoned (a no-op in normal builds), so a resumed or
 // destroyed dangling frame is still reported as a use-after-free.

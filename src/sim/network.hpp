@@ -22,33 +22,25 @@
 // recycle through a pooled free list, link membership is intrusive, and the
 // heap reuses its buffer.
 //
-// Shard residency (DESIGN.md §15.3): the contention machine itself is one
-// shared resettling state and stays whole on the home engine. Senders on
-// peer shards reach it over a fixed *injection edge* — the first hop of
-// every route, modeled as one hop_latency_s of wire between the sender's
-// NIC and the fabric (so an uncontended message still totals
-// per_message + nhops*hop end to end: one hop at injection, nhops-1 at
-// delivery). Each send writes a source-shard-owned op slot and posts a
-// 16-byte inject op to the home shard at t + hop; the fabric batches every
-// op landing on one tick and admits them in canonical (source node, send
-// seq) order, so admission order — and with it routing RNG draws and
-// fair-share splits — is independent of shard count. Completion posts the
-// delivery to the destination's shard and an egress-done op back to the
-// source's shard (both >= one hop in the future, which is exactly the
-// sharded engine's lookahead). Slots are recycled only by those
-// fabric-posted finalize ops, on the owning shard, so the steady path
-// stays allocation-free and single-writer throughout.
+// Injection edge: the first hop of every route is modeled as one
+// hop_latency_s of wire between the sender's NIC and the fabric (so an
+// uncontended message still totals per_message + nhops*hop end to end: one
+// hop at injection, nhops-1 at delivery). Each send writes an op slot and
+// schedules a 16-byte inject op at t + hop; the fabric batches every op
+// landing on one tick and admits them in (source node, send seq) order.
+// Completion schedules the delivery and an egress-done op back to the
+// slot one hop later; that op is the only recycler of the slot, so the
+// steady path stays allocation-free.
 //
 // Kill protocol: abort_transfers_from(node) synchronously silences the
-// node's pending op slots (shard-local: triggers unhook, tickets stop
-// resolving), then sends an abort op through the same canonical queue; the
+// node's pending op slots (triggers unhook, tickets stop resolving), then
+// sends an abort op through the same canonical queue; the
 // fabric drops the node's queued and in-flight transfers when it arrives
 // (survivors resettled to reclaim the bandwidth). Transfers that clear
 // their bottleneck before the abort op lands still deliver — the wire
 // cannot be recalled.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <span>
@@ -60,7 +52,6 @@
 
 namespace gcr::sim {
 
-class ShardedEngine;
 class Trigger;
 
 struct NetParams {
@@ -102,20 +93,6 @@ class Network {
   SendTimes send(int src_node, int dst_node, std::int64_t bytes,
                  SmallFn deliver);
 
-  /// Shard-resident mode. Each node's sends must thereafter be issued from
-  /// `node_to_shard[node]`'s thread — that shard exclusively owns the
-  /// node's NIC timestamp (flat), op lane and send-seq counter (routed),
-  /// and its clock drives the send arithmetic. Flat: same-shard deliveries
-  /// stay on the owning engine's fast call_at path; cross-shard deliveries
-  /// go through `shards->post_at`, lookahead-sound because a flat arrival
-  /// always trails the sender's clock by at least the wire latency the
-  /// lookahead was derived from. Routed: the contention machine stays
-  /// whole on the home engine (shard 0 — checked) and peer shards reach it
-  /// over the one-hop injection edge (see the header comment), so every
-  /// cross-shard post is at least hop_latency_s — the routed lookahead —
-  /// in the future.
-  void set_shard_router(ShardedEngine* shards, std::vector<int> node_to_shard);
-
   // ---- Egress-wait protocol (routed transfers only) ----
   // A sender that must block until its buffer drains registers a Trigger
   // against the ticket; the fabric fires it at bottleneck completion (the
@@ -139,18 +116,9 @@ class Network {
   /// whose NIC timestamps model no recallable in-flight state.
   void abort_transfers_from(int src_node);
 
-  /// Lower bound on the time any cross-shard edge of a message spends in
-  /// flight — the sharded engine's conservative lookahead (sim/shard.hpp).
-  /// Flat: the wire latency (sender shard -> destination shard direct).
-  /// Routed: ONE hop_latency_s — the injection edge between a sender's NIC
-  /// and the fabric's home shard, which is also the tightest fabric-side
-  /// post (egress-done ops return after exactly one hop; deliveries cross
-  /// at least the route's remaining nhops-1 >= 1 hops).
-  double min_remote_latency_s() const {
-    return routed() ? params_.topology.hop_latency_s : params_.latency_s;
-  }
-  /// Same bound derived from parameters alone, for use before a Network
-  /// exists (cluster construction orders shards before the fabric).
+  /// The smallest delay between a send and anything it can cause at
+  /// another node: the wire latency (flat) or one hop_latency_s (routed).
+  /// Derived from parameters alone, so it is usable before a Network exists.
   static double min_remote_latency_s(const NetParams& p) {
     return p.topology.kind == TopologyKind::kFlat
                ? p.latency_s
@@ -158,10 +126,9 @@ class Network {
   }
 
   /// Fixed delay of the routed injection edge (and of the egress-done
-  /// return): one hop_latency_s, floored at one tick so a zero-latency
-  /// test config still satisfies the sharded engine's clamped minimum
-  /// lookahead. Admission state (link_active / active_transfers /
-  /// queued_transfers) becomes visible only after this edge crosses.
+  /// return): one hop_latency_s, floored at one tick. Admission state
+  /// (link_active / active_transfers / queued_transfers) becomes visible
+  /// only after this edge crosses.
   Time inject_latency() const {
     return std::max<Time>(1, from_seconds(params_.topology.hop_latency_s));
   }
@@ -174,15 +141,10 @@ class Network {
                         params_.latency_s);
   }
 
-  /// Cumulative payload bytes ever passed to send() (monotone; exact once
-  /// the run quiesces — mid-run cross-shard reads see a relaxed snapshot).
-  std::int64_t total_bytes() const {
-    return total_bytes_.load(std::memory_order_relaxed);
-  }
+  /// Cumulative payload bytes ever passed to send() (monotone).
+  std::int64_t total_bytes() const { return total_bytes_; }
   /// Cumulative send() calls (monotone).
-  std::int64_t total_messages() const {
-    return total_messages_.load(std::memory_order_relaxed);
-  }
+  std::int64_t total_messages() const { return total_messages_; }
 
   // Fabric accounting (routed transfers only; loopback and flat excluded).
   // Conservation invariant, checked by the torture suite:
@@ -206,13 +168,11 @@ class Network {
 
   enum class XferState : std::uint8_t { kFree, kQueued, kActive };
 
-  /// Source-shard-owned handle for one routed send. The content fields
-  /// (seq/src/dst/bytes/deliver) are written by the sender before the
-  /// inject op is posted and consumed exactly once by the fabric when the
-  /// op lands (the post's happens-before covers the read); the control
-  /// fields (pending/egress/epoch) are touched ONLY by the owning shard —
-  /// by the sender, by abort purges, and by the fabric-posted finalize op
-  /// that runs back on that shard and is the sole recycler.
+  /// Handle for one routed send. The content fields (seq/src/dst/bytes/
+  /// deliver) are written by the sender and consumed once by the fabric when
+  /// the inject op lands; the control fields (pending/egress/epoch) are
+  /// touched by the sender, by abort purges, and by the egress-done op,
+  /// which is the only recycler.
   struct OpSlot {
     SmallFn deliver;
     std::uint64_t seq = 0;      ///< per-source-node send order
@@ -221,17 +181,8 @@ class Network {
     std::int32_t src = -1;
     std::int32_t dst = -1;
     std::uint32_t epoch = 0;  ///< slot-reuse guard for tickets
-    std::uint32_t self = 0;   ///< index within the lane
-    std::uint16_t lane = 0;   ///< owning shard's lane
+    std::uint32_t self = 0;   ///< index within slots_
     bool pending = false;     ///< send issued, egress-done not yet landed
-  };
-
-  /// Per-shard slot arena. A deque keeps element addresses stable while
-  /// the owning shard appends, so the fabric can hold bare OpSlot*s across
-  /// the cross-shard edge without ever touching the container.
-  struct Lane {
-    std::deque<OpSlot> slots;
-    std::vector<std::uint32_t> free;
   };
 
   /// One fabric op awaiting the canonical per-tick flush: an injection
@@ -290,35 +241,19 @@ class Network {
     }
   };
 
-  SendTimes send_flat(int src_node, int dst_node, std::int64_t bytes,
-                      SmallFn deliver, Time now);
-  /// The engine whose clock and queue serve `node` (home unless a shard
-  /// router is installed).
-  Engine& engine_for(int node) {
-    return shards_ == nullptr ? *engine_ : shard_engine(node);
-  }
-  Engine& shard_engine(int node);
-  int node_shard(int node) const {
-    return node_shard_.empty() ? 0
-                               : node_shard_[static_cast<std::size_t>(node)];
-  }
+  SendTimes send_flat(int src_node, std::int64_t bytes, SmallFn deliver,
+                      Time now);
   SendTimes send_routed(int src_node, int dst_node, std::int64_t bytes,
                         SmallFn deliver, Time now);
   static std::uint64_t make_ticket(const OpSlot& s) {
-    return (static_cast<std::uint64_t>(s.lane) << 56) |
-           (static_cast<std::uint64_t>(s.self + 1) << 32) | s.epoch;
+    return (static_cast<std::uint64_t>(s.self + 1) << 32) | s.epoch;
   }
-  /// Resolves a ticket to its live op slot, or nullptr if stale. Reads
-  /// slot control state, so: owning shard only.
+  /// Resolves a ticket to its live op slot, or nullptr if stale.
   const OpSlot* ticket_op(std::uint64_t ticket) const;
-  OpSlot* alloc_slot(int lane_id);
-  /// Egress-done / release landing on the owning shard: fires a still-
-  /// registered trigger and recycles the slot (the only recycler).
+  OpSlot* alloc_slot();
+  /// Egress-done / release: fires a still-registered trigger and recycles
+  /// the slot (the only recycler).
   void finalize_slot(OpSlot* op);
-  /// Posts `fn` from `node`'s shard to the fabric's home shard.
-  void post_to_fabric(int src_node, Time at, SmallFn fn);
-  /// Posts `fn` from the fabric's home shard to `node`'s shard.
-  void post_from_fabric(int node, Time at, SmallFn fn);
   /// Fabric side: queues an op for the canonical flush of the current tick.
   void enqueue_fabric_op(std::int32_t src, std::uint64_t seq, OpSlot* slot);
   /// Runs after every op targeting this tick is queued (call_at at `now`
@@ -327,7 +262,7 @@ class Network {
   void do_inject(OpSlot* op, Time now);
   void do_abort(std::int32_t node, std::uint64_t abort_seq, Time now);
   /// Drops one queued-or-active transfer at the fabric: accounts the bytes,
-  /// frees the pool slot, and posts the release op to the source's shard.
+  /// frees the pool slot, and schedules the release of its op slot.
   void drop_transfer(std::uint32_t idx, Time now);
 
   /// Current fair share of one link: bandwidth * 1/active, via the
@@ -372,9 +307,6 @@ class Network {
   std::unique_ptr<Topology> topo_;
   Rng routing_rng_;
   std::vector<Time> egress_free_;  ///< flat path: per-node NIC next-free
-  /// Resident-mode routing (null/empty = everything on `engine_`).
-  ShardedEngine* shards_ = nullptr;
-  std::vector<int> node_shard_;
 
   // Fabric state (sized only under routing).
   std::vector<Link> links_;
@@ -383,7 +315,9 @@ class Network {
   std::vector<Transfer> pool_;
   std::vector<std::uint32_t> free_;
   std::vector<NodeState> nodes_;
-  std::deque<Lane> lanes_;  ///< one op-slot arena per shard (one unsharded)
+  /// Op-slot arena; a deque keeps slot addresses stable as it grows.
+  std::deque<OpSlot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   std::vector<std::uint64_t> node_seq_;  ///< per-node send/abort order
   std::vector<PendingOp> pending_ops_;   ///< fabric ops awaiting this tick's flush
   bool flush_scheduled_ = false;
@@ -393,8 +327,8 @@ class Network {
   int active_count_ = 0;
   int queued_count_ = 0;
 
-  std::atomic<std::int64_t> total_bytes_{0};
-  std::atomic<std::int64_t> total_messages_{0};
+  std::int64_t total_bytes_ = 0;
+  std::int64_t total_messages_ = 0;
   std::int64_t fabric_offered_ = 0;
   std::int64_t fabric_delivered_ = 0;
   std::int64_t fabric_dropped_ = 0;

@@ -107,12 +107,6 @@ class Topology {
   /// Closed-form minimal hop count (conformance oracle for resolve()).
   virtual int min_hops(int src, int dst) const = 0;
 
-  /// min over all src != dst of min_hops(src, dst): the fewest links any
-  /// remote message can traverse. The sharded engine's conservative
-  /// lookahead multiplies this by the per-hop latency to bound how soon a
-  /// cross-shard effect can land (sim/shard.hpp).
-  virtual int min_cross_hops() const = 0;
-
   /// Human-readable shape summary for bench tables and logs.
   virtual std::string describe() const = 0;
 };
@@ -136,7 +130,6 @@ class FlatTopology final : public Topology {
   int min_hops(int src, int dst) const override {
     return src == dst ? 0 : 1;
   }
-  int min_cross_hops() const override { return 1; }
   std::string describe() const override;
 
  private:
@@ -159,7 +152,6 @@ class FatTreeTopology final : public Topology {
                Route& out) const override;
   int min_hops(int src, int dst) const override;
   /// Two hosts under one edge switch: host -> edge -> host.
-  int min_cross_hops() const override { return 2; }
   std::string describe() const override;
 
   int k() const { return k_; }
@@ -216,7 +208,6 @@ class DragonflyTopology final : public Topology {
                Route& out) const override;
   int min_hops(int src, int dst) const override;
   /// Two terminals on one router: terminal -> router -> terminal.
-  int min_cross_hops() const override { return 2; }
   std::string describe() const override;
 
   int groups() const { return groups_; }

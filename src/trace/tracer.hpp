@@ -5,20 +5,13 @@
 // collected send records feed Algorithm 2 (group formation); the full event
 // stream feeds the timeline renderer.
 //
-// Shard residency (DESIGN.md §15.3): observer hooks fire on the shard that
-// owns the rank, so records land in PER-RANK buffers stamped with the
-// rank's own engine clock — no cross-shard writes, no shared append. The
-// merged view is produced on demand in the canonical (time, rank,
-// per-rank append order) order; that order is a pure function of each
-// rank's deterministic execution, so it is identical at every --shards
-// (the merge runs even single-sharded, keeping outputs byte-identical
-// across shard counts). Every downstream consumer (pair aggregation,
-// timeline binning) is order-independent within a tick anyway; the
-// canonical order exists so the raw trace bytes are reproducible too.
+// Records land in one buffer in dispatch order; records() and take()
+// return them stable-sorted by (time, rank), so each rank's own records
+// keep their append order within a tick.
 #pragma once
 
 #include <algorithm>
-#include <cstddef>
+#include <utility>
 
 #include "mpi/hooks.hpp"
 #include "mpi/rank.hpp"
@@ -32,74 +25,48 @@ class Tracer : public mpi::Observer {
   /// sufficient for group formation).
   explicit Tracer(bool sends_only = false) : sends_only_(sends_only) {}
 
-  /// Pre-sizes the per-rank buffers. REQUIRED before a sharded run: the
-  /// observer hooks append from their ranks' shards concurrently, which is
-  /// only safe once the outer vector no longer reallocates. Unsharded
-  /// callers may skip it (buffers grow lazily on one thread).
-  void prepare(int nranks) {
-    if (static_cast<std::size_t>(nranks) > per_rank_.size()) {
-      per_rank_.resize(static_cast<std::size_t>(nranks));
-    }
-  }
-
   void on_send(const mpi::Rank& rank, const mpi::Message& msg,
                bool transmitted) override {
     // Suppressed re-sends never reach the wire; profiling runs are
     // failure-free anyway, so drop them for fidelity.
     if (!transmitted) return;
-    buf(rank).push_back(TraceRecord{rank.engine().now(), EventKind::kSend,
+    records_.push_back(TraceRecord{rank.engine().now(), EventKind::kSend,
                                     rank.id(), msg.dst, msg.tag, msg.bytes});
   }
 
   void on_deliver(const mpi::Rank& rank, const mpi::Message& msg) override {
     if (sends_only_) return;
-    buf(rank).push_back(TraceRecord{rank.engine().now(), EventKind::kDeliver,
+    records_.push_back(TraceRecord{rank.engine().now(), EventKind::kDeliver,
                                     rank.id(), msg.src, msg.tag, msg.bytes});
   }
 
   void on_consume(const mpi::Rank& rank, const mpi::Message& msg) override {
     if (sends_only_) return;
-    buf(rank).push_back(TraceRecord{rank.engine().now(), EventKind::kConsume,
+    records_.push_back(TraceRecord{rank.engine().now(), EventKind::kConsume,
                                     rank.id(), msg.src, msg.tag, msg.bytes});
   }
 
-  /// The merged trace in canonical (time, rank, append) order. Call only
-  /// after the run quiesced (a barrier orders all shard appends before it).
-  Trace records() const { return merged(); }
+  /// The trace in (time, rank, append) order.
+  Trace records() const { return sorted(records_); }
   Trace take() {
-    Trace out = merged();
+    Trace out = sorted(std::move(records_));
     clear();
     return out;
   }
-  void clear() {
-    for (Trace& t : per_rank_) t.clear();
-  }
+  void clear() { records_.clear(); }
 
  private:
-  Trace& buf(const mpi::Rank& rank) {
-    const auto id = static_cast<std::size_t>(rank.id());
-    if (id >= per_rank_.size()) per_rank_.resize(id + 1);  // unsharded only
-    return per_rank_[id];
-  }
-
-  Trace merged() const {
-    Trace out;
-    std::size_t total = 0;
-    for (const Trace& t : per_rank_) total += t.size();
-    out.reserve(total);
-    // Concatenating in rank order and stable-sorting by (time, rank)
-    // leaves each rank's append order as the final tiebreak.
-    for (const Trace& t : per_rank_) out.insert(out.end(), t.begin(), t.end());
-    std::stable_sort(out.begin(), out.end(),
+  static Trace sorted(Trace t) {
+    std::stable_sort(t.begin(), t.end(),
                      [](const TraceRecord& a, const TraceRecord& b) {
                        if (a.time != b.time) return a.time < b.time;
                        return a.rank < b.rank;
                      });
-    return out;
+    return t;
   }
 
   bool sends_only_;
-  std::vector<Trace> per_rank_;
+  Trace records_;
 };
 
 }  // namespace gcr::trace

@@ -104,20 +104,9 @@ int Cli::get_jobs() {
   if (jobs < 0 || jobs > 65536) {
     usage_error(program_,
                 "--jobs must be in 0..65536 (0 = all hardware threads; each "
-                "job runs one simulation, so total threads = jobs x shards)");
+                "worker runs one simulation at a time)");
   }
   return static_cast<int>(jobs);
-}
-
-int Cli::get_shards() {
-  const std::int64_t shards =
-      get_int("shards", 1, "engine shards per simulation (1 = single-thread)");
-  if (shards < 1 || shards > 64) {
-    usage_error(program_,
-                "--shards must be in 1..64 (threads PER simulation; a "
-                "campaign runs jobs x shards threads in total)");
-  }
-  return static_cast<int>(shards);
 }
 
 int Cli::get_reps(int def) {

@@ -34,15 +34,10 @@ class Cli {
 
   /// Declares the standard `--jobs` flag for campaign-driven benches and
   /// returns its value: campaign worker threads, 0 (the default) meaning
-  /// one per hardware thread. Rejects values outside 0..65536.
+  /// one per hardware thread. Each worker runs one simulation at a time,
+  /// so this is the only source of threads. Rejects values outside
+  /// 0..65536.
   int get_jobs();
-
-  /// Declares the standard `--shards` flag (engine shards per simulation;
-  /// sim/shard.hpp) and returns its value. 1 (the default) is the literal
-  /// single-threaded engine. Rejects values outside 1..64. Note --jobs and
-  /// --shards multiply: a campaign runs jobs simulations concurrently, each
-  /// of which runs on shards threads.
-  int get_shards();
 
   /// Declares the standard `--reps` flag (campaign repetitions = seeds
   /// 1..n) and returns its value. Rejects values outside 1..1000000 with a

@@ -154,41 +154,10 @@ TEST(Experiment, ClusteredStencilSurvivesEveryGroupFailingInTurn) {
   EXPECT_EQ(res.failures_injected, 2);
 }
 
-TEST(Experiment, ResidentShardsExecuteRankEventsAndMatchUnsharded) {
-  // The tentpole's two proof obligations in one run: resident outputs are
-  // byte-identical to the single-threaded engine, AND the peer shard
-  // actually dispatched rank events (the equivalence is not vacuous).
-  auto run = [](int shards) {
-    ExperimentConfig cfg;
-    cfg.app = stencil_app(/*cluster_width=*/4, /*iters=*/60);
-    cfg.nranks = 8;
-    cfg.groups = group::make_blocks(8, 4);
-    cfg.checkpoints = true;
-    cfg.schedule.first_at_s = 0.1;
-    cfg.schedule.interval_s = 0.3;
-    cfg.shards = shards;
-    return run_experiment(cfg);
-  };
-  const ExperimentResult base = run(1);
-  const ExperimentResult sharded = run(2);
-  ASSERT_TRUE(base.finished);
-  ASSERT_TRUE(sharded.finished);
-  EXPECT_EQ(base.exec_time_s, sharded.exec_time_s);
-  EXPECT_EQ(base.app_messages, sharded.app_messages);
-  EXPECT_EQ(base.app_bytes, sharded.app_bytes);
-  EXPECT_EQ(base.metrics.ckpts.size(), sharded.metrics.ckpts.size());
-  EXPECT_EQ(base.metrics.aggregate_ckpt_time_s(),
-            sharded.metrics.aggregate_ckpt_time_s());
-  ASSERT_EQ(sharded.shard_events.size(), 2u);
-  EXPECT_GT(sharded.shard_events[0], 0u);
-  EXPECT_GT(sharded.shard_events[1], 0u);  // the peer did rank work
-}
-
-TEST(Experiment, ResidentFaultInjectionMatchesUnsharded) {
-  // Kill/restore crosses the home<->shard edge in resident runs (recovery
-  // state machine home, members on their shard); outputs must still match
-  // the unsharded engine exactly, at a shard count that spreads the groups.
-  auto run = [](int shards) {
+// A routed fabric, drain-mode tiered storage, tracing and two group
+// failures in one run: a rerun reproduces every output and the trace.
+TEST(Experiment, FaultedRoutedTieredRunIsDeterministic) {
+  auto run = [] {
     ExperimentConfig cfg;
     cfg.app = stencil_app(/*cluster_width=*/4, /*iters=*/60);
     cfg.nranks = 16;
@@ -197,166 +166,59 @@ TEST(Experiment, ResidentFaultInjectionMatchesUnsharded) {
     cfg.schedule.first_at_s = 0.1;
     cfg.schedule.interval_s = 0.3;
     cfg.failures = {{0, 0.25}, {2, 0.8}};
-    cfg.shards = shards;
-    return run_experiment(cfg);
-  };
-  const ExperimentResult base = run(1);
-  const ExperimentResult sharded = run(4);
-  ASSERT_TRUE(base.finished);
-  ASSERT_TRUE(sharded.finished);
-  EXPECT_EQ(base.failures_injected, 2);
-  EXPECT_EQ(sharded.failures_injected, 2);
-  EXPECT_EQ(base.exec_time_s, sharded.exec_time_s);
-  EXPECT_EQ(base.app_messages, sharded.app_messages);
-  EXPECT_EQ(base.recoveries_completed, sharded.recoveries_completed);
-  EXPECT_EQ(base.metrics.restarts.size(), sharded.metrics.restarts.size());
-  EXPECT_EQ(base.metrics.aggregate_restart_time_s(),
-            sharded.metrics.aggregate_restart_time_s());
-  ASSERT_EQ(sharded.shard_events.size(), 4u);
-  for (const std::uint64_t ev : sharded.shard_events) EXPECT_GT(ev, 0u);
-}
-
-// --- Widened residency gate (DESIGN.md §15.3) ---------------------------
-// Routed fabrics, tiered storage and tracing all pass the gate now; each
-// equivalence test runs S=4 against the single-threaded engine and demands
-// byte-identical outputs plus non-vacuous shard dispatch, with a mid-run
-// fault so the kill/restore paths cross the shard edges too.
-
-ExperimentConfig resident_cfg(int shards) {
-  ExperimentConfig cfg;
-  cfg.app = stencil_app(/*cluster_width=*/4, /*iters=*/60);
-  cfg.nranks = 16;
-  cfg.groups = group::make_blocks(16, 4);
-  cfg.checkpoints = true;
-  cfg.schedule.first_at_s = 0.1;
-  cfg.schedule.interval_s = 0.3;
-  cfg.failures = {{0, 0.25}, {2, 0.8}};
-  cfg.shards = shards;
-  return cfg;
-}
-
-void expect_equal_outputs(const ExperimentResult& base,
-                          const ExperimentResult& sharded) {
-  ASSERT_TRUE(base.finished);
-  ASSERT_TRUE(sharded.finished);
-  EXPECT_EQ(base.exec_time_s, sharded.exec_time_s);
-  EXPECT_EQ(base.app_messages, sharded.app_messages);
-  EXPECT_EQ(base.app_bytes, sharded.app_bytes);
-  EXPECT_EQ(base.failures_injected, sharded.failures_injected);
-  EXPECT_EQ(base.recoveries_completed, sharded.recoveries_completed);
-  EXPECT_EQ(base.metrics.ckpts.size(), sharded.metrics.ckpts.size());
-  EXPECT_EQ(base.metrics.aggregate_ckpt_time_s(),
-            sharded.metrics.aggregate_ckpt_time_s());
-  EXPECT_EQ(base.metrics.restarts.size(), sharded.metrics.restarts.size());
-  EXPECT_EQ(base.metrics.aggregate_restart_time_s(),
-            sharded.metrics.aggregate_restart_time_s());
-  EXPECT_FALSE(base.resident);
-  EXPECT_TRUE(sharded.resident);
-  EXPECT_TRUE(sharded.denial_reason.empty()) << sharded.denial_reason;
-  ASSERT_EQ(sharded.shard_events.size(),
-            static_cast<std::size_t>(sharded.effective_shards));
-  for (const std::uint64_t ev : sharded.shard_events) EXPECT_GT(ev, 0u);
-}
-
-class ResidentFabricTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ResidentFabricTest, RoutedFabricMatchesUnsharded) {
-  // Routed transfers allocate slots on the sender's shard and cross the
-  // injection edge to the fabric home; admission order must be the
-  // canonical (src node, seq) order at every shard count.
-  auto run = [&](int shards) {
-    ExperimentConfig cfg = resident_cfg(shards);
-    cfg.topology.kind = static_cast<sim::TopologyKind>(GetParam());
+    cfg.topology.kind = sim::TopologyKind::kFatTree;
     cfg.topology.fattree_routing = sim::FatTreeRouting::kAdaptive;
-    return run_experiment(cfg);
-  };
-  expect_equal_outputs(run(1), run(4));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Fabrics, ResidentFabricTest,
-    ::testing::Values(static_cast<int>(sim::TopologyKind::kFatTree),
-                      static_cast<int>(sim::TopologyKind::kDragonfly)));
-
-class ResidentTierTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ResidentTierTest, TieredStorageMatchesUnsharded) {
-  // Stage/commit/read requests cross the ±L control edge to the home
-  // arbiter; group commits must stay atomic at the leader and post-failure
-  // restores must fall back to the shared tiers identically at every S.
-  auto run = [&](int shards) {
-    ExperimentConfig cfg = resident_cfg(shards);
-    cfg.storage.mode = static_cast<ckpt::StorageMode>(GetParam());
-    return run_experiment(cfg);
-  };
-  const ExperimentResult base = run(1);
-  const ExperimentResult sharded = run(4);
-  expect_equal_outputs(base, sharded);
-  EXPECT_GT(base.tier_stats.images_staged, 0);
-  EXPECT_EQ(base.tier_stats.images_staged, sharded.tier_stats.images_staged);
-  EXPECT_EQ(base.tier_stats.reads_local, sharded.tier_stats.reads_local);
-  EXPECT_EQ(base.tier_stats.reads_bb, sharded.tier_stats.reads_bb);
-  EXPECT_EQ(base.tier_stats.reads_pfs, sharded.tier_stats.reads_pfs);
-  EXPECT_EQ(base.tier_stats.drains_completed,
-            sharded.tier_stats.drains_completed);
-  EXPECT_EQ(base.tier_stats.bb_bytes_peak, sharded.tier_stats.bb_bytes_peak);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Tiers, ResidentTierTest,
-    ::testing::Values(static_cast<int>(ckpt::StorageMode::kBurstBuffer),
-                      static_cast<int>(ckpt::StorageMode::kDrain)));
-
-TEST(Experiment, ResidentTraceMergeIsDeterministic) {
-  // Per-rank buffers merge in canonical (time, rank, append) order; the
-  // merged byte stream must be identical to the unsharded tracer's.
-  auto run = [](int shards) {
-    ExperimentConfig cfg = resident_cfg(shards);
+    cfg.storage.mode = ckpt::StorageMode::kDrain;
     cfg.collect_trace = true;
     return run_experiment(cfg);
   };
-  const ExperimentResult base = run(1);
-  const ExperimentResult sharded = run(4);
-  expect_equal_outputs(base, sharded);
-  ASSERT_FALSE(base.trace.empty());
-  ASSERT_EQ(base.trace.size(), sharded.trace.size());
-  for (std::size_t i = 0; i < base.trace.size(); ++i) {
-    const trace::TraceRecord& a = base.trace[i];
-    const trace::TraceRecord& b = sharded.trace[i];
-    ASSERT_EQ(a.time, b.time) << "record " << i;
-    ASSERT_EQ(a.kind, b.kind) << "record " << i;
-    ASSERT_EQ(a.rank, b.rank) << "record " << i;
-    ASSERT_EQ(a.peer, b.peer) << "record " << i;
-    ASSERT_EQ(a.tag, b.tag) << "record " << i;
-    ASSERT_EQ(a.bytes, b.bytes) << "record " << i;
+  const ExperimentResult a = run();
+  const ExperimentResult b = run();
+  ASSERT_TRUE(a.finished);
+  EXPECT_EQ(a.failures_injected, 2);
+  EXPECT_EQ(a.recoveries_completed, 2);
+  EXPECT_GT(a.tier_stats.images_staged, 0);
+  EXPECT_EQ(a.exec_time_s, b.exec_time_s);
+  EXPECT_EQ(a.app_messages, b.app_messages);
+  EXPECT_EQ(a.metrics.aggregate_ckpt_time_s(),
+            b.metrics.aggregate_ckpt_time_s());
+  EXPECT_EQ(a.metrics.aggregate_restart_time_s(),
+            b.metrics.aggregate_restart_time_s());
+  EXPECT_EQ(a.tier_stats.reads_bb, b.tier_stats.reads_bb);
+  ASSERT_FALSE(a.trace.empty());
+  ASSERT_EQ(a.trace.size(), b.trace.size());
+  for (std::size_t i = 0; i < a.trace.size(); ++i) {
+    ASSERT_EQ(a.trace[i].time, b.trace[i].time) << "record " << i;
+    ASSERT_EQ(a.trace[i].rank, b.trace[i].rank) << "record " << i;
+    ASSERT_EQ(a.trace[i].kind, b.trace[i].kind) << "record " << i;
+  }
+  // Records come out in (time, rank) order.
+  for (std::size_t i = 1; i < a.trace.size(); ++i) {
+    const trace::TraceRecord& p = a.trace[i - 1];
+    const trace::TraceRecord& q = a.trace[i];
+    ASSERT_TRUE(p.time < q.time || (p.time == q.time && p.rank <= q.rank))
+        << "record " << i;
   }
 }
 
-TEST(Experiment, DeniedResidencyIsSurfacedNotSilent) {
-  // Direct-mode remote storage stays home-bound: the request is demoted to
-  // one shard and the result says so — no silent fallback.
-  ExperimentConfig cfg = resident_cfg(4);
-  cfg.failures.clear();
-  cfg.remote_storage = true;
+TEST(Experiment, ReportsOneEngineEventCount) {
+  ExperimentConfig cfg;
+  cfg.app = ring_app(10);
+  cfg.nranks = 4;
+  cfg.groups = group::make_norm(4);
   const ExperimentResult res = run_experiment(cfg);
   ASSERT_TRUE(res.finished);
-  EXPECT_FALSE(res.resident);
-  EXPECT_EQ(res.effective_shards, 1);
-  EXPECT_FALSE(res.denial_reason.empty());
-  EXPECT_NE(res.denial_reason.find("remote"), std::string::npos);
   ASSERT_EQ(res.shard_events.size(), 1u);
+  EXPECT_GT(res.shard_events[0], 0u);
 }
 
-TEST(Experiment, ShardsClampToOccupiedGroups) {
-  // 16 ranks in 4 groups cannot occupy 8 shards: the group-aligned plan
-  // never splits a group, so the run clamps to 4 and every shard works.
-  ExperimentConfig cfg = resident_cfg(8);
-  const ExperimentResult res = run_experiment(cfg);
-  ASSERT_TRUE(res.finished);
-  EXPECT_TRUE(res.resident);
-  EXPECT_EQ(res.effective_shards, 4);
-  ASSERT_EQ(res.shard_events.size(), 4u);
-  for (const std::uint64_t ev : res.shard_events) EXPECT_GT(ev, 0u);
+TEST(ExperimentDeathTest, RejectsMoreThanOneEngine) {
+  ExperimentConfig cfg;
+  cfg.app = ring_app(10);
+  cfg.nranks = 4;
+  cfg.groups = group::make_norm(4);
+  cfg.shards = 2;
+  EXPECT_DEATH(run_experiment(cfg), "one engine");
 }
 
 TEST(Experiment, WholeAppRestartMeasuresPreparation) {

@@ -1,8 +1,6 @@
 // Service workload accounting (DESIGN.md §16): open-loop SLO/latency
 // stats are deterministic, checkpoints land between requests under load,
-// faults charge the outage to the requests that sat through it, and the
-// service app passes the shard-residency gate (unless churn is armed,
-// which denies residency loudly).
+// and faults charge the outage to the requests that sat through it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -119,61 +117,6 @@ TEST(ServiceApp, FaultAndRestoreChargeTheOutageToSloMisses) {
   EXPECT_GT(faulted.service->slo_misses, baseline.service->slo_misses);
   EXPECT_LT(faulted.availability, 1.0);
   EXPECT_GT(baseline.availability, faulted.availability);
-}
-
-TEST(ServiceApp, ShardResidentRunMatchesUnsharded) {
-  // 16 ranks, 4 groups of 4, replica blocks aligned with the groups; the
-  // rare cross-block consults plus a mid-run fault cross the shard edges.
-  apps::ServiceParams sp = quick_params();
-  sp.cluster_width = 4;
-  auto run = [&](int shards) {
-    ExperimentConfig cfg = base_config(sp, 16);
-    cfg.groups = group::make_blocks(16, 4);
-    cfg.checkpoints = true;
-    cfg.schedule.first_at_s = 0.5;
-    cfg.schedule.interval_s = 1.0;
-    cfg.recovery.detect_s = 0.2;
-    cfg.recovery.relaunch_s = 0.2;
-    cfg.failures = {{0, 2.0}};
-    cfg.shards = shards;
-    return run_experiment(cfg);
-  };
-  const ExperimentResult base = run(1);
-  const ExperimentResult sharded = run(4);
-  ASSERT_TRUE(base.finished);
-  ASSERT_TRUE(sharded.finished);
-  EXPECT_FALSE(base.resident);
-  EXPECT_TRUE(sharded.resident);
-  EXPECT_TRUE(sharded.denial_reason.empty()) << sharded.denial_reason;
-  EXPECT_EQ(base.exec_time_s, sharded.exec_time_s);
-  EXPECT_EQ(base.app_messages, sharded.app_messages);
-  EXPECT_EQ(base.app_bytes, sharded.app_bytes);
-  EXPECT_EQ(base.failures_injected, sharded.failures_injected);
-  EXPECT_EQ(base.recoveries_completed, sharded.recoveries_completed);
-  EXPECT_EQ(base.availability, sharded.availability);
-  ASSERT_TRUE(base.service.has_value());
-  ASSERT_TRUE(sharded.service.has_value());
-  expect_stats_equal(*base.service, *sharded.service);
-}
-
-TEST(ServiceApp, ChurnDeniesShardResidencyLoudly) {
-  apps::ServiceParams sp = quick_params();
-  sp.cluster_width = 4;
-  ExperimentConfig cfg = base_config(sp, 16);
-  cfg.groups = group::make_blocks(16, 4);
-  cfg.checkpoints = true;
-  cfg.schedule.first_at_s = 0.5;
-  cfg.schedule.interval_s = 1.0;
-  cfg.churn.kind = sim::ChurnModelKind::kDrains;
-  cfg.churn.drain_mtbd_s = 30.0;
-  cfg.churn.outage_s = 1.0;
-  cfg.shards = 4;
-  const ExperimentResult res = run_experiment(cfg);
-  ASSERT_TRUE(res.finished);
-  EXPECT_FALSE(res.resident);
-  EXPECT_EQ(res.effective_shards, 1);
-  EXPECT_FALSE(res.denial_reason.empty());
-  EXPECT_NE(res.denial_reason.find("churn"), std::string::npos);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Engine fundamentals: event ordering, coroutine scheduling, process
-// lifecycle, and kill semantics.
+// lifecycle, kill semantics, and the timing wheel's cascade boundaries
+// (level edges, beyond-span overflow, cancel after cascade).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/awaitables.hpp"
@@ -222,6 +224,76 @@ TEST(Engine, DeterministicEventCounts) {
     return eng.events_processed();
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// ---------------------------------------------------------------------------
+// Hierarchical timing wheel
+// ---------------------------------------------------------------------------
+
+TEST(TimingWheel, CascadeBoundaryOffsets) {
+  // Offsets straddling every level edge (6 bits per level): the last slot
+  // of a level, the first slot of the next, and one past it — scheduled in
+  // scrambled order so dispatch order is purely the wheel's doing.
+  const std::vector<Time> offsets = {
+      4096, 1,      63,     64,    65,     4095,   4097,   262143,
+      262144, 262145, 16777215, 16777216, 2, 100000, 524288, 3};
+  Engine eng;
+  std::vector<Time> fired;
+  for (const Time t : offsets) {
+    eng.call_at(t, [&eng, &fired] { fired.push_back(eng.now()); });
+  }
+  eng.run();
+  std::vector<Time> want = offsets;
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(fired, want);
+}
+
+TEST(TimingWheel, SameSlotPreservesInsertionOrder) {
+  // Two callbacks at the same instant dispatch in scheduling order (seq),
+  // including after the slot's chain has cascaded down a level.
+  Engine eng;
+  std::vector<int> order;
+  eng.call_at(70'000, [&order] { order.push_back(1); });
+  eng.call_at(70'000, [&order] { order.push_back(2); });
+  eng.call_at(69'000, [&order] { order.push_back(0); });  // forces a cascade
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(TimingWheel, FarFutureOverflowBeyondWheelSpan) {
+  // Anything past the wheel's 2^48 ns span lands in the overflow heap and
+  // still dispatches in exact (time, seq) order.
+  Engine eng;
+  const Time beyond = (Time{1} << 48) + 12'345;
+  std::vector<Time> fired;
+  eng.call_at(beyond, [&eng, &fired] { fired.push_back(eng.now()); });
+  eng.call_at(500, [&eng, &fired] { fired.push_back(eng.now()); });
+  eng.call_at(beyond + 1, [&eng, &fired] { fired.push_back(eng.now()); });
+  eng.run();
+  EXPECT_EQ(fired, (std::vector<Time>{500, beyond, beyond + 1}));
+}
+
+TEST(TimingWheel, CancelAfterCascade) {
+  // A far-future timer whose node has already cascaded toward level 0 is
+  // abandoned when its process is killed first: the stale wheel entry must
+  // dispatch as a no-op instead of resuming the dead coroutine.
+  Engine eng;
+  bool resumed_normally = false;
+  ExitKind exit = ExitKind::kFinished;
+  auto body = [](Engine& e, bool* flag) -> Co<void> {
+    co_await delay(e, 70'000);
+    *flag = true;
+  };
+  ProcPtr proc = eng.spawn("sleeper", body(eng, &resumed_normally),
+                           [&exit](Proc&, ExitKind k) { exit = k; });
+  // 69'000 sits one cascade short of the timer's slot: dispatching it drags
+  // the cursor (and the 70'000 node) down a level before the kill lands.
+  eng.call_at(69'000, [&eng, proc] { eng.kill(*proc); });
+  eng.run();
+  EXPECT_FALSE(resumed_normally);
+  EXPECT_EQ(exit, ExitKind::kKilled);
+  EXPECT_FALSE(proc->alive());
+  EXPECT_TRUE(eng.idle());
 }
 
 }  // namespace

@@ -25,7 +25,6 @@ TEST(Tracer, CapturesSendsFromLiveRun) {
   sim::Cluster cluster(cp);
   mpi::Runtime rt(cluster, 2);
   Tracer tracer;
-  tracer.prepare(rt.nranks());
   rt.add_observer(&tracer);
   rt.start_app([](mpi::AppHandle h) -> sim::Co<void> {
     co_await h.safepoint(0);
