@@ -101,7 +101,8 @@ ExperimentConfig torture_config(std::uint64_t seed) {
   cfg.checkpoints = true;
   cfg.schedule.first_at_s = 0.05 + rng.next_double() * 0.15;
   cfg.schedule.interval_s = 0.2 + rng.next_double() * 0.3;
-  cfg.schedule.round_spread_s = rng.next_double() * 0.08;
+  // Up to the benches' 0.4 s per-group propagation window.
+  cfg.schedule.round_spread_s = rng.next_double() * 0.4;
 
   cfg.recovery.detect_s = 0.05 + rng.next_double() * 0.15;
   cfg.recovery.relaunch_s = 0.05 + rng.next_double() * 0.15;
@@ -261,7 +262,8 @@ ExperimentConfig churn_torture_config(std::uint64_t seed) {
   cfg.checkpoints = true;
   cfg.schedule.first_at_s = 0.1 + rng.next_double() * 0.2;
   cfg.schedule.interval_s = 0.4 + rng.next_double() * 0.4;
-  cfg.schedule.round_spread_s = rng.next_double() * 0.08;
+  // Up to the benches' 0.4 s per-group propagation window.
+  cfg.schedule.round_spread_s = rng.next_double() * 0.4;
   cfg.recovery.detect_s = 0.05 + rng.next_double() * 0.1;
   cfg.recovery.relaunch_s = 0.05 + rng.next_double() * 0.1;
   cfg.churn_options.poll_s = 0.05;
