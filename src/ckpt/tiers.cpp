@@ -19,76 +19,12 @@ const char* storage_mode_name(StorageMode mode) {
 }
 
 TierStore::TierStore(sim::Cluster& cluster, const TierStoreOptions& options)
-    : cluster_(&cluster), options_(options), space_freed_(cluster.engine()),
-      node_seq_(static_cast<std::size_t>(cluster.num_nodes()), 0) {
+    : cluster_(&cluster), options_(options), space_freed_(cluster.engine()) {
   GCR_CHECK_MSG(cluster.has_tiered_storage(),
                 "TierStore requires cluster burst buffers (num_burst_buffers)");
   GCR_CHECK_MSG(options_.mode != StorageMode::kDirect,
                 "direct mode bypasses the tier store");
   GCR_CHECK(options_.bb_capacity_bytes > 0);
-}
-
-// --------------------------------------------------------- control edge
-//
-// Same-tick arrivals at the arbiter are batched and executed in (subject
-// node, per-node seq) order. Every op lands as its own scheduled event, so
-// by the time the first one executes, all of the tick's ops are already
-// queued; the flush is scheduled via call_at(now) — inserted after them —
-// and therefore sees the complete batch.
-
-void TierStore::post_op(TierOp op) {
-  home().call_at(home().now() + rpc_latency(),
-                 sim::SmallFn([this, op]() mutable { enqueue_op(op); }));
-}
-
-void TierStore::enqueue_op(TierOp op) {
-  pending_ops_.push_back(op);
-  if (!flush_scheduled_) {
-    flush_scheduled_ = true;
-    home().post(sim::SmallFn([this] { flush_ops(); }));
-  }
-}
-
-void TierStore::flush_ops() {
-  flush_scheduled_ = false;
-  std::sort(pending_ops_.begin(), pending_ops_.end(),
-            [](const TierOp& a, const TierOp& b) {
-              if (a.node != b.node) return a.node < b.node;
-              return a.seq < b.seq;
-            });
-  for (TierOp& op : pending_ops_) run_op(op);
-  pending_ops_.clear();
-}
-
-void TierStore::post_reply(int node, std::uint64_t seq, int result) {
-  home().call_at(home().now() + rpc_latency(),
-                 sim::SmallFn([this, node, seq, result] {
-                   auto it = replies_.find(ReplyKey{node, seq});
-                   if (it == replies_.end()) return;  // caller killed mid-wait
-                   *it->second.result = result;
-                   it->second.trigger->fire();
-                 }));
-}
-
-sim::Co<void> TierStore::await_reply(int node, std::uint64_t seq,
-                                     int* result) {
-  auto& waiters = replies_;
-  sim::Trigger reply(home());
-  const ReplyKey key{node, seq};
-  waiters[key] = ReplyWaiter{&reply, result};
-  // RAII unregistration: a kill mid-wait must not leave a trigger pointer
-  // into a dead stack frame (mirrors Runtime::await_egress).
-  struct Guard {
-    std::map<ReplyKey, ReplyWaiter>* waiters;
-    ReplyKey key;
-    ~Guard() { waiters->erase(key); }
-  } guard{&waiters, key};
-  co_await reply.wait();
-}
-
-void TierStore::kill_pipeline(sim::ProcPtr& proc) {
-  if (proc && proc->alive()) home().kill(*proc);
-  proc.reset();
 }
 
 // ------------------------------------------------------- capacity arbiter
@@ -152,21 +88,10 @@ sim::Co<void> TierStore::stage_image(int node, mpi::RankId rank,
   // Memory-speed copy out of the application's address space into the
   // node's staging buffer (the process resumes only after the full image
   // left its memory — same blocking contract as a direct device write).
-  // Only then does the request cross to the arbiter.
   co_await cluster_->node_buffer(node).write(bytes);
-  const std::uint64_t seq = node_seq_[static_cast<std::size_t>(node)]++;
-  post_op(TierOp{TierOp::Kind::kStage, node, rank, seq, epoch, bytes});
-  int result = 0;
-  co_await await_reply(node, seq, &result);
-}
-
-sim::Co<void> TierStore::stage_body(mpi::RankId rank, int node,
-                                    std::uint64_t epoch, std::int64_t bytes,
-                                    std::uint64_t seq) {
   co_await reserve_bb(bytes);
-  // From here the reservation must survive a mid-transfer kill (the
-  // failure notice kills this pipeline): the guard returns it unless the
-  // bytes are handed off to the staged image below.
+  // From here the reservation must survive a mid-transfer kill: the guard
+  // returns it unless the bytes are handed off to the staged image below.
   struct ReserveGuard {
     TierStore* ts;
     std::int64_t bytes;
@@ -187,8 +112,6 @@ sim::Co<void> TierStore::stage_body(mpi::RankId rank, int node,
   ri.staged = std::move(img);
   guard.handed_off = true;
   ++stats_.images_staged;
-  ri.stage_pipeline.reset();  // done; self-release like drain_body
-  post_reply(node, seq, kReplyDone);
 }
 
 void TierStore::drop_committed(RankImages& ri) {
@@ -204,12 +127,6 @@ void TierStore::drop_committed(RankImages& ri) {
 }
 
 void TierStore::commit_image(mpi::RankId rank) {
-  const int node = rank;  // mpi::Runtime hosts rank r on node r
-  const std::uint64_t seq = node_seq_[static_cast<std::size_t>(node)]++;
-  post_op(TierOp{TierOp::Kind::kCommit, node, rank, seq, 0, 0});
-}
-
-void TierStore::do_commit(mpi::RankId rank) {
   RankImages& ri = ranks_[rank];
   GCR_CHECK_MSG(ri.staged.has_value(),
                 "commit_image without a staged image (finalize barrier "
@@ -227,12 +144,6 @@ void TierStore::do_commit(mpi::RankId rank) {
 }
 
 void TierStore::discard_staged(mpi::RankId rank) {
-  const int node = rank;
-  const std::uint64_t seq = node_seq_[static_cast<std::size_t>(node)]++;
-  post_op(TierOp{TierOp::Kind::kDiscard, node, rank, seq, 0, 0});
-}
-
-void TierStore::do_discard(mpi::RankId rank) {
   auto it = ranks_.find(rank);
   if (it == ranks_.end() || !it->second.staged) return;
   release_bb(it->second.staged->bytes);
@@ -240,22 +151,8 @@ void TierStore::do_discard(mpi::RankId rank) {
 }
 
 void TierStore::on_node_failed(mpi::RankId rank) {
-  const int node = rank;
-  const std::uint64_t seq = node_seq_[static_cast<std::size_t>(node)]++;
-  post_op(TierOp{TierOp::Kind::kNodeFailed, node, rank, seq, 0, 0});
-}
-
-void TierStore::do_node_failed(mpi::RankId rank) {
-  // The dead process's home-side pipelines stop acting for it: a killed
-  // stage returns its reservation through the guard; a killed read frees
-  // the device (its caller died with the node, so no reply is owed).
+  discard_staged(rank);
   auto it = ranks_.find(rank);
-  if (it != ranks_.end()) {
-    kill_pipeline(it->second.stage_pipeline);
-    kill_pipeline(it->second.read_pipeline);
-  }
-  do_discard(rank);
-  it = ranks_.find(rank);
   if (it != ranks_.end() && it->second.committed) {
     // The node's staging buffer dies with the process; the committed image
     // survives on the shared tiers (burst buffer and/or PFS).
@@ -283,100 +180,32 @@ sim::Co<void> TierStore::drain_body(mpi::RankId rank, std::uint64_t epoch,
 
 sim::Co<void> TierStore::read_image(int node, mpi::RankId rank,
                                     std::int64_t bytes) {
-  const std::uint64_t seq = node_seq_[static_cast<std::size_t>(node)]++;
-  post_op(TierOp{TierOp::Kind::kRead, node, rank, seq, 0, bytes});
-  int result = 0;
-  co_await await_reply(node, seq, &result);
-  if (result == kReplyReadLocal) {
+  auto it = ranks_.find(rank);
+  GCR_CHECK_MSG(it != ranks_.end() && it->second.committed.has_value(),
+                "tier read for a rank with no committed image");
+  const Image& img = *it->second.committed;
+  if (img.in_local) {
     // Warm restart: the committed image never left the node's staging
     // buffer, so the read runs at memory speed.
+    ++stats_.reads_local;
     co_await cluster_->node_buffer(node).read(bytes);
-  }
-}
-
-sim::Co<void> TierStore::read_body(mpi::RankId rank, int node,
-                                   std::int64_t bytes, std::uint64_t seq,
-                                   bool from_bb) {
-  if (from_bb) {
+  } else if (img.in_bb) {
+    ++stats_.reads_bb;
     co_await cluster_->burst_buffer_for(node).read(bytes);
   } else {
+    GCR_CHECK_MSG(img.in_pfs, "committed image resident in no tier");
+    ++stats_.reads_pfs;
     co_await cluster_->pfs().read(bytes);
   }
-  auto it = ranks_.find(rank);
-  if (it != ranks_.end()) it->second.read_pipeline.reset();
-  post_reply(node, seq, kReplyDone);
 }
 
 // ---------------------------------------------------------------- log path
 
 sim::Co<void> TierStore::flush_log(int node, std::int64_t bytes) {
   if (bytes <= 0) co_return;
-  const std::uint64_t seq = node_seq_[static_cast<std::size_t>(node)]++;
-  post_op(TierOp{TierOp::Kind::kFlushLog, node, /*rank=*/node, seq, 0,
-                 bytes});
-  int result = 0;
-  co_await await_reply(node, seq, &result);
-}
-
-sim::Co<void> TierStore::flush_body(int node, std::int64_t bytes,
-                                    std::uint64_t seq) {
   // Log appends stream through the burst buffer without occupying image
   // capacity (they are consumed by the next checkpoint, not restored).
   co_await cluster_->burst_buffer_for(node).write(bytes);
-  post_reply(node, seq, kReplyDone);
-}
-
-// ---------------------------------------------------------------- dispatch
-
-void TierStore::run_op(TierOp& op) {
-  switch (op.kind) {
-    case TierOp::Kind::kStage: {
-      RankImages& ri = ranks_[op.rank];
-      // A still-live prior pipeline means the rank died mid-stage and its
-      // restart is staging again before the failure notice landed; the
-      // replacement supersedes it.
-      kill_pipeline(ri.stage_pipeline);
-      ri.stage_pipeline = home().spawn(
-          "stage" + std::to_string(op.rank),
-          stage_body(op.rank, op.node, op.epoch, op.bytes, op.seq));
-      break;
-    }
-    case TierOp::Kind::kCommit:
-      do_commit(op.rank);
-      break;
-    case TierOp::Kind::kDiscard:
-      do_discard(op.rank);
-      break;
-    case TierOp::Kind::kNodeFailed:
-      do_node_failed(op.rank);
-      break;
-    case TierOp::Kind::kRead: {
-      auto it = ranks_.find(op.rank);
-      GCR_CHECK_MSG(it != ranks_.end() && it->second.committed.has_value(),
-                    "tier read for a rank with no committed image");
-      const Image& img = *it->second.committed;
-      if (img.in_local) {
-        ++stats_.reads_local;
-        post_reply(op.node, op.seq, kReplyReadLocal);
-      } else if (img.in_bb) {
-        ++stats_.reads_bb;
-        it->second.read_pipeline = home().spawn(
-            "tread" + std::to_string(op.rank),
-            read_body(op.rank, op.node, op.bytes, op.seq, /*from_bb=*/true));
-      } else {
-        GCR_CHECK_MSG(img.in_pfs, "committed image resident in no tier");
-        ++stats_.reads_pfs;
-        it->second.read_pipeline = home().spawn(
-            "tread" + std::to_string(op.rank),
-            read_body(op.rank, op.node, op.bytes, op.seq, /*from_bb=*/false));
-      }
-      break;
-    }
-    case TierOp::Kind::kFlushLog:
-      home().spawn("tflush" + std::to_string(op.node),
-                   flush_body(op.node, op.bytes, op.seq));
-      break;
-  }
 }
 
 }  // namespace gcr::ckpt

@@ -32,25 +32,20 @@
 // the shared tiers — the invariant `committed => resident somewhere` is
 // asserted, never silently violated.
 //
+// Every call takes effect at the instant it is made: stage, read and log
+// flush run their device transfers in the caller's coroutine; commit,
+// discard and failure notices update residency synchronously, so a whole
+// group's commits issued at one instant land at that instant (the
+// leader's atomic-commit contract).
+//
 // Kill-safety: stage_image may be killed at any suspension (ProcessKilled
 // unwind); reserved-but-unstaged capacity is returned by an RAII guard, so
 // burst-buffer bytes are never stranded by a failure mid-checkpoint.
-//
-// Control edge: tier POLICY requests (stage, commit, discard, failure,
-// read, log flush) reach the arbiter one fixed control latency
-// (Cluster::control_latency) after the caller issues them. Each request is
-// stamped (subject node, per-node seq); same-tick arrivals are batched and
-// executed in (node, seq) order, and replies come back one latency later
-// and fire the caller's trigger. Commit/discard/failure notices are
-// fire-and-forget; a whole group's commits issued at one instant land at
-// one instant, keeping the leader's atomic-commit contract.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <utility>
-#include <vector>
 
 #include "mpi/message.hpp"
 #include "sim/cluster.hpp"
@@ -109,21 +104,17 @@ class TierStore {
 
   /// Promotes the rank's staged image to committed (restore-visible),
   /// superseding — and freeing — the previous committed image, and starts
-  /// the write-behind drain in kDrain mode. Fire-and-forget: the caller
-  /// never suspends, and a whole group's commits posted at one caller
-  /// instant land at one home instant (atomic at the leader).
+  /// the write-behind drain in kDrain mode.
   void commit_image(mpi::RankId rank);
 
   /// Drops the rank's staged image, if any, returning its burst-buffer
   /// bytes (failure before the group's commit point).
   void discard_staged(mpi::RankId rank);
 
-  /// Node fault: the rank's staged image dies with the process, its
+  /// Node fault: the rank's staged image dies with the process and its
   /// committed image loses node-buffer residency (restores fall back to
-  /// the shared tiers), and any home-side pipeline still acting for the
-  /// dead process is killed. NOT invoked for voluntary restarts — a
-  /// relaunch on a healthy node reloads from the warm staging buffer.
-  /// Fire-and-forget.
+  /// the shared tiers). NOT invoked for voluntary restarts — a relaunch on
+  /// a healthy node reloads from the warm staging buffer.
   void on_node_failed(mpi::RankId rank);
 
   /// Restart read: `bytes` from the fastest tier holding the rank's
@@ -150,66 +141,7 @@ class TierStore {
     std::optional<Image> staged;
     std::optional<Image> committed;
     std::uint64_t commit_seq = 0;  ///< for oldest-first eviction
-    /// Arbiter-side pipelines acting for the rank. These do NOT die with
-    /// the rank's coroutines; the failure notice kills them instead.
-    sim::ProcPtr stage_pipeline;
-    sim::ProcPtr read_pipeline;
   };
-
-  /// One control-edge request awaiting the canonical per-tick flush.
-  struct TierOp {
-    enum class Kind : std::uint8_t {
-      kStage,       ///< reserve + burst-buffer write -> staged (replies)
-      kCommit,      ///< staged -> committed (+ drain in kDrain mode)
-      kDiscard,     ///< drop the staged image
-      kNodeFailed,  ///< discard + drop node-buffer residency + kill pipelines
-      kRead,        ///< pick the restore tier; read shared tiers (replies)
-      kFlushLog,    ///< burst-buffer log append (replies)
-    };
-    Kind kind;
-    std::int32_t node;       ///< subject node (== rank for hosted ranks)
-    mpi::RankId rank;
-    std::uint64_t seq;       ///< per-subject-node request order
-    std::uint64_t epoch;
-    std::int64_t bytes;
-  };
-
-  /// Reply codes carried home -> caller.
-  static constexpr int kReplyDone = 0;
-  static constexpr int kReplyReadLocal = 1;  ///< read the node buffer locally
-
-  /// Caller trigger registry: a reply fires the trigger registered under
-  /// its (node, seq) key, if the caller is still waiting.
-  struct ReplyWaiter {
-    sim::Trigger* trigger;
-    int* result;
-  };
-  using ReplyKey = std::pair<std::int32_t, std::uint64_t>;  ///< (node, seq)
-
-  sim::Engine& home() { return cluster_->engine(); }
-  sim::Time rpc_latency() const { return cluster_->control_latency(); }
-  /// Schedules the (node, seq)-stamped op at the arbiter one rpc_latency
-  /// from now.
-  void post_op(TierOp op);
-  void enqueue_op(TierOp op);  ///< arbiter side: batch + schedule the flush
-  void flush_ops();            ///< arbiter side: canonical (node, seq) order
-  void run_op(TierOp& op);
-  /// Schedules the reply to the caller one rpc_latency from now.
-  void post_reply(int node, std::uint64_t seq, int result);
-  /// Parks the caller until the (node, seq) reply lands.
-  /// Kill-safe: the registration is erased on unwind and a reply for an
-  /// unregistered key is dropped.
-  sim::Co<void> await_reply(int node, std::uint64_t seq, int* result);
-  void kill_pipeline(sim::ProcPtr& proc);
-
-  sim::Co<void> stage_body(mpi::RankId rank, int node, std::uint64_t epoch,
-                           std::int64_t bytes, std::uint64_t seq);
-  sim::Co<void> read_body(mpi::RankId rank, int node, std::int64_t bytes,
-                          std::uint64_t seq, bool from_bb);
-  sim::Co<void> flush_body(int node, std::int64_t bytes, std::uint64_t seq);
-  void do_commit(mpi::RankId rank);
-  void do_discard(mpi::RankId rank);
-  void do_node_failed(mpi::RankId rank);
 
   /// Grants `bytes` of burst-buffer capacity, evicting drained images or
   /// (kDrain only) stalling while the pool is exhausted; in kBurstBuffer
@@ -229,14 +161,6 @@ class TierStore {
   std::map<mpi::RankId, RankImages> ranks_;
   std::uint64_t next_commit_seq_ = 1;
   sim::Trigger space_freed_;
-
-  /// Per-subject-node request counters.
-  std::vector<std::uint64_t> node_seq_;
-  /// Same-tick arrivals awaiting the canonical flush.
-  std::vector<TierOp> pending_ops_;
-  bool flush_scheduled_ = false;
-  /// Callers waiting for a reply.
-  std::map<ReplyKey, ReplyWaiter> replies_;
 };
 
 }  // namespace gcr::ckpt

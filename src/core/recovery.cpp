@@ -33,25 +33,9 @@ RecoveryManager::RecoveryManager(mpi::Runtime& rt, GroupProtocol& protocol,
       static_cast<std::size_t>(protocol.groups().num_groups());
   gstate_.assign(ngroups, GroupState::kAlive);
   down_since_.assign(static_cast<std::size_t>(rt.nranks()), sim::Time{-1});
-  // The restore completion reaches the recovery state machine over the
-  // fixed control edge (Cluster::control_latency). The group INDEX is only
-  // valid at the firing instant; it is pinned to the representative rank
-  // before the hop.
   protocol_->set_restore_done_callback([this](int group) {
-    const mpi::RankId rep = protocol_->groups().members(group).front();
-    after_control_edge([this, rep] { on_restore_done(rep); });
+    on_restore_done(protocol_->groups().members(group).front());
   });
-}
-
-void RecoveryManager::after_control_edge(sim::SmallFn fn) {
-  sim::Engine& eng = rt_->engine();
-  eng.call_at(eng.now() + rt_->cluster().control_latency(), std::move(fn));
-}
-
-void RecoveryManager::dispatch_kill(mpi::RankId rep) {
-  // The kill lands one control edge after the decision.
-  after_control_edge(
-      [this, rep] { kill_members(protocol_->groups().group_of(rep)); });
 }
 
 void RecoveryManager::fail_group_at(int group, sim::Time t) {
@@ -120,7 +104,7 @@ void RecoveryManager::fail_group_now(int group) {
         ++aborted_;
       }
       --restores_in_flight_;
-      dispatch_kill(rep);
+      kill_members(group);
       st = GroupState::kDown;
       enqueue_restore(rep);
       maybe_start_restores();  // the aborted restore freed a slot
@@ -131,40 +115,26 @@ void RecoveryManager::fail_group_now(int group) {
       // affect the job (a run is complete once every rank ran to the end);
       // there is nothing to kill or recover. A partially finished group is
       // still killed whole — its finished members roll back and re-execute
-      // with the rest of the group. The alive/finished checks and the kill
-      // run one control edge after the decision (decision + L), and the
-      // recovery bookkeeping one edge after that (decision + 2L). gstate_
-      // stays kAlive for the ~2L round trip; a second fault in that window
-      // finds the members already dead and is absorbed. The kill itself is
-      // immediate even if the group is mid-checkpoint — the round dies with
-      // the processes and the group's staged images are discarded
-      // (rank_killed), so restore sees the previous epoch.
-      const mpi::RankId rep = protocol_->groups().members(group).front();
-      after_control_edge([this, rep] {
-        const int group = protocol_->groups().group_of(rep);
-        const auto& members = protocol_->groups().members(group);
-        if (!rt_->rank(rep).alive()) {
-          after_control_edge([this] { ++absorbed_; });
-          return;
+      // with the rest of the group. The kill is immediate even if the group
+      // is mid-checkpoint — the round dies with the processes and the
+      // group's staged images are discarded (rank_killed), so restore sees
+      // the previous epoch.
+      const auto& members = protocol_->groups().members(group);
+      bool all_finished = true;
+      for (mpi::RankId r : members) {
+        if (!rt_->rank(r).finished()) {
+          all_finished = false;
+          break;
         }
-        bool all_finished = true;
-        for (mpi::RankId r : members) {
-          if (!rt_->rank(r).finished()) {
-            all_finished = false;
-            break;
-          }
-        }
-        if (all_finished) return;
-        kill_members(group);
-        after_control_edge([this, rep] {
-          const int group = protocol_->groups().group_of(rep);
-          ++failures_;
-          gstate_[static_cast<std::size_t>(group)] = GroupState::kDown;
-          mark_down(protocol_->groups().members(group), rt_->engine().now());
-          enqueue_restore(rep);
-          maybe_start_restores();
-        });
-      });
+      }
+      if (all_finished) return;
+      const mpi::RankId rep = members.front();
+      kill_members(group);
+      ++failures_;
+      st = GroupState::kDown;
+      mark_down(members, rt_->engine().now());
+      enqueue_restore(rep);
+      maybe_start_restores();
       return;
     }
   }
@@ -196,12 +166,7 @@ void RecoveryManager::start_restore(mpi::RankId rep) {
   const int group = protocol_->groups().group_of(rep);
   gstate_[static_cast<std::size_t>(group)] = GroupState::kRestoring;
   ++restores_in_flight_;
-  // One control edge later, after any in-flight kill for this group (both
-  // are scheduled in order, and equal-time events run FIFO).
-  after_control_edge([this, rep] {
-    restore_ranks(
-        protocol_->groups().members(protocol_->groups().group_of(rep)));
-  });
+  restore_ranks(protocol_->groups().members(group));
 }
 
 void RecoveryManager::on_restore_done(mpi::RankId rep) {

@@ -198,17 +198,13 @@ class RecoveryManager {
 
   // Groups are identified by a REPRESENTATIVE RANK (members.front() at
   // decision time) everywhere a decision outlives the instant it was made:
-  // queue entries, control-edge callbacks, timers. Group INDICES shift
+  // queue entries and timer callbacks. Group INDICES shift
   // when churn installs a new partition; a rank's group membership is
   // re-resolved via group_of(rep) at execution. In static runs rep↔index
   // resolution is the identity, so the legacy timeline is bit-identical.
   void fail_group_now(int group);
   void fail_node_now(int node);
   void kill_members(int group);
-  /// kill_members one control edge after the decision.
-  void dispatch_kill(mpi::RankId rep);
-  /// Runs `fn` one control edge (Cluster::control_latency) from now.
-  void after_control_edge(sim::SmallFn fn);
   void enqueue_restore(mpi::RankId rep);
   /// Starts queued restores while slots are free and heads are ready;
   /// re-arms itself for a not-yet-ready head. Idempotent.

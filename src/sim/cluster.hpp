@@ -14,7 +14,6 @@
 //     lives in ckpt/tiers.hpp; the cluster only owns the devices.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -53,9 +52,6 @@ struct ClusterParams {
   /// one sim::Engine. The field stays because perfbench/traced.cpp sets it;
   /// the next benchmark change removes it.
   int num_shards = 1;
-  /// Delay of the fixed control edges (recovery fan-out, tier-store ops) in
-  /// seconds; 0 derives it from `net` (Network::min_remote_latency_s).
-  double lookahead_s = 0;
   NetParams net;
   StorageParams local_disk{/*bandwidth_Bps=*/100e6, /*latency_s=*/5e-3};
   int num_remote_servers = 0;  ///< checkpoint servers (0 = local disk only)
@@ -103,14 +99,6 @@ class Cluster {
   /// The same engine under its old name, kept because perfbench/traced.cpp
   /// drives runs through it; the next benchmark change removes it.
   Engine& shards() { return engine_; }
-  /// Delay of the fixed control edges (ClusterParams::lookahead_s), at
-  /// least one tick.
-  Time control_latency() const {
-    return std::max<Time>(
-        1, from_seconds(params_.lookahead_s > 0
-                            ? params_.lookahead_s
-                            : Network::min_remote_latency_s(params_.net)));
-  }
   Network& network() { return network_; }
   const JitterModel& jitter_model() const { return jitter_; }
 

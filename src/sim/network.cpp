@@ -25,7 +25,6 @@ Network::Network(Engine& engine, int num_nodes, const NetParams& params,
     link_active_.assign(nlinks, 0);
     nodes_.resize(static_cast<std::size_t>(num_nodes));
     recip_ = {0.0, 1.0};  // recip_[a] = 1/a; grown as link occupancy grows
-    node_seq_.assign(static_cast<std::size_t>(num_nodes), 0);
   } else {
     // Flat still exposes a (zeroed) load view so introspection is uniform.
     link_active_.assign(static_cast<std::size_t>(topo_->num_links()), 0);
@@ -75,140 +74,21 @@ Network::SendTimes Network::send_flat(int src_node, std::int64_t bytes,
 Network::SendTimes Network::send_routed(int src_node, int dst_node,
                                         std::int64_t bytes, SmallFn deliver,
                                         Time now) {
-  OpSlot* op = alloc_slot();
-  op->seq = node_seq_[static_cast<std::size_t>(src_node)]++;
-  op->src = src_node;
-  op->dst = dst_node;
-  op->bytes = bytes;
-  op->deliver = std::move(deliver);
-  op->egress = nullptr;
-  op->pending = true;
-
-  // The injection edge: one hop of wire between this NIC and the fabric.
-  // The closure carries only {this, op} — inline in SmallFn — and the op
-  // slot carries the payload, so the steady path posts without allocating.
-  const Time inject = now + inject_latency();
-  engine_->call_at(inject, SmallFn([this, op] {
-                     enqueue_fabric_op(op->src, op->seq, op);
-                   }));
-
-  // Uncontended estimates mirroring the routed arithmetic (inject, full-
-  // rate drain, then the per-message + remaining-hop delivery delay over a
-  // minimal route); the real egress signal is the ticket's trigger, the
-  // real arrival is when `deliver` runs.
-  const Time est_clear =
-      inject + std::max<Time>(1, from_seconds(static_cast<double>(bytes) /
-                                              params_.bandwidth_Bps));
-  const Time delivery = std::max<Time>(
-      1, from_seconds(params_.per_message_s +
-                      (topo_->min_hops(src_node, dst_node) - 1) *
-                          params_.topology.hop_latency_s));
-  return {est_clear + inject_latency(), est_clear + delivery, make_ticket(*op)};
-}
-
-Network::OpSlot* Network::alloc_slot() {
-  if (!free_slots_.empty()) {
-    OpSlot* s = &slots_[free_slots_.back()];
-    free_slots_.pop_back();
-    return s;
-  }
-  GCR_CHECK(slots_.size() < (1u << 24) - 1);  // ticket field width
-  slots_.emplace_back();
-  OpSlot& s = slots_.back();
-  s.self = static_cast<std::uint32_t>(slots_.size() - 1);
-  return &s;
-}
-
-void Network::finalize_slot(OpSlot* op) {
-  if (op->pending) {
-    op->pending = false;
-    if (op->egress != nullptr) {
-      Trigger* t = std::exchange(op->egress, nullptr);
-      t->fire();
-    }
-  }
-  op->deliver = SmallFn();
-  ++op->epoch;  // stale tickets stop resolving
-  free_slots_.push_back(op->self);
-}
-
-const Network::OpSlot* Network::ticket_op(std::uint64_t ticket) const {
-  if (ticket == 0) return nullptr;
-  const std::uint32_t self = static_cast<std::uint32_t>(ticket >> 32);
-  const std::uint32_t epoch = static_cast<std::uint32_t>(ticket);
-  if (self == 0 || self - 1 >= slots_.size()) return nullptr;
-  const OpSlot& s = slots_[self - 1];
-  if (s.epoch != epoch) return nullptr;
-  return &s;
-}
-
-bool Network::egress_pending(std::uint64_t ticket) const {
-  const OpSlot* s = ticket_op(ticket);
-  return s != nullptr && s->pending;
-}
-
-void Network::set_egress_trigger(std::uint64_t ticket, Trigger* t) {
-  OpSlot* s = const_cast<OpSlot*>(ticket_op(ticket));
-  GCR_CHECK(s != nullptr && s->pending);
-  GCR_CHECK(s->egress == nullptr);
-  s->egress = t;
-}
-
-void Network::clear_egress_trigger(std::uint64_t ticket) {
-  OpSlot* s = const_cast<OpSlot*>(ticket_op(ticket));
-  if (s != nullptr) s->egress = nullptr;
-}
-
-void Network::enqueue_fabric_op(std::int32_t src, std::uint64_t seq,
-                                OpSlot* slot) {
-  pending_ops_.push_back(PendingOp{src, seq, slot});
-  if (!flush_scheduled_) {
-    flush_scheduled_ = true;
-    // Every op targeting this tick was inserted at an earlier tick, so a
-    // call_at at `now` sequences after all of them and the flush sees the
-    // complete tick.
-    engine_->call_at(engine_->now(), [this] { flush_fabric_ops(); });
-  }
-}
-
-void Network::flush_fabric_ops() {
-  flush_scheduled_ = false;
-  // Canonical admission order: (source node, per-node seq), so routing
-  // draws, NIC FIFO order and fair-share splits do not depend on the order
-  // in which same-tick ops were scheduled.
-  std::sort(pending_ops_.begin(), pending_ops_.end(),
-            [](const PendingOp& a, const PendingOp& b) {
-              if (a.src != b.src) return a.src < b.src;
-              return a.seq < b.seq;
-            });
-  const Time now = engine_->now();
-  for (const PendingOp& op : pending_ops_) {
-    if (op.slot == nullptr) {
-      do_abort(op.src, op.seq, now);
-    } else {
-      do_inject(op.slot, now);
-    }
-  }
-  pending_ops_.clear();
-  arm_timer();
-}
-
-void Network::do_inject(OpSlot* op, Time now) {
-  fabric_offered_ += op->bytes;
+  fabric_offered_ += bytes;
   const std::uint32_t idx = alloc_transfer();
   Transfer& t = pool_[idx];
-  t.src = op->src;
-  t.dst = op->dst;
-  t.bytes = op->bytes;
-  t.remaining = static_cast<double>(op->bytes);
-  t.deliver = std::move(op->deliver);
-  t.src_seq = op->seq;
-  t.op = op;
+  t.src = src_node;
+  t.dst = dst_node;
+  t.bytes = bytes;
+  t.remaining = static_cast<double>(bytes);
+  t.deliver = std::move(deliver);
+  t.egress = nullptr;
   t.next_queued = kNil;
 
-  NodeState& ns = nodes_[static_cast<std::size_t>(t.src)];
+  NodeState& ns = nodes_[static_cast<std::size_t>(src_node)];
   if (ns.admitted < params_.topology.nic_concurrency) {
     admit(idx, now);
+    arm_timer();
   } else {
     t.state = XferState::kQueued;
     ++queued_count_;
@@ -219,6 +99,45 @@ void Network::do_inject(OpSlot* op, Time now) {
       ns.q_tail = idx;
     }
   }
+
+  // Uncontended estimates mirroring the routed arithmetic (full-rate
+  // drain, then the per-message + per-hop delivery delay over a minimal
+  // route); the real egress signal is the ticket's trigger, the real
+  // arrival is when `deliver` runs.
+  const Time est_clear =
+      now + std::max<Time>(1, from_seconds(static_cast<double>(bytes) /
+                                           params_.bandwidth_Bps));
+  const Time delivery = std::max<Time>(
+      1, from_seconds(params_.per_message_s +
+                      topo_->min_hops(src_node, dst_node) *
+                          params_.topology.hop_latency_s));
+  return {est_clear, est_clear + delivery, make_ticket(idx)};
+}
+
+const Network::Transfer* Network::ticket_transfer(std::uint64_t ticket) const {
+  if (ticket == 0) return nullptr;
+  const std::uint32_t slot = static_cast<std::uint32_t>(ticket >> 32);
+  const std::uint32_t epoch = static_cast<std::uint32_t>(ticket);
+  if (slot == 0 || slot - 1 >= pool_.size()) return nullptr;
+  const Transfer& t = pool_[slot - 1];
+  if (t.epoch != epoch || t.state == XferState::kFree) return nullptr;
+  return &t;
+}
+
+bool Network::egress_pending(std::uint64_t ticket) const {
+  return ticket_transfer(ticket) != nullptr;
+}
+
+void Network::set_egress_trigger(std::uint64_t ticket, Trigger* t) {
+  Transfer* x = const_cast<Transfer*>(ticket_transfer(ticket));
+  GCR_CHECK(x != nullptr);
+  GCR_CHECK(x->egress == nullptr);
+  x->egress = t;
+}
+
+void Network::clear_egress_trigger(std::uint64_t ticket) {
+  Transfer* x = const_cast<Transfer*>(ticket_transfer(ticket));
+  if (x != nullptr) x->egress = nullptr;
 }
 
 std::uint32_t Network::alloc_transfer() {
@@ -235,7 +154,8 @@ void Network::free_transfer(std::uint32_t idx) {
   Transfer& t = pool_[idx];
   t.state = XferState::kFree;
   t.deliver = SmallFn();
-  t.op = nullptr;
+  t.egress = nullptr;
+  ++t.epoch;  // stale tickets stop resolving
   t.next_queued = kNil;
   free_.push_back(idx);
 }
@@ -419,18 +339,13 @@ void Network::complete(std::uint32_t idx, Time now) {
   --active_count_;
   fabric_delivered_ += t.bytes;
 
-  // The remaining nhops-1 hops plus the per-message cost (the first hop
-  // was paid at injection).
+  // The per-message cost plus every hop of the route, after the last byte.
   const Time tail = from_seconds(
       params_.per_message_s +
-      static_cast<double>(route.nhops - 1) * params_.topology.hop_latency_s);
+      static_cast<double>(route.nhops) * params_.topology.hop_latency_s);
   engine_->call_at(now + std::max<Time>(1, tail), std::move(t.deliver));
-  // The egress-done op returns over the injection edge, fires a still-
-  // registered trigger and recycles the op slot (finalize_slot is the sole
-  // recycler, so a kill-time purge can never race a slot reuse).
-  OpSlot* op = t.op;
-  engine_->call_at(now + inject_latency(),
-                   SmallFn([this, op] { finalize_slot(op); }));
+  // The sender's buffer is reusable now: wake a registered egress waiter.
+  if (Trigger* egress = std::exchange(t.egress, nullptr)) egress->fire();
   free_transfer(idx);
 
   NodeState& ns = nodes_[static_cast<std::size_t>(src)];
@@ -459,10 +374,16 @@ void Network::arm_timer() {
     heap_.pop_back();
   }
   if (heap_.empty()) return;
+  const Time at = heap_.front().t;
+  if (timer_armed_ && timer_at_ <= at) return;
   ++timer_gen_;
+  timer_armed_ = true;
+  timer_at_ = at;
   const std::uint64_t gen = timer_gen_;
-  engine_->call_at(heap_.front().t, [this, gen] {
-    if (gen == timer_gen_) on_timer();
+  engine_->call_at(at, [this, gen] {
+    if (gen != timer_gen_) return;
+    timer_armed_ = false;
+    on_timer();
   });
 }
 
@@ -493,70 +414,38 @@ void Network::on_timer() {
 void Network::abort_transfers_from(int src_node) {
   GCR_CHECK(src_node >= 0 && src_node < num_nodes());
   if (!routed()) return;
-  // Source-side purge, synchronous: pending slots stop resolving for the
-  // egress protocol and unhook their triggers (a killed sender's waiters
-  // are unwound separately; firing here would wake them). Slots are NOT
-  // recycled — each one's finalize op (egress-done for transfers that beat
-  // the abort, release for dropped ones) is still in flight and remains
-  // the sole recycler.
-  for (OpSlot& s : slots_) {
-    if (s.pending && s.src == src_node) {
-      s.pending = false;
-      s.egress = nullptr;
-    }
-  }
-  // The abort travels the same injection edge and canonical queue as the
-  // sends, keyed by the same per-node counter: the flush orders it after
-  // every send the node issued before dying — even same-tick ones — and
-  // before anything a respawned incarnation issues.
-  const std::uint64_t abort_seq =
-      node_seq_[static_cast<std::size_t>(src_node)]++;
-  engine_->call_at(engine_->now() + inject_latency(),
-                   SmallFn([this, src_node, abort_seq] {
-                     enqueue_fabric_op(src_node, abort_seq, nullptr);
-                   }));
-}
-
-void Network::drop_transfer(std::uint32_t idx, Time now) {
-  Transfer& t = pool_[idx];
-  fabric_dropped_ += t.bytes;
-  OpSlot* op = t.op;
-  engine_->call_at(now + inject_latency(),
-                   SmallFn([this, op] { finalize_slot(op); }));
-  free_transfer(idx);
-}
-
-void Network::do_abort(std::int32_t node, std::uint64_t abort_seq, Time now) {
-  NodeState& ns = nodes_[static_cast<std::size_t>(node)];
-
+  NodeState& ns = nodes_[static_cast<std::size_t>(src_node)];
   for (std::uint32_t q = ns.q_head; q != kNil;) {
     const std::uint32_t next = pool_[q].next_queued;
-    GCR_ASSERT(pool_[q].src_seq < abort_seq);
     --queued_count_;
-    drop_transfer(q, now);
+    drop_transfer(q);
     q = next;
   }
   ns.q_head = ns.q_tail = kNil;
 
+  const Time now = engine_->now();
   for (std::uint32_t idx = 0; idx < pool_.size(); ++idx) {
     Transfer& t = pool_[idx];
-    if (t.state != XferState::kActive || t.src != node ||
-        t.src_seq >= abort_seq) {
-      continue;
-    }
+    if (t.state != XferState::kActive || t.src != src_node) continue;
     const Route route = t.route;
     for (int h = 0; h < route.nhops; ++h) {
       link_remove(route.links[static_cast<std::size_t>(h)], idx, h);
     }
     --active_count_;
     --ns.admitted;
-    drop_transfer(idx, now);
+    drop_transfer(idx);
     for (int h = 0; h < route.nhops; ++h) {
       resettle_members(route.links[static_cast<std::size_t>(h)], now, kNil,
                        /*inserted=*/false);
     }
   }
   GCR_ASSERT(ns.admitted == 0);
+  arm_timer();  // survivors may now finish sooner
+}
+
+void Network::drop_transfer(std::uint32_t idx) {
+  fabric_dropped_ += pool_[idx].bytes;
+  free_transfer(idx);
 }
 
 }  // namespace gcr::sim

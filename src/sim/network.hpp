@@ -22,27 +22,23 @@
 // recycle through a pooled free list, link membership is intrusive, and the
 // heap reuses its buffer.
 //
-// Injection edge: the first hop of every route is modeled as one
-// hop_latency_s of wire between the sender's NIC and the fabric (so an
-// uncontended message still totals per_message + nhops*hop end to end: one
-// hop at injection, nhops-1 at delivery). Each send writes an op slot and
-// schedules a 16-byte inject op at t + hop; the fabric batches every op
-// landing on one tick and admits them in (source node, send seq) order.
-// Completion schedules the delivery and an egress-done op back to the
-// slot one hop later; that op is the only recycler of the slot, so the
-// steady path stays allocation-free.
+// A routed send is admitted to the fabric at the send instant (or queues
+// behind its NIC's admitted transfers). Delivery runs
+// `per_message + nhops * hop_latency` after the last byte clears the
+// bottleneck, so an uncontended message costs
+// bytes/bandwidth + per_message + nhops * hop_latency end to end, and the
+// sender's egress trigger fires at that completion instant. Tickets are
+// (transfer slot, epoch) pairs on the transfer pool, so a recycled slot's
+// stale ticket stops resolving.
 //
-// Kill protocol: abort_transfers_from(node) synchronously silences the
-// node's pending op slots (triggers unhook, tickets stop resolving), then
-// sends an abort op through the same canonical queue; the
-// fabric drops the node's queued and in-flight transfers when it arrives
-// (survivors resettled to reclaim the bandwidth). Transfers that clear
-// their bottleneck before the abort op lands still deliver — the wire
-// cannot be recalled.
+// Kill protocol: abort_transfers_from(node) synchronously drops the node's
+// queued and in-flight transfers (their callbacks never run, their egress
+// triggers are unhooked without firing) and resettles the survivors to
+// reclaim the bandwidth. Transfers that already cleared their bottleneck
+// still deliver — the wire cannot be recalled.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <vector>
 
@@ -116,23 +112,6 @@ class Network {
   /// whose NIC timestamps model no recallable in-flight state.
   void abort_transfers_from(int src_node);
 
-  /// The smallest delay between a send and anything it can cause at
-  /// another node: the wire latency (flat) or one hop_latency_s (routed).
-  /// Derived from parameters alone, so it is usable before a Network exists.
-  static double min_remote_latency_s(const NetParams& p) {
-    return p.topology.kind == TopologyKind::kFlat
-               ? p.latency_s
-               : p.topology.hop_latency_s;
-  }
-
-  /// Fixed delay of the routed injection edge (and of the egress-done
-  /// return): one hop_latency_s, floored at one tick. Admission state
-  /// (link_active / active_transfers / queued_transfers) becomes visible
-  /// only after this edge crosses.
-  Time inject_latency() const {
-    return std::max<Time>(1, from_seconds(params_.topology.hop_latency_s));
-  }
-
   /// Pure timing query (no event scheduled, no NIC occupied): the flat
   /// uncontended transfer time. Under routing this is an estimate.
   Time transfer_duration(std::int64_t bytes) const {
@@ -168,31 +147,6 @@ class Network {
 
   enum class XferState : std::uint8_t { kFree, kQueued, kActive };
 
-  /// Handle for one routed send. The content fields (seq/src/dst/bytes/
-  /// deliver) are written by the sender and consumed once by the fabric when
-  /// the inject op lands; the control fields (pending/egress/epoch) are
-  /// touched by the sender, by abort purges, and by the egress-done op,
-  /// which is the only recycler.
-  struct OpSlot {
-    SmallFn deliver;
-    std::uint64_t seq = 0;      ///< per-source-node send order
-    Trigger* egress = nullptr;  ///< fired when the egress-done op lands
-    std::int64_t bytes = 0;
-    std::int32_t src = -1;
-    std::int32_t dst = -1;
-    std::uint32_t epoch = 0;  ///< slot-reuse guard for tickets
-    std::uint32_t self = 0;   ///< index within slots_
-    bool pending = false;     ///< send issued, egress-done not yet landed
-  };
-
-  /// One fabric op awaiting the canonical per-tick flush: an injection
-  /// (slot != nullptr) or a source abort (slot == nullptr).
-  struct PendingOp {
-    std::int32_t src;
-    std::uint64_t seq;
-    OpSlot* slot;
-  };
-
   /// One routed transfer. `remaining` is settled lazily (exact only at its
   /// own settle points); link membership is an intrusive doubly-linked list
   /// per hop so joins/leaves never allocate.
@@ -205,8 +159,8 @@ class Network {
     std::int32_t dst = -1;
     std::uint32_t est_gen = 0;  ///< invalidates stale heap estimates
     Time est_time = 0;          ///< fire time of the live heap entry
-    std::uint64_t src_seq = 0;  ///< injection order key (abort guard)
-    OpSlot* op = nullptr;       ///< source-side slot, for finalize posts
+    std::uint32_t epoch = 0;    ///< bumped on free: stale tickets stop resolving
+    Trigger* egress = nullptr;  ///< fired at completion (egress-wait)
     XferState state = XferState::kFree;
     Route route;
     SmallFn deliver;
@@ -245,25 +199,15 @@ class Network {
                       Time now);
   SendTimes send_routed(int src_node, int dst_node, std::int64_t bytes,
                         SmallFn deliver, Time now);
-  static std::uint64_t make_ticket(const OpSlot& s) {
-    return (static_cast<std::uint64_t>(s.self + 1) << 32) | s.epoch;
+  std::uint64_t make_ticket(std::uint32_t idx) const {
+    return (static_cast<std::uint64_t>(idx + 1) << 32) | pool_[idx].epoch;
   }
-  /// Resolves a ticket to its live op slot, or nullptr if stale.
-  const OpSlot* ticket_op(std::uint64_t ticket) const;
-  OpSlot* alloc_slot();
-  /// Egress-done / release: fires a still-registered trigger and recycles
-  /// the slot (the only recycler).
-  void finalize_slot(OpSlot* op);
-  /// Fabric side: queues an op for the canonical flush of the current tick.
-  void enqueue_fabric_op(std::int32_t src, std::uint64_t seq, OpSlot* slot);
-  /// Runs after every op targeting this tick is queued (call_at at `now`
-  /// sequences behind them); admits/aborts in (source node, seq) order.
-  void flush_fabric_ops();
-  void do_inject(OpSlot* op, Time now);
-  void do_abort(std::int32_t node, std::uint64_t abort_seq, Time now);
-  /// Drops one queued-or-active transfer at the fabric: accounts the bytes,
-  /// frees the pool slot, and schedules the release of its op slot.
-  void drop_transfer(std::uint32_t idx, Time now);
+  /// Resolves a ticket to its still-queued or in-flight transfer, or
+  /// nullptr if the transfer completed, was aborted, or the slot was reused.
+  const Transfer* ticket_transfer(std::uint64_t ticket) const;
+  /// Drops one queued-or-active transfer: accounts the bytes and frees the
+  /// pool slot (its callback never runs, its egress trigger never fires).
+  void drop_transfer(std::uint32_t idx);
 
   /// Current fair share of one link: bandwidth * 1/active, via the
   /// reciprocal table (multiply, not divide — this runs ~1e9 times in a
@@ -297,6 +241,8 @@ class Network {
                         bool inserted);
   void link_insert(std::int32_t link, std::uint32_t idx, int hop);
   void link_remove(std::int32_t link, std::uint32_t idx, int hop);
+  /// Schedules the completion timer for the earliest live estimate, unless
+  /// a live timer already fires at or before it (on_timer re-arms).
   void arm_timer();
   void on_timer();
   void compact_heap();
@@ -315,15 +261,11 @@ class Network {
   std::vector<Transfer> pool_;
   std::vector<std::uint32_t> free_;
   std::vector<NodeState> nodes_;
-  /// Op-slot arena; a deque keeps slot addresses stable as it grows.
-  std::deque<OpSlot> slots_;
-  std::vector<std::uint32_t> free_slots_;
-  std::vector<std::uint64_t> node_seq_;  ///< per-node send/abort order
-  std::vector<PendingOp> pending_ops_;   ///< fabric ops awaiting this tick's flush
-  bool flush_scheduled_ = false;
   std::vector<HeapEntry> heap_;
   std::uint64_t heap_seq_ = 0;
   std::uint64_t timer_gen_ = 0;
+  bool timer_armed_ = false;  ///< a generation-current timer is scheduled
+  Time timer_at_ = 0;         ///< its fire time
   int active_count_ = 0;
   int queued_count_ = 0;
 

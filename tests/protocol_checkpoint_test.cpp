@@ -187,13 +187,13 @@ TEST(GroupCkpt, CoordinationScalesWithGroupSizeNotSystemSize) {
 // Regression: a member whose iteration has already reached the commit target
 // when the kCommit arrives (HPL runs ahead of the prepare round's estimate)
 // aborts the epoch group-wide through kAbort instead of the process. HPL
-// 128 under NORM with drain storage and node faults, seed 36, hits it once.
+// 128 under NORM with drain storage and node faults, seed 51, hits it once.
 TEST(GroupCkpt, CommitTargetAlreadyPassedAbortsTheRound) {
   const apps::HplParams hpl;
   ExperimentConfig cfg;
   cfg.app = [hpl](int n) { return apps::make_hpl(n, hpl); };
   cfg.nranks = 128;
-  cfg.seed = 36;
+  cfg.seed = 51;
   cfg.groups = group::make_norm(128);
   cfg.checkpoints = true;
   cfg.schedule.first_at_s = 60.0;

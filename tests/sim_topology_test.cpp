@@ -136,7 +136,6 @@ TEST(Fabric, TwoFlowsSharingOneUplinkSeeHalfBandwidth) {
   net.send(0, 4, 1'000'000, [&] { a1 = eng.now(); });
   net.send(1, 6, 1'000'000, [&] { a2 = eng.now(); });
   const auto& ft = dynamic_cast<const FatTreeTopology&>(net.topology());
-  eng.run(net.inject_latency());  // cross the NIC injection edge
   ASSERT_EQ(net.link_active(ft.edge_agg_up(0, 0, 0)), 2);
   eng.run();
   // Each flow's bottleneck share is 10/2 = 5 MB/s: 1 MB completes at 0.2 s.
@@ -161,13 +160,11 @@ TEST(Fabric, AdaptiveRoutingPicksLeastLoadedUplink) {
   Network net(eng, 16, fattree_params(FatTreeRouting::kAdaptive));
   const auto& ft = dynamic_cast<const FatTreeTopology&>(net.topology());
   // First flow takes the (tie -> lowest index) a=0 uplink; the second —
-  // issued only after the first is admitted — sees its load and must route
-  // via a=1, leaving both flows uncontended.
+  // admitted after the first, at its own send — sees its load and must
+  // route via a=1, leaving both flows uncontended.
   net.send(0, 4, 1'000'000, [] {});
-  eng.run(net.inject_latency());  // admit the first flow
   ASSERT_EQ(net.link_active(ft.edge_agg_up(0, 0, 0)), 1);
   net.send(1, 6, 1'000'000, [] {});
-  eng.run(eng.now() + net.inject_latency());  // admit the second flow
   EXPECT_EQ(net.link_active(ft.edge_agg_up(0, 0, 0)), 1);
   EXPECT_EQ(net.link_active(ft.edge_agg_up(0, 0, 1)), 1);
   eng.run();
@@ -200,7 +197,6 @@ TEST(Fabric, NicAdmissionQueuesFifoPerSender) {
   for (int i = 0; i < 4; ++i) {
     net.send(0, 4, 100'000, [&order, i] { order.push_back(i); });
   }
-  eng.run(net.inject_latency());  // cross the NIC injection edge
   EXPECT_EQ(net.active_transfers(), 1);
   EXPECT_EQ(net.queued_transfers(), 3);
   eng.run();
