@@ -79,7 +79,7 @@ void RecoveryManager::kill_members(int group) {
 
 void RecoveryManager::fail_group_now(int group) {
   if (rt_->job_finished()) return;
-  auto& st = gstate_[static_cast<std::size_t>(group)];
+  auto& st = gstate(group);
   switch (st) {
     case GroupState::kDown:
       // The group is already dead and queued; a node cannot die twice.
@@ -164,7 +164,7 @@ void RecoveryManager::maybe_start_restores() {
 
 void RecoveryManager::start_restore(mpi::RankId rep) {
   const int group = protocol_->groups().group_of(rep);
-  gstate_[static_cast<std::size_t>(group)] = GroupState::kRestoring;
+  gstate(group) = GroupState::kRestoring;
   ++restores_in_flight_;
   restore_ranks(protocol_->groups().members(group));
 }
@@ -173,10 +173,10 @@ void RecoveryManager::on_restore_done(mpi::RankId rep) {
   const int group = protocol_->groups().group_of(rep);
   // Whole-application restarts (restart_all_at) also run the restore path
   // but never enter the queue; ignore their completions.
-  if (gstate_[static_cast<std::size_t>(group)] != GroupState::kRestoring) {
+  if (gstate(group) != GroupState::kRestoring) {
     return;
   }
-  gstate_[static_cast<std::size_t>(group)] = GroupState::kAlive;
+  gstate(group) = GroupState::kAlive;
   mark_up(protocol_->groups().members(group), rt_->engine().now());
   --restores_in_flight_;
   if (rejoining_.erase(rep) > 0) {
@@ -446,8 +446,8 @@ sim::Co<void> RecoveryManager::run_drain_op(mpi::RankId rank, bool voluntary,
       ++churn_absorbed_;
       break;
     }
-    if (gstate_[static_cast<std::size_t>(g)] != GroupState::kAlive) {
-      if (gstate_[static_cast<std::size_t>(g)] == GroupState::kDeparted) {
+    if (gstate(g) != GroupState::kAlive) {
+      if (gstate(g) == GroupState::kDeparted) {
         ++churn_absorbed_;  // already gone (duplicate drain)
         break;
       }
@@ -481,7 +481,7 @@ sim::Co<void> RecoveryManager::run_drain_op(mpi::RankId rank, bool voluntary,
         done = true;  // the deadline (or the end of the run) took over
         break;
       }
-      if (gstate_[static_cast<std::size_t>(g)] != GroupState::kAlive) {
+      if (gstate(g) != GroupState::kAlive) {
         collided = true;  // a fault got the group mid-drain
         break;
       }
@@ -510,7 +510,7 @@ sim::Co<void> RecoveryManager::run_drain_op(mpi::RankId rank, bool voluntary,
     }
     const int gd = protocol_->groups().group_of(rank);
     GCR_CHECK(protocol_->groups().members(gd).size() == 1);
-    gstate_[static_cast<std::size_t>(gd)] = GroupState::kDeparted;
+    gstate(gd) = GroupState::kDeparted;
     GCR_INFO("churn: %s departs rank %d at t=%.3fs",
              voluntary ? "drain" : "reclaim", rank,
              sim::to_seconds(eng.now()));
@@ -549,7 +549,7 @@ void RecoveryManager::reclaim_deadline(mpi::RankId rank, std::uint64_t token) {
 void RecoveryManager::start_join(mpi::RankId rank) {
   if (rt_->job_finished()) return;
   const int g = protocol_->groups().group_of(rank);
-  if (gstate_[static_cast<std::size_t>(g)] != GroupState::kDeparted) {
+  if (gstate(g) != GroupState::kDeparted) {
     if (pending_departures_.count(rank) != 0) {
       // The model schedules joins on the wall clock (departure-event time
       // + outage), but the departure op may still be waiting for
@@ -566,7 +566,7 @@ void RecoveryManager::start_join(mpi::RankId rank) {
   }
   // A departed group is always the singleton the departure installed.
   GCR_CHECK(protocol_->groups().members(g).size() == 1);
-  gstate_[static_cast<std::size_t>(g)] = GroupState::kDown;
+  gstate(g) = GroupState::kDown;
   rejoining_.insert(rank);
   GCR_INFO("churn: rank %d joining at t=%.3fs", rank,
            sim::to_seconds(rt_->engine().now()));
@@ -587,7 +587,7 @@ sim::Co<void> RecoveryManager::run_merge_op(mpi::RankId rank) {
     const int from = gs.group_of(rank);
     // A fault mid-wait, a finished rank, or a lost singleton ends the
     // attempt; the rank stays where it is.
-    if (gstate_[static_cast<std::size_t>(from)] != GroupState::kAlive ||
+    if (gstate(from) != GroupState::kAlive ||
         gs.members(from).size() != 1 || rt_->rank(rank).finished()) {
       break;
     }
@@ -595,7 +595,7 @@ sim::Co<void> RecoveryManager::run_merge_op(mpi::RankId rank) {
         planner_->choose_merge_target(rank, gs, churn_cap_);
     if (!target.has_value()) break;  // no affinity: stay a singleton
     const int tg = *target;
-    if (gstate_[static_cast<std::size_t>(tg)] != GroupState::kAlive) {
+    if (gstate(tg) != GroupState::kAlive) {
       co_await sim::delay(eng, retry);
       continue;
     }
@@ -631,7 +631,7 @@ void RecoveryManager::install_grouping(group::GroupSet next) {
   const group::GroupSet& cur = protocol_->groups();
   std::map<std::vector<mpi::RankId>, GroupState> carry;
   for (int g = 0; g < cur.num_groups(); ++g) {
-    carry.emplace(cur.members(g), gstate_[static_cast<std::size_t>(g)]);
+    carry.emplace(cur.members(g), gstate(g));
   }
   protocol_->install_groups(std::move(next));
   const group::GroupSet& now = protocol_->groups();
@@ -641,7 +641,7 @@ void RecoveryManager::install_grouping(group::GroupSet next) {
                  GroupState::kAlive);
   for (int g = 0; g < now.num_groups(); ++g) {
     const auto it = carry.find(now.members(g));
-    if (it != carry.end()) gstate_[static_cast<std::size_t>(g)] = it->second;
+    if (it != carry.end()) gstate(g) = it->second;
   }
 }
 

@@ -66,6 +66,7 @@
 #include "mpi/runtime.hpp"
 #include "sim/churn.hpp"
 #include "sim/faults.hpp"
+#include "util/assert.hpp"
 
 namespace gcr::core {
 
@@ -205,6 +206,13 @@ class RecoveryManager {
   void fail_group_now(int group);
   void fail_node_now(int node);
   void kill_members(int group);
+  /// The state slot of `group` in the current partition (GCR_CHECKed).
+  GroupState& gstate(int group) {
+    GCR_CHECK_MSG(group >= 0 && static_cast<std::size_t>(group) <
+                                    gstate_.size(),
+                  "group index outside the current partition");
+    return gstate_[static_cast<std::size_t>(group)];
+  }
   void enqueue_restore(mpi::RankId rep);
   /// Starts queued restores while slots are free and heads are ready;
   /// re-arms itself for a not-yet-ready head. Idempotent.
@@ -259,6 +267,9 @@ class RecoveryManager {
   int splits_installed_ = 0;
   int merges_installed_ = 0;
 
+  /// Per-group recovery state, indexed by the CURRENT partition's group
+  /// index (renumbered by every regroup install). Read and written only
+  /// through gstate(), which bounds-checks the index in every build.
   std::vector<GroupState> gstate_;
   /// FIFO of groups awaiting a restore slot. detect+relaunch is constant,
   /// so failure order == ready order and a deque suffices.
