@@ -1,8 +1,12 @@
 // Minimal leveled logger.
 //
-// The simulator is single-threaded, so no synchronization is needed. Level is
-// a process-global knob; benches default to `warn` so figure output stays
-// clean, tests may raise it to `debug` for failure diagnosis.
+// Each simulation runs on one thread, but a campaign's --jobs workers run
+// simulations concurrently and log at the same time. The level is a plain
+// process-global knob: set it before the workers start and leave it alone
+// while they run (it is read, never written, from worker threads). A message
+// takes several stdio calls, so lines from concurrent workers can
+// interleave. Benches default to `warn` so figure output stays clean; tests
+// may raise it to `debug` for failure diagnosis.
 #pragma once
 
 #include <cstdarg>

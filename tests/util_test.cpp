@@ -30,15 +30,6 @@ TEST(Cli, JobsDefaultToAllThreads) {
   EXPECT_EQ(cli.get_jobs(), 0);  // 0 = all hardware threads
 }
 
-// Every simulation runs on one engine, so no bench declares --shards and
-// finish() rejects it like any other unknown flag.
-TEST(CliDeathTest, RejectsShardsFlag) {
-  Cli cli = make_cli({"prog", "--shards", "4"});
-  (void)cli.get_jobs();
-  EXPECT_EXIT(cli.finish(), testing::ExitedWithCode(2),
-              "unknown flag: --shards");
-}
-
 TEST(CliDeathTest, RejectsNegativeJobs) {
   Cli cli = make_cli({"prog", "--jobs=-1"});
   EXPECT_EXIT(cli.get_jobs(), testing::ExitedWithCode(2),
