@@ -1,8 +1,6 @@
 #include "exp/experiment.hpp"
 
-#include <algorithm>
 #include <memory>
-#include <string>
 #include <utility>
 
 #include "group/formation.hpp"
