@@ -1,6 +1,7 @@
 // Directed tests for the concurrent-failure recovery paths
 // (core/recovery.hpp): failures are never deferred — a group dies the
-// instant its fault fires — and recoveries queue. Covers: a failure during
+// instant its fault fires — and recoveries queue. Covers: the restore
+// starting exactly detect + relaunch after the fault, a failure during
 // another group's restart (queued restore, deferred volume exchange), a
 // re-failure of a restoring group (aborted restore, requeued), a failure
 // during a checkpoint window (staged-image rollback), same-timestamp
@@ -87,6 +88,31 @@ TEST(ConcurrentRecovery, FailureDuringAnotherGroupsRestartQueues) {
   for (const auto& r : res.metrics.restarts) EXPECT_GT(r.image_read_s, 0.3);
   // ...and group 1's restore queued behind it (one restore slot).
   EXPECT_GE(g1.begin, g0.end - 1e-9);
+}
+
+// The kill, the recovery bookkeeping and the restore all take effect at
+// the instant they are decided: with one restore slot free, the group's
+// ranks restart exactly detect + relaunch after the fault.
+TEST(ConcurrentRecovery, RestoreStartsDetectPlusRelaunchAfterTheFault) {
+  ExperimentConfig cfg;
+  cfg.app = ring_app(40);
+  cfg.nranks = 8;
+  cfg.groups = group::make_blocks(8, 4);
+  cfg.checkpoints = true;
+  cfg.schedule.first_at_s = 0.1;
+  cfg.recovery.detect_s = 0.2;
+  cfg.recovery.relaunch_s = 0.2;
+  cfg.failures = {{1, 0.25}};
+  const ExperimentResult res = run_experiment(cfg);
+  ASSERT_TRUE(res.finished);
+  EXPECT_EQ(res.recoveries_completed, 1);
+  ASSERT_EQ(res.metrics.restarts.size(), 4u);
+  const sim::Time want =
+      sim::from_seconds(0.25) + sim::from_seconds(0.2 + 0.2);
+  for (const auto& r : res.metrics.restarts) {
+    EXPECT_GE(r.rank, 4);
+    EXPECT_EQ(r.begin, want) << "rank " << r.rank;
+  }
 }
 
 // A second failure of the SAME group while it is restoring aborts the

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "sim/awaitables.hpp"
 #include "sim/cluster.hpp"
 #include "sim/network.hpp"
 #include "sim/storage.hpp"
@@ -134,6 +135,36 @@ TEST(Network, RoutedSendTimesAreEstimatesWithTicket) {
   EXPECT_FALSE(net.egress_pending(times.ticket));
   // Clearing a completed ticket's trigger is a harmless no-op.
   net.clear_egress_trigger(times.ticket);
+}
+
+// A routed send is admitted at the send instant, the sender's egress
+// trigger fires when the last byte clears the bottleneck, and delivery
+// follows per_message + nhops * hop_latency later.
+TEST(Network, RoutedEgressFiresAtCompletionAndDeliveryPaysEveryHop) {
+  Engine eng;
+  NetParams p = fast_params();
+  p.per_message_s = 20e-6;
+  p.topology.kind = TopologyKind::kFatTree;
+  p.topology.fattree_k = 4;
+  p.topology.hop_latency_s = 10e-6;
+  Network net(eng, 16, p);
+  Time arrived = -1;
+  Time egress = -1;
+  // Cross-pod: 6 hops. 1 MB at 10 MB/s clears the bottleneck at 100 ms.
+  const auto times = net.send(0, 4, 1'000'000, [&] { arrived = eng.now(); });
+  EXPECT_EQ(net.active_transfers(), 1);  // admitted without a step
+  Trigger done(eng);
+  net.set_egress_trigger(times.ticket, &done);
+  auto waiter = [](Trigger& t, Engine& e, Time* at) -> Co<void> {
+    co_await t.wait();
+    *at = e.now();
+  };
+  eng.spawn("sender", waiter(done, eng, &egress));
+  eng.run();
+  EXPECT_EQ(egress, 100_ms);
+  EXPECT_EQ(arrived, 100_ms + 20_us + 6 * 10_us);
+  EXPECT_EQ(times.egress_done, egress);  // uncontended estimates are exact
+  EXPECT_EQ(times.arrival, arrived);
 }
 
 TEST(Network, InFlightTransferKilledMidHopNeverDelivers) {
