@@ -34,6 +34,8 @@ GroupProtocol::GroupProtocol(mpi::Runtime& rt, const group::GroupSet& groups,
     st->rr.assign(static_cast<std::size_t>(n), 0);
     st->first_send.assign(static_cast<std::size_t>(n), 0);
     st->skip_bytes.assign(static_cast<std::size_t>(n), 0);
+    st->bookmarks.assign(static_cast<std::size_t>(n), kNoBookmark);
+    st->bookmark_met.assign(static_cast<std::size_t>(n), 0);
     st->event = std::make_unique<sim::Trigger>(rt.engine());
     st->jitter_rng = rt.cluster().make_rng(0x6A00 + static_cast<std::uint64_t>(r));
     states_.push_back(std::move(st));
@@ -116,16 +118,16 @@ void GroupProtocol::note_bookmark_progress(RankState& st,
                                            const mpi::Rank& rank,
                                            mpi::RankId m) {
   if (!st.bookmark_wait_active || m == rank.id()) return;
-  const auto it = st.bookmarks.find(m);
-  const bool met =
-      it != st.bookmarks.end() && rank.recvd_from(m).bytes >= it->second;
-  const bool counted = st.bookmark_met.count(m) != 0;
+  const auto i = static_cast<std::size_t>(m);
+  const std::int64_t mark = st.bookmarks[i];
+  const bool met = mark != kNoBookmark && rank.recvd_from(m).bytes >= mark;
+  std::uint8_t& counted = st.bookmark_met[i];
   if (met && !counted) {
-    st.bookmark_met.insert(m);
+    counted = 1;
     --st.bookmark_unmet;
   } else if (!met && counted) {
     // A late bookmark re-keyed the requirement upward; re-arm the count.
-    st.bookmark_met.erase(m);
+    counted = 0;
     ++st.bookmark_unmet;
   }
 }
@@ -188,7 +190,7 @@ void GroupProtocol::rank_killed(mpi::Rank& rank) {
   st.in_checkpoint = false;
   st.bookmark_wait_active = false;  // wait coroutine died with the rank
   st.bookmark_unmet = 0;
-  st.bookmark_met.clear();
+  std::fill(st.bookmark_met.begin(), st.bookmark_met.end(), 0);
   st.restoring = false;
   st.exchange_pending.clear();
   st.exchange_deferred.clear();
@@ -381,7 +383,9 @@ sim::Co<void> GroupProtocol::handle_ctrl(mpi::Rank& rank, mpi::Message msg) {
     case mpi::CtrlKind::kBookmark: {
       const auto epoch = static_cast<std::uint64_t>(msg.ctrl_data.at(0));
       (void)epoch;  // one round per group at a time; keyed by source
-      st.bookmarks[msg.src] = msg.ctrl_data.at(1);
+      const std::int64_t mark = msg.ctrl_data.at(1);
+      GCR_CHECK(msg.src >= 0 && msg.src < rt_->nranks() && mark >= 0);
+      st.bookmarks[static_cast<std::size_t>(msg.src)] = mark;
       if (st.bookmark_wait_active) note_bookmark_progress(st, rank, msg.src);
       wake(rank);
       co_return;
@@ -548,7 +552,7 @@ sim::Co<void> GroupProtocol::run_group_checkpoint(mpi::Rank& rank) {
   // kBookmark and delivery hooks keep it exact, so each wake evaluates the
   // predicate in O(1) (the full rescan is quadratic across a round and made
   // NORM — one group of n — untenable at thousands of ranks).
-  st.bookmark_met.clear();
+  std::fill(st.bookmark_met.begin(), st.bookmark_met.end(), 0);
   st.bookmark_unmet = 0;
   st.bookmark_wait_active = true;
   for (mpi::RankId m : members) {
@@ -561,9 +565,9 @@ sim::Co<void> GroupProtocol::run_group_checkpoint(mpi::Rank& rank) {
     bool full = true;
     for (mpi::RankId m : members) {
       if (m == rank.id()) continue;
-      auto it = st.bookmarks.find(m);
-      if (it == st.bookmarks.end() ||
-          rank.recvd_from(m).bytes < it->second) {  // missing or in transit
+      const std::int64_t mark = st.bookmarks[static_cast<std::size_t>(m)];
+      if (mark == kNoBookmark ||
+          rank.recvd_from(m).bytes < mark) {  // missing or in transit
         full = false;
         break;
       }
@@ -573,7 +577,7 @@ sim::Co<void> GroupProtocol::run_group_checkpoint(mpi::Rank& rank) {
     return st.bookmark_unmet == 0;
   });
   st.bookmark_wait_active = false;
-  st.bookmark_met.clear();
+  std::fill(st.bookmark_met.begin(), st.bookmark_met.end(), 0);
   if (ok) ok = co_await group_barrier(rank, epoch, 0);
   const sim::Time t_coordinated = eng.now();
 
@@ -643,7 +647,7 @@ sim::Co<void> GroupProtocol::run_group_checkpoint(mpi::Rank& rank) {
   // Aborted rounds are counted where the leader's round closes without a
   // checkpoint (kAbort delivery / finish paths), not here.
 
-  st.bookmarks.clear();
+  std::fill(st.bookmarks.begin(), st.bookmarks.end(), kNoBookmark);
   st.in_checkpoint = false;
   if (is_leader(rank)) st.round_open = false;
 }
@@ -663,10 +667,10 @@ void GroupProtocol::stage_restore(mpi::Rank& rank,
   st.commit_pending = false;
   st.in_checkpoint = false;
   st.round_open = false;
-  st.bookmarks.clear();
+  std::fill(st.bookmarks.begin(), st.bookmarks.end(), kNoBookmark);
   st.bookmark_wait_active = false;
   st.bookmark_unmet = 0;
-  st.bookmark_met.clear();
+  std::fill(st.bookmark_met.begin(), st.bookmark_met.end(), 0);
   st.barrier_acks.clear();
   st.barrier_go.clear();
   st.prepare_replies.clear();

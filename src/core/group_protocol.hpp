@@ -161,6 +161,9 @@ class GroupProtocol : public mpi::Interposer {
   void finalize_metrics();
 
  private:
+  /// RankState::bookmarks entry for a peer whose bookmark has not arrived.
+  static constexpr std::int64_t kNoBookmark = -1;
+
   struct RankState {
     // --- Algorithm 1 data ---
     std::vector<std::int64_t> rr;          ///< RR_X at last checkpoint
@@ -180,16 +183,20 @@ class GroupProtocol : public mpi::Interposer {
     sim::Time signal_at = 0;        ///< prepare (or request) arrival
     bool in_checkpoint = false;
     std::set<std::uint64_t> aborted;  ///< epochs abandoned mid-round
-    std::map<mpi::RankId, std::int64_t> bookmarks;    ///< member S towards me
+    /// Per peer: the member's S towards me from its bookmark, or
+    /// kNoBookmark (a bookmark is a byte count, never negative).
+    std::vector<std::int64_t> bookmarks;
     /// Incremental drain-predicate state: while a bookmark wait is active,
     /// `bookmark_unmet` counts members whose bookmark is missing or not yet
-    /// covered by received bytes, and `bookmark_met` records who was counted
-    /// as satisfied. Maintained by the kBookmark and delivery hooks so each
-    /// wake evaluates the predicate in O(1) instead of rescanning the group
-    /// (O(n) members x O(n) wakes made NORM untenable at 4k ranks).
+    /// covered by received bytes, and `bookmark_met[m]` records whether m
+    /// was counted as satisfied. Maintained by the kBookmark and delivery
+    /// hooks so each wake evaluates the predicate in O(1) instead of
+    /// rescanning the group (O(n) members x O(n) wakes made NORM untenable
+    /// at 4k ranks); both tables are per-peer arrays, so each update is two
+    /// array reads.
     bool bookmark_wait_active = false;
     int bookmark_unmet = 0;
-    std::set<mpi::RankId> bookmark_met;
+    std::vector<std::uint8_t> bookmark_met;
     std::map<std::uint64_t, int> barrier_acks;        ///< leader: (key)->count
     std::set<std::uint64_t> barrier_go;               ///< member: keys passed
     std::unique_ptr<sim::Trigger> event;  ///< generic state-change wakeup

@@ -9,9 +9,12 @@
 // sequence exactly.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <initializer_list>
+#include <type_traits>
 
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace gcr::mpi {
@@ -43,6 +46,33 @@ enum class CtrlKind : std::uint8_t {
   kVclMarker,   ///< rank -> rank: marker on the channel
 };
 
+/// Control-plane payload: at most kCapacity values, stored inline so a
+/// control message allocates nothing. Call sites use it like a short vector
+/// (`= {a, b}`, `.at(i)`, `.size()`); the capacity and every index are
+/// GCR_CHECKed in all builds.
+class CtrlData {
+ public:
+  /// The most any CtrlKind sends: an epoch plus one value.
+  static constexpr std::size_t kCapacity = 2;
+
+  CtrlData() = default;
+  CtrlData(std::initializer_list<std::int64_t> values) {
+    GCR_CHECK_MSG(values.size() <= kCapacity,
+                  "control payload holds at most two values");
+    for (std::int64_t v : values) values_[size_++] = v;
+  }
+
+  std::size_t size() const { return size_; }
+  std::int64_t at(std::size_t i) const {
+    GCR_CHECK_MSG(i < size_, "control payload index out of range");
+    return values_[i];
+  }
+
+ private:
+  std::int64_t values_[kCapacity] = {};
+  std::uint8_t size_ = 0;
+};
+
 struct Message {
   RankId src = kExternalSource;
   RankId dst = 0;
@@ -62,10 +92,15 @@ struct Message {
 
   // --- control plane ---
   CtrlKind ctrl = CtrlKind::kNone;
-  std::vector<std::int64_t> ctrl_data;  ///< kind-specific payload
+  CtrlData ctrl_data;  ///< kind-specific payload
 
   bool is_ctrl() const { return ctrl != CtrlKind::kNone; }
 };
+
+// Every copy of a Message (into the delivery thunk, the channels, the
+// message log) is a flat memcpy: nothing a message carries owns heap memory.
+static_assert(std::is_trivially_copyable_v<Message>,
+              "mpi::Message must stay trivially copyable; keep payloads inline");
 
 /// Deterministic checksum both endpoints can compute independently; replay
 /// must deliver a message with exactly this value.

@@ -1,8 +1,9 @@
 // Allocation-free MiniMPI message path (DESIGN.md §2, §3): once warm, a
 // multi-rank send/recv/sendrecv loop through mpi::Runtime makes zero global
 // operator new calls — with no protocol, and under GroupProtocol in NORM
-// (one group, nothing logged) — and a freed coroutine frame's block is
-// handed to the next frame of its size class.
+// (one group, nothing logged) — as does a storm of control sends, and a
+// freed coroutine frame's block is handed to the next frame of its size
+// class.
 //
 // This TU replaces the global allocator with a counting shim
 // (counting_allocator.hpp).
@@ -103,6 +104,32 @@ TEST(MpiAlloc, WarmMessagePathUnderNormIsAllocationFree) {
   cluster.engine().run_while([&rt] { return !rt.job_finished(); });
   EXPECT_TRUE(rt.job_finished());
   EXPECT_EQ(metrics.logged_messages, 0);
+}
+
+TEST(MpiAlloc, WarmControlSendsAreAllocationFree) {
+  // A bookmark storm (every rank to every other) through send_ctrl: the
+  // payload is inline, so once the engine's event storage is warm neither
+  // the message nor the delivery thunk's copy of it allocates.
+  sim::Cluster cluster(cluster_params());
+  Runtime rt(cluster, kRanks);
+  Message bookmark;
+  bookmark.ctrl = CtrlKind::kBookmark;
+  const auto storm = [&](std::int64_t epoch) {
+    for (RankId src = 0; src < kRanks; ++src) {
+      for (RankId dst = 0; dst < kRanks; ++dst) {
+        if (src == dst) continue;
+        bookmark.ctrl_data = {epoch, rt.rank(src).sent_to(dst).bytes};
+        rt.send_ctrl(src, dst, bookmark);
+      }
+    }
+  };
+  storm(1);
+  cluster.engine().run();
+  const std::size_t before = g_allocs;
+  storm(2);
+  EXPECT_EQ(g_allocs - before, 0u);
+  cluster.engine().run();
+  EXPECT_EQ(rt.rank(1).ctrl_in().size(), 2u * (kRanks - 1));
 }
 
 /// Completes without suspending and yields its own frame's address.

@@ -248,6 +248,41 @@ TEST(Runtime, RestoreRankReinstallsSnapshot) {
   EXPECT_EQ(r1.pending_count(), 1u);
 }
 
+TEST(Runtime, TwoValueCtrlPayloadArrivesIntact) {
+  Fixture f(2);
+  const std::int64_t before = f.cluster.network().total_bytes();
+  Message bookmark;
+  bookmark.ctrl = CtrlKind::kBookmark;
+  bookmark.ctrl_data = {7, -1234567890123};
+  f.rt.send_ctrl(0, 1, bookmark);
+  // Modeled size: 8 sync bytes + 8 per value, plus the 64-byte wire header.
+  EXPECT_EQ(f.cluster.network().total_bytes() - before, 8 + 2 * 8 + 64);
+  f.cluster.engine().run();
+  const auto& in = f.rt.rank(1).ctrl_in().items();
+  ASSERT_EQ(in.size(), 1u);
+  const Message& got = in.front();
+  EXPECT_EQ(got.ctrl, CtrlKind::kBookmark);
+  EXPECT_EQ(got.src, 0);
+  EXPECT_EQ(got.bytes, 8 + 2 * 8);
+  ASSERT_EQ(got.ctrl_data.size(), 2u);
+  EXPECT_EQ(got.ctrl_data.at(0), 7);
+  EXPECT_EQ(got.ctrl_data.at(1), -1234567890123);
+  EXPECT_TRUE(f.rt.rank(0).ctrl_in().empty());
+}
+
+TEST(CtrlDataDeathTest, ThreeValuesExceedTheCapacity) {
+  Message m;
+  EXPECT_DEATH((m.ctrl_data = {1, 2, 3}), "at most two values");
+}
+
+TEST(CtrlDataDeathTest, IndexPastTheSizeDies) {
+  Message m;
+  m.ctrl_data = {1, 2};
+  EXPECT_DEATH((void)m.ctrl_data.at(2), "index out of range");
+  m.ctrl_data = {1};
+  EXPECT_DEATH((void)m.ctrl_data.at(1), "index out of range");
+}
+
 TEST(RuntimeDeathTest, TwoOutstandingRecvsForbidden) {
   // The runtime supports exactly one blocking recv per rank; protocol code
   // must never recv concurrently with the app. Simulated via direct call.
