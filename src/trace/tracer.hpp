@@ -6,8 +6,10 @@
 // stream feeds the timeline renderer.
 //
 // Records land in one buffer in dispatch order; records() and take()
-// return them stable-sorted by (time, rank), so each rank's own records
-// keep their append order within a tick.
+// return them in (time, rank) order, so each rank's own records keep their
+// append order within a tick. One engine dispatches in time order, so the
+// buffer's time never decreases and only runs of equal time need ordering
+// by rank: one linear pass, sorting just the runs that are out of order.
 #pragma once
 
 #include <algorithm>
@@ -16,6 +18,7 @@
 #include "mpi/hooks.hpp"
 #include "mpi/rank.hpp"
 #include "trace/record.hpp"
+#include "util/assert.hpp"
 
 namespace gcr::trace {
 
@@ -57,11 +60,23 @@ class Tracer : public mpi::Observer {
 
  private:
   static Trace sorted(Trace t) {
-    std::stable_sort(t.begin(), t.end(),
-                     [](const TraceRecord& a, const TraceRecord& b) {
-                       if (a.time != b.time) return a.time < b.time;
-                       return a.rank < b.rank;
-                     });
+    auto run = t.begin();
+    while (run != t.end()) {
+      auto end = run + 1;
+      bool in_rank_order = true;
+      for (; end != t.end() && end->time == run->time; ++end) {
+        if (end->rank < (end - 1)->rank) in_rank_order = false;
+      }
+      GCR_CHECK_MSG(end == t.end() || end->time > run->time,
+                    "trace records out of time order");
+      if (!in_rank_order) {
+        std::stable_sort(run, end,
+                         [](const TraceRecord& a, const TraceRecord& b) {
+                           return a.rank < b.rank;
+                         });
+      }
+      run = end;
+    }
     return t;
   }
 

@@ -1,7 +1,10 @@
 // Tracer, trace IO round-trips, pair aggregation, and timeline rendering.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "mpi/runtime.hpp"
 #include "sim/cluster.hpp"
@@ -45,6 +48,60 @@ TEST(Tracer, CapturesSendsFromLiveRun) {
   EXPECT_EQ(sends, 1);
   EXPECT_EQ(delivers, 1);
   EXPECT_EQ(consumes, 1);
+}
+
+TEST(Tracer, RecordsComeBackInTimeRankAppendOrder) {
+  sim::Engine engine;
+  std::vector<std::unique_ptr<mpi::Rank>> ranks;
+  for (int r = 0; r < 4; ++r) {
+    ranks.push_back(std::make_unique<mpi::Rank>(engine, r, r, 4));
+  }
+  Tracer tracer;
+  const auto at_instant = [&](std::int64_t bytes) {
+    for (int r : {3, 1, 2}) {
+      mpi::Message msg;
+      msg.src = r;
+      msg.dst = 0;
+      msg.bytes = bytes;
+      tracer.on_send(*ranks[static_cast<std::size_t>(r)], msg, true);
+      tracer.on_deliver(*ranks[static_cast<std::size_t>(r)], msg);
+    }
+  };
+  engine.call_at(sim::from_seconds(1.0), [&] { at_instant(10); });
+  engine.call_at(sim::from_seconds(2.0), [&] { at_instant(20); });
+  engine.run();
+
+  const Trace got = tracer.records();
+  ASSERT_EQ(got.size(), 12u);
+  std::size_t i = 0;
+  for (const auto& [t, bytes] : {std::pair{1.0, 10}, std::pair{2.0, 20}}) {
+    for (mpi::RankId r : {1, 2, 3}) {
+      for (EventKind kind : {EventKind::kSend, EventKind::kDeliver}) {
+        EXPECT_EQ(got[i].time, sim::from_seconds(t)) << i;
+        EXPECT_EQ(got[i].rank, r) << i;
+        EXPECT_EQ(got[i].kind, kind) << i;
+        EXPECT_EQ(got[i].bytes, bytes) << i;
+        ++i;
+      }
+    }
+  }
+  EXPECT_EQ(tracer.take().size(), 12u);
+  EXPECT_TRUE(tracer.records().empty());
+}
+
+TEST(TracerDeathTest, TimeGoingBackwardsIsRejected) {
+  sim::Engine engine;
+  mpi::Rank rank(engine, 0, 0, 1);
+  Tracer tracer;
+  mpi::Message msg;
+  engine.call_at(sim::from_seconds(2.0), [&] { tracer.on_send(rank, msg, true); });
+  engine.run();
+  // Only a second engine (or a rewound clock) can produce this: the trace
+  // must come from one simulation.
+  sim::Engine other;
+  mpi::Rank early(other, 0, 0, 1);
+  tracer.on_send(early, msg, true);
+  EXPECT_DEATH((void)tracer.records(), "out of time order");
 }
 
 TEST(TraceIo, RoundTripPreservesRecords) {
