@@ -126,70 +126,89 @@ void Engine::grow_due(std::size_t capacity_pow2) {
   due_head_ = 0;
 }
 
-void Engine::due_push(const Event& e) {
+auto Engine::due_append() -> Event& {
   if (due_count_ == due_.size()) {
     grow_due(due_.empty() ? 64 : due_.size() * 2);
   }
-  due_[(due_head_ + due_count_) & (due_.size() - 1)] = e;
+  Event& e = due_[(due_head_ + due_count_) & (due_.size() - 1)];
   ++due_count_;
+  return e;
 }
 
 void Engine::schedule(Time t, EventKind kind, std::uint32_t slot,
                       std::uint32_t gen) {
-  const Event e{t, next_key(kind), slot, gen};
+  const std::uint64_t key = next_key(kind);
   if (t == now_) {
-    due_push(e);
+    // Written field by field: an Event built on the stack and copied in
+    // whole is re-read with a wide load that misses store forwarding.
+    Event& e = due_append();
+    e.at = t;
+    e.key = key;
+    e.slot = slot;
+    e.gen = gen;
   } else {
-    wheel_insert(e);
+    wheel_insert(t, key, slot, gen);
   }
 }
 
 // -------------------------------------------------- hierarchical timing wheel
 
-void Engine::wheel_place(std::uint32_t n) {
-  const Event& e = wheel_pool_[n].ev;
-  const std::uint64_t d = static_cast<std::uint64_t>(e.at) ^
+void Engine::wheel_place(std::uint32_t b) {
+  const WheelNode& first = wheel_pool_[b];
+  const Time at = first.ev.at;
+  const std::uint64_t d = static_cast<std::uint64_t>(at) ^
                           static_cast<std::uint64_t>(wheel_cur_);
   int lvl = 0;
   if (d != 0) lvl = (63 - std::countl_zero(d)) / kWheelBits;
-  const std::size_t idx = (static_cast<std::uint64_t>(e.at) >>
+  const std::size_t idx = (static_cast<std::uint64_t>(at) >>
                            (kWheelBits * lvl)) &
                           (kWheelSlots - 1);
   WheelSlot& slot = wheel_slots_[static_cast<std::size_t>(lvl) * kWheelSlots +
                                  idx];
-  wheel_pool_[n].next = kNilNode;
   if (slot.head == kNilNode) {
-    slot.head = slot.tail = n;
+    slot.head = slot.tail = b;
+    slot.tail_last = first.last;
+    slot.tail_at = at;
     wheel_bmp_[static_cast<std::size_t>(lvl)] |= std::uint64_t{1} << idx;
-  } else {
-    wheel_pool_[slot.tail].next = n;
-    slot.tail = n;
+    return;
   }
+  wheel_pool_[slot.tail_last].next = b;
+  if (slot.tail_at == at) {
+    // Same instant as the tail bucket: b's nodes extend it. Every event of
+    // one time sits in this slot and b's are the newest, so the merged run
+    // stays seq-ordered.
+    wheel_pool_[slot.tail].last = first.last;
+  } else {
+    slot.tail = b;
+    slot.tail_at = at;
+  }
+  slot.tail_last = first.last;
 }
 
-void Engine::wheel_insert(const Event& e) {
-  if (e.at < wheel_cur_) {
-    // Behind the lazily-advanced cursor (but still >= now_): the wheel's
-    // placement rule would wrap, so the heap absorbs it. Rare — only
-    // possible in the gap a speculative peek opened past now_.
-    heap_push(e);
-    return;
-  }
-  const std::uint64_t d = static_cast<std::uint64_t>(e.at) ^
+void Engine::wheel_insert(Time t, std::uint64_t key, std::uint32_t slot,
+                          std::uint32_t gen) {
+  const std::uint64_t d = static_cast<std::uint64_t>(t) ^
                           static_cast<std::uint64_t>(wheel_cur_);
-  if ((d >> (kWheelBits * kWheelLevels)) != 0) {
-    heap_push(e);  // beyond the wheel span: far-future overflow tier
+  if (t < wheel_cur_ || (d >> (kWheelBits * kWheelLevels)) != 0) {
+    // Behind the lazily-advanced cursor (still > now_; only possible in the
+    // gap a cascade opened past now_), where the placement rule would wrap,
+    // or beyond the wheel span: the heap absorbs it.
+    heap_push(Event{t, key, slot, gen});
     return;
   }
-  std::uint32_t n;
-  if (wheel_free_ != kNilNode) {
-    n = wheel_free_;
+  std::uint32_t n = wheel_free_;
+  if (n != kNilNode) {
     wheel_free_ = wheel_pool_[n].next;
-    wheel_pool_[n].ev = e;
   } else {
     n = static_cast<std::uint32_t>(wheel_pool_.size());
-    wheel_pool_.push_back(WheelNode{e, kNilNode});
+    wheel_pool_.emplace_back();
   }
+  WheelNode& node = wheel_pool_[n];
+  node.ev.at = t;
+  node.ev.key = key;
+  node.ev.slot = slot;
+  node.ev.gen = gen;
+  node.last = n;
   wheel_place(n);
   ++wheel_count_;
 }
@@ -202,9 +221,10 @@ void Engine::wheel_advance(Time t) {
   int top = (63 - std::countl_zero(diff)) / kWheelBits;
   if (top > kWheelLevels - 1) top = kWheelLevels - 1;
   // Cascade-on-entry, highest level first: a level's entered slot is
-  // re-scattered one level down before that lower level's own entered slot
-  // is processed, so every event lands (in seq order) before dispatch can
-  // reach it. Cascading relinks pooled nodes — no copies, no allocation.
+  // re-scattered one or more levels down before that lower level's own
+  // entered slot is processed, so every event lands (in seq order) before
+  // dispatch can reach it. Cascading relinks whole buckets — no copies, no
+  // per-event work, no allocation.
   for (int lvl = top; lvl >= 1; --lvl) {
     const std::size_t idx = (static_cast<std::uint64_t>(t) >>
                              (kWheelBits * lvl)) &
@@ -215,16 +235,27 @@ void Engine::wheel_advance(Time t) {
     }
     WheelSlot& slot =
         wheel_slots_[static_cast<std::size_t>(lvl) * kWheelSlots + idx];
-    std::uint32_t n = slot.head;
-    slot.head = slot.tail = kNilNode;
+    std::uint32_t b = slot.head;
+    const std::uint32_t final_bucket = slot.tail;
+    slot.head = kNilNode;  // an empty slot's other fields are dead
     wheel_bmp_[static_cast<std::size_t>(lvl)] &= ~(std::uint64_t{1} << idx);
-    while (n != kNilNode) {
-      const std::uint32_t next = wheel_pool_[n].next;
-      // The target is strictly below lvl (the entered slot's bucket now
+    while (true) {
+      // The link to the next bucket hangs off b's last node. Most buckets
+      // hold one event, so read b's own link alongside `last` and load the
+      // last node only for longer buckets: that keeps a second dependent
+      // load off this pointer chase.
+      const WheelNode& first = wheel_pool_[b];
+      std::uint32_t next = first.next;
+      if (first.last != b) next = wheel_pool_[first.last].next;
+      // The target is strictly below lvl (the entered slot's digit now
       // matches the cursor at lvl), so re-placement never revisits this
-      // chain and never overflows to the heap.
-      wheel_place(n);
-      n = next;
+      // list and never overflows to the heap. Lower levels were empty when
+      // the cursor entered this slot, so two buckets of one time can only
+      // meet in list order, and merging keeps seq order.
+      wheel_place(b);
+      ++wheel_relinks_;
+      if (b == final_bucket) break;
+      b = next;
     }
   }
   if ((diff >> (kWheelBits * (kWheelLevels - 1))) != 0) {
@@ -241,7 +272,7 @@ void Engine::promote_overflow() {
   // beyond-span and the wheel insert happened within-span — but the cursor
   // advance that changed the span boundary ran this promotion first, so the
   // heap (popped in (at, seq) order) always lands before later inserts and
-  // slot chains stay seq-sorted.
+  // every bucket stays seq-ordered.
   while (!heap_.empty()) {
     const Event top = heap_.front();
     if (top.at < wheel_cur_) break;  // behind-cursor overflow stays heaped
@@ -249,104 +280,86 @@ void Engine::promote_overflow() {
                             static_cast<std::uint64_t>(wheel_cur_);
     if ((d >> (kWheelBits * kWheelLevels)) != 0) break;  // still beyond span
     heap_pop_top();
-    wheel_insert(top);
+    wheel_insert(top.at, top.key, top.slot, top.gen);
   }
 }
 
-auto Engine::wheel_peek(Time bound) -> const Event* {
-  // Minimum-slot argument (used by both return paths below): within a
-  // level every event shares the cursor's digits above that level (inserts
-  // match the cursor at insert time, and the cursor only ever changes its
-  // digit at the lowest occupied level, whose entered slot is cascaded), so
-  // slots at one level are totally ordered by index and any event at a
-  // higher level exceeds the cursor's digit there. Hence every event in the
-  // lowest occupied slot of the lowest occupied level precedes every other
-  // wheel event.
-  while (wheel_count_ != 0) {
-    if (wheel_bmp_[0] != 0) {
-      // Level-0 slots hold one exact nanosecond each, chained in seq
-      // order, so the lowest occupied head is the wheel's true minimum.
-      const int s = std::countr_zero(wheel_bmp_[0]);
-      peek_lvl_ = 0;
-      peek_slot_ = static_cast<std::size_t>(s);
-      const Event& front = wheel_pool_[wheel_slots_[peek_slot_].head].ev;
-      return front.at <= bound ? &front : nullptr;
+void Engine::wheel_take(Time bound) {
+  // Minimum-slot argument: within a level every event shares the cursor's
+  // digits above that level (inserts match the cursor at insert time, and
+  // the cursor only ever changes its digit at the lowest occupied level,
+  // whose entered slot is cascaded), so slots at one level are totally
+  // ordered by index and any event at a higher level exceeds the cursor's
+  // digit there. Hence every event in the lowest occupied slot of the
+  // lowest occupied level precedes every other wheel event, and when that
+  // slot holds a single bucket, the bucket is exactly the wheel's earliest
+  // instant — taken in place, at whatever level it sits, with no cascade.
+  GCR_ASSERT(due_count_ == 0 && wheel_count_ != 0);
+  while (true) {
+    std::size_t lvl = 0;
+    while (wheel_bmp_[lvl] == 0) ++lvl;
+    const int s = std::countr_zero(wheel_bmp_[lvl]);
+    WheelSlot& slot =
+        wheel_slots_[lvl * kWheelSlots + static_cast<std::size_t>(s)];
+    if (slot.head != slot.tail) {
+      // Several buckets: cascade the slot, unless even its start is late.
+      GCR_ASSERT(lvl != 0);  // a level-0 slot is one ns, hence one bucket
+      const int shift = kWheelBits * static_cast<int>(lvl + 1);
+      const std::uint64_t base = static_cast<std::uint64_t>(wheel_cur_) >>
+                                 shift << shift;
+      const Time slot_start = static_cast<Time>(
+          base | (static_cast<std::uint64_t>(s)
+                  << (kWheelBits * static_cast<int>(lvl))));
+      if (slot_start > bound) return;  // the earliest is certainly later
+      wheel_advance(slot_start);
+      continue;
     }
-    int lvl = 1;
-    while (wheel_bmp_[static_cast<std::size_t>(lvl)] == 0) ++lvl;
-    const int s =
-        std::countr_zero(wheel_bmp_[static_cast<std::size_t>(lvl)]);
-    const std::size_t slot_idx =
-        static_cast<std::size_t>(lvl) * kWheelSlots +
-        static_cast<std::size_t>(s);
-    const WheelSlot& slot = wheel_slots_[slot_idx];
-    if (slot.head == slot.tail) {
-      // A single-event chain in the minimum slot IS the wheel minimum: pop
-      // it from right here instead of cascading it one level at a time down
-      // to level 0 (which costs a bitmap walk + relink per level and made
-      // sparse far-future populations ~10x slower than the dense rows).
-      peek_lvl_ = lvl;
-      peek_slot_ = slot_idx;
-      const Event& front = wheel_pool_[slot.head].ev;
-      return front.at <= bound ? &front : nullptr;
+    if (slot.tail_at > bound) return;
+    GCR_ASSERT(slot.tail_at > now_);
+    const std::uint32_t b = slot.head;
+    const std::uint32_t last = slot.tail_last;
+    GCR_ASSERT(wheel_pool_[b].last == last);  // the slot's only bucket
+    slot.head = kNilNode;
+    wheel_bmp_[lvl] &= ~(std::uint64_t{1} << s);
+    // The due ring is empty, so the bucket's seq order is dispatch order;
+    // events its callbacks schedule at the same instant queue behind it.
+    for (std::uint32_t n = b;; n = wheel_pool_[n].next) {
+      due_append() = wheel_pool_[n].ev;
+      --wheel_count_;
+      if (n == last) break;
     }
-    const int shift = kWheelBits * (lvl + 1);
-    const std::uint64_t base = static_cast<std::uint64_t>(wheel_cur_) >>
-                               shift << shift;
-    const Time slot_start = static_cast<Time>(
-        base | (static_cast<std::uint64_t>(s) << (kWheelBits * lvl)));
-    if (slot_start > bound) return nullptr;  // min is certainly > bound
-    wheel_advance(slot_start);
+    wheel_pool_[last].next = wheel_free_;  // the bucket joins the free list
+    wheel_free_ = b;
+    return;
   }
-  return nullptr;
-}
-
-void Engine::wheel_pop_front() {
-  WheelSlot& slot = wheel_slots_[peek_slot_];
-  const std::uint32_t n = slot.head;
-  slot.head = wheel_pool_[n].next;
-  if (slot.head == kNilNode) {
-    slot.tail = kNilNode;
-    wheel_bmp_[static_cast<std::size_t>(peek_lvl_)] &=
-        ~(std::uint64_t{1} << (peek_slot_ & (kWheelSlots - 1)));
-  }
-  wheel_pool_[n].next = wheel_free_;
-  wheel_free_ = n;
-  --wheel_count_;
 }
 
 bool Engine::pop_next(Time until, Event& out) {
-  // Candidate from the O(1) peeks first (due front, heap top), then ask the
-  // wheel for anything earlier. Bounding the wheel peek by the candidate
-  // keeps cascades from running past the next dispatch, which in turn
-  // guarantees the cursor never overtakes an event we are about to execute.
-  const Event* cand = nullptr;
-  bool cand_due = false;
-  if (due_count_ != 0) {
-    cand = &due_[due_head_];
-    cand_due = true;
+  // The wheel is consulted only when the due ring has drained, i.e. once
+  // per instant: its earliest bucket moves into the ring whole, unless the
+  // heap top or `until` comes first. Bounding the take by the heap top
+  // keeps cascades from running past the next dispatch, so the cursor
+  // never overtakes an event we are about to execute.
+  if (due_count_ == 0 && wheel_count_ != 0) {
+    Time bound = until;
+    if (!heap_.empty() && heap_.front().at < bound) bound = heap_.front().at;
+    wheel_take(bound);
   }
-  if (!heap_.empty() &&
-      (cand == nullptr || event_before(heap_.front(), *cand))) {
-    cand = &heap_.front();
-    cand_due = false;
-  }
-  Time bound = until;
-  if (cand != nullptr && cand->at < bound) bound = cand->at;
-  const Event* w = wheel_peek(bound);
-  const bool take_wheel =
-      w != nullptr && (cand == nullptr || event_before(*w, *cand));
-  const Event* best = take_wheel ? w : cand;
-  if (best == nullptr || best->at > until) return false;
-  out = *best;
-  if (take_wheel) {
-    wheel_pop_front();
-  } else if (cand_due) {
+  const bool heap_first =
+      !heap_.empty() &&
+      (due_count_ == 0 || event_before(heap_.front(), due_[due_head_]));
+  if (!heap_first) {
+    // Due events are all at one instant <= until: now_, or a bucket just
+    // taken under the bound.
+    if (due_count_ == 0) return false;
+    out = due_[due_head_];
     due_head_ = (due_head_ + 1) & (due_.size() - 1);
     --due_count_;
-  } else {
-    heap_pop_top();
+    return true;
   }
+  if (heap_.front().at > until) return false;
+  out = heap_.front();
+  heap_pop_top();
   return true;
 }
 

@@ -4,25 +4,31 @@
 // so one seed gives bit-identical runs. The queue is three structures
 // sharing one sequence space: events scheduled at the current timestamp
 // (claimed resumes, post(), zero-delay timers — the bulk of channel/protocol
-// traffic) go through an O(1) FIFO ring; future events land in a
+// traffic) go through an O(1) FIFO due ring; future events land in a
 // hierarchical timing wheel (8 levels x 64 slots, 6 bits of nanoseconds per
-// level — O(1) insert, lazily cascaded toward level 0 as the cursor
-// advances; see DESIGN.md §15.1); and events beyond the wheel's ~78-hour
-// span — or behind its lazily-advanced cursor — overflow into a flat,
-// reserve()-able 4-ary min-heap. All three hold 24-byte typed Event records
-// — a tagged union of {waiter resume, armed timer, small callback}.
-// Dispatch always takes the globally smallest (time, seq), so the split is
-// invisible to ordering. Steady-state traffic never touches the allocator:
-// waiters live in an engine-owned slot pool recycled through a free list,
-// callback captures sit in SmallFn small-buffer storage pooled the same
-// way, and wheel slot vectors keep their high-water capacity.
+// level, lazily cascaded toward level 0 as the cursor advances; see
+// DESIGN.md §15.1); and events beyond the wheel's ~78-hour span — or behind
+// its lazily-advanced cursor — overflow into a flat, reserve()-able 4-ary
+// min-heap. The wheel groups the events of one exact time into a bucket: an
+// insert joins its slot's tail bucket when the times match, a cascade
+// relinks whole buckets, and once the due ring drains the earliest bucket
+// moves into it in one piece. So the wheel is consulted once per distinct
+// instant, not once per event — bulk-synchronous ranks that compute in
+// lockstep put many events on one instant. Every wheel event is later than
+// now(). All three structures hold 24-byte typed Event records — a tagged
+// union of {waiter resume, armed timer, small callback}. Dispatch always
+// takes the globally smallest (time, seq), so the split is invisible to
+// ordering. Steady-state traffic never touches the allocator: waiters live
+// in an engine-owned slot pool recycled through a free list, callback
+// captures sit in SmallFn small-buffer storage pooled the same way, and
+// wheel nodes come from one pooled arena.
 //
 // Waiter protocol: a suspended coroutine registers exactly one pooled waiter
 // slot and gets back a generation-counted WaiterHandle. Exactly one
 // resumption source may claim the slot (fired flag); later sources see
 // fired — or, once the slot has been recycled, a bumped generation — and
-// back off. fire() claims immediately and resumes through a same-time heap
-// entry; fire_at() arms a timer that claims at dispatch.
+// back off. fire() claims immediately and resumes through the due ring;
+// fire_at() arms a timer that claims at dispatch.
 //
 // Kill protocol: processes are never destroyed from the outside. kill()
 // marks the process and claims its currently-armed waiter for immediate
@@ -189,6 +195,8 @@ class Engine {
   std::size_t timer_wheel_depth() const { return wheel_count_; }
   /// Events in the far-future / behind-cursor overflow heap.
   std::size_t overflow_heap_depth() const { return heap_.size(); }
+  /// Buckets moved one or more levels down by wheel cascades so far.
+  std::uint64_t wheel_relinks() const { return wheel_relinks_; }
 
  private:
   enum EventKind : std::uint64_t {
@@ -225,19 +233,22 @@ class Engine {
     return (next_seq_++ << 2) | static_cast<std::uint64_t>(kind);
   }
   // --- hierarchical timing wheel (DESIGN.md §15.1) ---
-  // Level L buckets nanoseconds by bits [6L, 6L+6); a slot chains the
-  // events of one bucket in insertion (= seq) order through an intrusive
-  // linked list over a pooled node array, so appends, cascades (relinks,
-  // no copies) and pops are O(1) and allocation-free once the pool — one
-  // shared arena sized by total pending events, not per slot — is warm.
-  // The cursor trails dispatch: it only moves (lazily, during peeks) to
-  // the start of the lowest occupied slot, cascading that slot's events
-  // one level down. Invariants: every wheel event's time is >= wheel_cur_
-  // (late arrivals — only possible behind an advanced cursor — divert to
-  // the heap), and each slot chain is seq-sorted (cascade-on-entry
-  // delivers a bucket's older events before any direct insert can target
-  // it). Level-0 slots hold exactly one absolute nanosecond, so their
-  // heads are exact minima.
+  // Level L sorts nanoseconds by bits [6L, 6L+6). A slot holds one linked
+  // list of pooled nodes in which the events of one exact time form a
+  // bucket: a seq-ordered run whose first node records the run's last node,
+  // and whose last node links to the next bucket's first. An insert joins
+  // the slot's tail bucket when the times match, else starts a new tail
+  // bucket; a cascade relinks one bucket per distinct time (merging into
+  // the target's tail bucket on a time match); dispatch takes a whole
+  // bucket. All of it is O(1) per bucket and allocation-free once the one
+  // shared node arena is warm. The cursor trails dispatch: it only moves
+  // (lazily, while looking for the earliest bucket) to the start of the
+  // lowest occupied slot, cascading that slot's buckets down. Invariants:
+  // every wheel event's time is >= wheel_cur_ (late arrivals — only
+  // possible behind an advanced cursor — divert to the heap) and > now_;
+  // all pending events of one time sit in one slot, in seq order along its
+  // list; a level-0 slot holds one absolute nanosecond and therefore one
+  // bucket.
   static constexpr int kWheelBits = 6;
   static constexpr int kWheelSlots = 1 << kWheelBits;
   static constexpr int kWheelLevels = 8;
@@ -245,11 +256,20 @@ class Engine {
 
   struct WheelNode {
     Event ev;
+    /// Next node in the slot's list (a bucket's last node: the next
+    /// bucket's first; undefined after the slot's last node), or the free
+    /// list's link.
     std::uint32_t next = kNilNode;
+    std::uint32_t last = kNilNode;  ///< bucket's first node: its last node
   };
+  /// The tail bucket's first and last node and its time are kept here, so
+  /// appending to a slot only stores into the tail bucket's nodes and never
+  /// loads one that may have gone cold.
   struct WheelSlot {
-    std::uint32_t head = kNilNode;
-    std::uint32_t tail = kNilNode;
+    std::uint32_t head = kNilNode;  ///< first bucket's first node
+    std::uint32_t tail = kNilNode;  ///< tail bucket's first node
+    std::uint32_t tail_last = kNilNode;  ///< tail bucket's last node
+    Time tail_at = 0;                    ///< tail bucket's time
   };
 
   /// Routes to the due ring (t == now), a wheel slot, or the heap.
@@ -257,13 +277,18 @@ class Engine {
   void heap_push(const Event& e);
   void heap_pop_top();
   void grow_due(std::size_t capacity_pow2);
-  void due_push(const Event& e);
-  /// O(1): places e by the highest bit-group where e.at differs from the
-  /// cursor; beyond level 7 (or behind the cursor) overflows to the heap.
-  void wheel_insert(const Event& e);
-  /// Appends pooled node n to the slot its event's time selects against the
-  /// current cursor (caller has ruled out the heap cases).
-  void wheel_place(std::uint32_t n);
+  /// Claims the ring entry after the last due event; the caller fills it.
+  Event& due_append();
+  /// O(1): places the event by the highest bit-group where t differs from
+  /// the cursor; beyond level 7 (or behind the cursor) overflows to the
+  /// heap. The node is written in place, field by field.
+  void wheel_insert(Time t, std::uint64_t key, std::uint32_t slot,
+                    std::uint32_t gen);
+  /// Appends bucket b (its first node, with `last` set) to the slot its
+  /// time selects against the current cursor, merging it into that slot's
+  /// tail bucket when the times match (caller has ruled out the heap
+  /// cases).
+  void wheel_place(std::uint32_t b);
   /// Moves the cursor to t (<= every pending wheel event), cascading the
   /// entered slot at each level the jump crosses, highest level first.
   /// Entering a new top-level window also drains every overflow-heap event
@@ -273,15 +298,10 @@ class Engine {
   /// Batched far-future promotion: pops heap events in (at, seq) order into
   /// the wheel while the top lies inside the span ahead of the cursor.
   void promote_overflow();
-  /// Exact earliest wheel event if its time is <= bound, else nullptr.
-  /// Cascades as needed; never advances the cursor past `bound`. A
-  /// single-event chain in the lowest occupied slot of the lowest occupied
-  /// level is already the exact minimum (see the proof in the .cpp), so it
-  /// is returned in place instead of being cascaded down level by level.
-  const Event* wheel_peek(Time bound);
-  /// Removes the event wheel_peek() just returned (the head of the slot the
-  /// peek recorded in peek_lvl_/peek_slot_).
-  void wheel_pop_front();
+  /// Moves the wheel's earliest bucket, whole, into the (empty) due ring if
+  /// its time is <= bound. Cascades only until that bucket is alone in its
+  /// slot and never advances the cursor past `bound`.
+  void wheel_take(Time bound);
   /// Pops the globally smallest event if its time is <= until.
   bool pop_next(Time until, Event& out);
   void dispatch(const Event& ev);
@@ -306,16 +326,13 @@ class Engine {
   std::vector<WheelNode> wheel_pool_;
   std::uint32_t wheel_free_ = kNilNode;
   std::size_t wheel_count_ = 0;
+  std::uint64_t wheel_relinks_ = 0;
   Time wheel_cur_ = 0;
-  /// Slot the last successful wheel_peek() found the minimum in; consumed
-  /// by wheel_pop_front() (peeks at higher levels no longer force the event
-  /// all the way down to level 0 first).
-  int peek_lvl_ = 0;
-  std::size_t peek_slot_ = 0;
 
-  /// Power-of-two ring of events due at now_; drained (in seq order,
-  /// interleaved with same-time wheel/heap entries) before the clock
-  /// advances.
+  /// Power-of-two ring of the events of one instant: those scheduled at
+  /// now_, behind the wheel bucket handed over when the ring last drained.
+  /// Drained in seq order (interleaved with same-time heap entries) before
+  /// the clock advances.
   std::vector<Event> due_;
   std::size_t due_head_ = 0;
   std::size_t due_count_ = 0;

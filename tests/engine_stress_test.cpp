@@ -1,6 +1,8 @@
 // Stress and invariants for the typed-event engine core: interleaved timer
 // storms, same-timestamp bursts, kill-while-queued, pooled waiter-slot
-// recycling, allocation-free steady state, and run-to-run determinism.
+// recycling, allocation-free steady state, run-to-run determinism, and a
+// differential check of dispatch order against a (time, seq) reference
+// model.
 //
 // This TU replaces the global allocator with a counting shim
 // (counting_allocator.hpp) so the zero-allocation acceptance criterion ("no
@@ -8,6 +10,10 @@
 // test, not a claim.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/simple.hpp"
@@ -167,6 +173,180 @@ TEST(EngineStress, SteadyStateTimerPathIsAllocationFree) {
   EXPECT_EQ(delta_allocs, 0u);
   EXPECT_EQ(woken, 200);
   eng.run();
+}
+
+// Lockstep ranks: every instant carries the whole population as one wheel
+// bucket. Handing it to the due ring and parking the next round's timers
+// must not touch the allocator once the pools are warm.
+TEST(EngineStress, WarmLockstepLoopIsAllocationFree) {
+  Engine eng;
+  eng.reserve(256, 256);
+  for (int p = 0; p < 128; ++p) {
+    eng.spawn("l", periodic(eng, 10_us, 1000, nullptr));
+  }
+  eng.run(50 * 10_us);  // warm-up
+  const std::uint64_t before_events = eng.events_processed();
+  const std::size_t before_allocs = g_allocs;
+  eng.run(900 * 10_us);
+  const std::size_t delta_allocs = g_allocs - before_allocs;
+  EXPECT_EQ(eng.events_processed() - before_events, 850u * 128u);
+  EXPECT_EQ(delta_allocs, 0u);
+  eng.run();
+  EXPECT_EQ(eng.live_process_count(), 0u);
+}
+
+TEST(EngineStress, BucketRunsBeforeTheSameInstantEventsItSchedules) {
+  // Three callbacks share an instant, so they reach the due ring as one
+  // bucket; what each posts for that same instant queues behind the whole
+  // bucket, and a post from a post queues behind those.
+  Engine eng;
+  std::vector<int> order;
+  for (int i = 0; i < 3; ++i) {
+    eng.call_at(7'000, [&eng, &order, i] {
+      order.push_back(i);
+      eng.post([&eng, &order, i] {
+        order.push_back(10 + i);
+        if (i == 0) eng.post([&order] { order.push_back(20); });
+      });
+    });
+  }
+  eng.call_at(7'001, [&order] { order.push_back(30); });
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 10, 11, 12, 20, 30}));
+}
+
+TEST(EngineStress, RunUntilABucketsTimeRunsTheWholeBucket) {
+  Engine eng;
+  int at_5us = 0;
+  int at_6us = 0;
+  for (int i = 0; i < 4; ++i) eng.call_at(5'000, [&at_5us] { ++at_5us; });
+  for (int i = 0; i < 2; ++i) eng.call_at(6'000, [&at_6us] { ++at_6us; });
+  EXPECT_EQ(eng.run(5'000), 4u);
+  EXPECT_EQ(at_5us, 4);
+  EXPECT_EQ(at_6us, 0);
+  EXPECT_EQ(eng.now(), 5'000);
+  // The next bucket is still parked in the wheel, not in the due ring.
+  EXPECT_EQ(eng.timer_wheel_depth(), 2u);
+  EXPECT_EQ(eng.event_queue_depth(), 2u);
+  EXPECT_EQ(eng.run(), 2u);
+  EXPECT_EQ(at_6us, 2);
+}
+
+// Differential test of dispatch order. Seeded callbacks schedule children
+// at offsets that pile events onto shared instants (lockstep, near-lockstep
+// and an absolute cluster) or spread them across every wheel level and past
+// the wheel's span; the run proceeds in run(until) slices with outside
+// inserts in between, which can land behind a cursor advanced past now().
+// A std::set of (time, seq), fed the same decisions, must agree with every
+// dispatch.
+class DispatchOrderModel {
+ public:
+  explicit DispatchOrderModel(std::uint64_t seed)
+      : rng_(seed),
+        lockstep_(3 + static_cast<Time>(rng_.next_below(200'000))) {}
+
+  /// Returns an empty string on agreement, else the first disagreement.
+  std::string run() {
+    for (int i = 0; i < 32; ++i) schedule(eng_.now() + offset());
+    while (budget_ > 0 && failure_.empty()) {
+      const Time until = eng_.now() + slice();
+      eng_.run(until);
+      check_slice(until);
+      const int outside = static_cast<int>(rng_.next_below(4));
+      for (int i = 0; i < outside && budget_ > 0; ++i) {
+        // Small offsets reach into the gap between now() and the cursor.
+        const Time dt = rng_.next_below(2) == 0
+                            ? static_cast<Time>(rng_.next_below(4096))
+                            : offset();
+        schedule(eng_.now() + dt);
+      }
+    }
+    eng_.run();
+    if (failure_.empty() && !model_.empty()) failure_ = "model not drained";
+    if (failure_.empty() && eng_.events_processed() != dispatched_) {
+      failure_ = "event count differs from the model's";
+    }
+    return failure_;
+  }
+
+ private:
+  static constexpr Time kCluster = 42'000'000;  // 42 ms
+  static constexpr std::uint64_t kSpread = std::uint64_t{1} << 40;
+
+  void schedule(Time t) {
+    --budget_;
+    const std::uint64_t seq = next_seq_++;
+    model_.insert({t, seq});
+    eng_.call_at(t, [this, t, seq] { fire(t, seq); });
+  }
+
+  void fire(Time t, std::uint64_t seq) {
+    ++dispatched_;
+    if (!failure_.empty()) return;
+    if (model_.empty()) {
+      failure_ = "engine ran an event the model already retired";
+      return;
+    }
+    const std::pair<Time, std::uint64_t> want = *model_.begin();
+    if (want != std::make_pair(t, seq) || eng_.now() != t) {
+      failure_ = "engine ran (" + std::to_string(t) + ", " +
+                 std::to_string(seq) + ") at " + std::to_string(eng_.now()) +
+                 ", model expected (" + std::to_string(want.first) + ", " +
+                 std::to_string(want.second) + ")";
+      return;
+    }
+    model_.erase(model_.begin());
+    const int children = static_cast<int>(rng_.next_below(3));
+    for (int i = 0; i < children && budget_ > 0; ++i) {
+      schedule(eng_.now() + offset());
+    }
+  }
+
+  Time offset() {
+    const std::uint64_t pick = rng_.next_below(100);
+    if (pick < 10) return 0;
+    if (pick < 45) return lockstep_;
+    if (pick < 60) return lockstep_ + (rng_.next_below(2) == 0 ? -2 : 2);
+    if (pick < 70) return (eng_.now() / kCluster + 1) * kCluster - eng_.now();
+    if (pick < 90) return 1 + static_cast<Time>(rng_.next_below(5'000'000));
+    if (pick < 97) return 1 + static_cast<Time>(rng_.next_below(kSpread));
+    return (Time{1} << 48) + static_cast<Time>(rng_.next_below(1 << 20));
+  }
+
+  Time slice() {
+    switch (rng_.next_below(5)) {
+      case 0: return 0;
+      case 1: return lockstep_;
+      case 2: return static_cast<Time>(rng_.next_below(5'000'000));
+      case 3: return static_cast<Time>(rng_.next_below(kSpread));
+      default: return Time{1} << 50;
+    }
+  }
+
+  void check_slice(Time until) {
+    if (!failure_.empty()) return;
+    if (model_.empty()) {
+      if (!eng_.idle() || eng_.now() != until) failure_ = "drained slice";
+    } else if (model_.begin()->first <= until || eng_.now() > until) {
+      failure_ = "run(" + std::to_string(until) + ") stopped early or late";
+    }
+  }
+
+  Engine eng_;
+  Rng rng_;
+  Time lockstep_;
+  std::set<std::pair<Time, std::uint64_t>> model_;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t dispatched_ = 0;
+  int budget_ = 4000;
+  std::string failure_;
+};
+
+TEST(EngineStress, DispatchOrderMatchesTimeSeqModel) {
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    const std::string failure = DispatchOrderModel(seed).run();
+    ASSERT_EQ(failure, "") << "seed " << seed;
+  }
 }
 
 Co<void> chatter(Engine& eng, Channel<int>& in, Channel<int>& out, Rng* rng,

@@ -1,6 +1,6 @@
 // Engine fundamentals: event ordering, coroutine scheduling, process
 // lifecycle, kill semantics, and the timing wheel's cascade boundaries
-// (level edges, beyond-span overflow, cancel after cascade).
+// (level edges, beyond-span overflow, cancel after cascade, buckets).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -250,14 +250,31 @@ TEST(TimingWheel, CascadeBoundaryOffsets) {
 
 TEST(TimingWheel, SameSlotPreservesInsertionOrder) {
   // Two callbacks at the same instant dispatch in scheduling order (seq),
-  // including after the slot's chain has cascaded down a level.
+  // including after their bucket has cascaded down a level.
   Engine eng;
   std::vector<int> order;
   eng.call_at(70'000, [&order] { order.push_back(1); });
   eng.call_at(70'000, [&order] { order.push_back(2); });
-  eng.call_at(69'000, [&order] { order.push_back(0); });  // forces a cascade
+  // 69'700 shares level-2 slot 17 with 70'000, so the slot holds two
+  // buckets and must cascade before either can dispatch.
+  eng.call_at(69'700, [&order] { order.push_back(0); });
   eng.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_GT(eng.wheel_relinks(), 0u);
+}
+
+TEST(TimingWheel, CascadeRelinksOneBucketPerInstant) {
+  // 128 lockstep events form one bucket: the cascade that splits level-2
+  // slot 17 moves two buckets (70'000 and 69'700), not 129 events, and
+  // each bucket is then alone in its level-1 slot, so dispatch takes it in
+  // place without cascading again.
+  Engine eng;
+  int ran = 0;
+  for (int i = 0; i < 128; ++i) eng.call_at(70'000, [&ran] { ++ran; });
+  eng.call_at(69'700, [&ran] { ++ran; });
+  eng.run();
+  EXPECT_EQ(ran, 129);
+  EXPECT_EQ(eng.wheel_relinks(), 2u);
 }
 
 TEST(TimingWheel, FarFutureOverflowBeyondWheelSpan) {
@@ -286,14 +303,16 @@ TEST(TimingWheel, CancelAfterCascade) {
   };
   ProcPtr proc = eng.spawn("sleeper", body(eng, &resumed_normally),
                            [&exit](Proc&, ExitKind k) { exit = k; });
-  // 69'000 sits one cascade short of the timer's slot: dispatching it drags
-  // the cursor (and the 70'000 node) down a level before the kill lands.
-  eng.call_at(69'000, [&eng, proc] { eng.kill(*proc); });
+  // 69'700 shares the timer's level-2 slot: reaching it cascades the slot,
+  // dragging the cursor (and the 70'000 timer) down a level before the
+  // kill lands.
+  eng.call_at(69'700, [&eng, proc] { eng.kill(*proc); });
   eng.run();
   EXPECT_FALSE(resumed_normally);
   EXPECT_EQ(exit, ExitKind::kKilled);
   EXPECT_FALSE(proc->alive());
   EXPECT_TRUE(eng.idle());
+  EXPECT_GT(eng.wheel_relinks(), 0u);
 }
 
 }  // namespace
