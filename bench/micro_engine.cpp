@@ -5,7 +5,12 @@
 //   * callback_storm  — self-rescheduling periodic callbacks (the daemon
 //                       pattern), raw queue push/pop/dispatch cost
 //   * timer_storm     — N processes sleeping on staggered Delays (the
-//                       suspend/fire_at/resume cycle every compute() pays)
+//                       suspend/fire_at/resume cycle every compute() pays);
+//                       few events share an instant, so it bypasses the
+//                       wheel's timestamp buckets
+//   * lockstep_timers — 128 processes looping on identical Delays, like
+//                       bulk-synchronous ranks: every instant carries 128
+//                       events, which the wheel moves as one bucket
 //   * timer_cancel    — timers armed and claimed by a competing Trigger, so
 //                       every round recycles a cancelled waiter slot
 //   * ping_pong       — channel handoff pairs (the per-rank delivery idiom)
@@ -124,6 +129,15 @@ std::uint64_t timer_storm(int procs, int rounds) {
   for (int p = 0; p < procs; ++p) {
     // Staggered periods force heap reordering, not just FIFO pops.
     eng.spawn("t", sleeper(eng, 1 + p % 7, rounds));
+  }
+  eng.run();
+  return eng.events_processed();
+}
+
+std::uint64_t lockstep_timers(int procs, int rounds) {
+  Engine eng;
+  for (int p = 0; p < procs; ++p) {
+    eng.spawn("r", sleeper(eng, 10'000, rounds));
   }
   eng.run();
   return eng.events_processed();
@@ -330,6 +344,8 @@ int main(int argc, char** argv) {
          best_of(reps, [&] { return callback_storm(512, 800 * scale); }));
   record("timer_storm",
          best_of(reps, [&] { return timer_storm(1000, 200 * scale); }));
+  record("lockstep_timers",
+         best_of(reps, [&] { return lockstep_timers(128, 1600 * scale); }));
   record("timer_cancel",
          best_of(reps, [&] { return timer_cancel(100000 * scale); }));
   record("ping_pong",
