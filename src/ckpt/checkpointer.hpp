@@ -126,18 +126,6 @@ class Checkpointer {
     co_await device_for(node).write(bytes);
   }
 
-  /// Appends `bytes` of message-log data to stable storage (Algorithm 1's
-  /// "synchronize message logs" flush before a checkpoint). No setup cost;
-  /// zero bytes complete without suspending.
-  sim::Co<void> flush_log(int node, std::int64_t bytes) {
-    if (bytes <= 0) co_return;
-    if (tiers_) {
-      co_await tiers_->flush_log(node, bytes);
-    } else {
-      co_await device_for(node).write(bytes);
-    }
-  }
-
   /// The direct-mode device a given node writes images to.
   sim::StorageDevice& device_for(int node) {
     return options_.remote_storage ? cluster_->remote_server_for(node)

@@ -199,13 +199,4 @@ sim::Co<void> TierStore::read_image(int node, mpi::RankId rank,
   }
 }
 
-// ---------------------------------------------------------------- log path
-
-sim::Co<void> TierStore::flush_log(int node, std::int64_t bytes) {
-  if (bytes <= 0) co_return;
-  // Log appends stream through the burst buffer without occupying image
-  // capacity (they are consumed by the next checkpoint, not restored).
-  co_await cluster_->burst_buffer_for(node).write(bytes);
-}
-
 }  // namespace gcr::ckpt

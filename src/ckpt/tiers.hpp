@@ -32,8 +32,8 @@
 // the shared tiers — the invariant `committed => resident somewhere` is
 // asserted, never silently violated.
 //
-// Every call takes effect at the instant it is made: stage, read and log
-// flush run their device transfers in the caller's coroutine; commit,
+// Every call takes effect at the instant it is made: stage and read run
+// their device transfers in the caller's coroutine; commit,
 // discard and failure notices update residency synchronously, so a whole
 // group's commits issued at one instant land at that instant (the
 // leader's atomic-commit contract).
@@ -121,10 +121,6 @@ class TierStore {
   /// committed image (node buffer > burst buffer > PFS). Asserts that a
   /// committed image exists — callers gate on ImageRegistry::latest.
   sim::Co<void> read_image(int node, mpi::RankId rank, std::int64_t bytes);
-
-  /// Log-flush traffic (Algorithm 1 "synchronize message logs") lands on
-  /// the rank's burst-buffer server.
-  sim::Co<void> flush_log(int node, std::int64_t bytes);
 
  private:
   /// One image's tier residency. `in_local` refers to the staging buffer

@@ -50,24 +50,7 @@ namespace gcr::core {
 using ImageSizeFn = std::function<std::int64_t(mpi::RankId)>;
 
 struct GroupProtocolOptions {
-  double log_copy_Bps = 800e6;    ///< sender-side async log memcpy rate
-  double log_per_msg_s = 3e-6;    ///< per-message logging bookkeeping
-  /// If true, the "synchronize message logs" step charges the full unflushed
-  /// log to disk at checkpoint time. Default false: the asynchronous logger
-  /// flushes in the background (disk bandwidth far exceeds the logging rate
-  /// on the modeled cluster), so only accounting is recorded.
-  bool sync_flush_at_checkpoint = false;
-  double signal_handling_s = 2e-3;///< entering the checkpoint path
-  double replay_per_msg_s = 40e-6;///< daemon cost per replayed message
-  double exchange_handling_s = 150e-6;  ///< daemon cost per exchange
   int commit_margin = 2;          ///< safe points ahead for the commit target
-  /// Single-process (uncoordinated) checkpoints are taken wherever the
-  /// signal catches the process, modeled as a per-group random skew of up
-  /// to this many safe points; coordinated groups' agreement rounds keep
-  /// their cuts within one safe point. The resulting cut misalignment is
-  /// what leaves inter-group traffic to be replayed on restart (Figs 7/8),
-  /// and why GP1's resend volumes exceed GP's.
-  int target_skew_steps = 4;
 };
 
 class GroupProtocol : public mpi::Interposer {

@@ -4,8 +4,9 @@
 // app-plane messages it sent. Entries are garbage-collected when the
 // destination piggybacks its recorded received-volume RR (everything at or
 // below RR is covered by the peer's checkpoint). The log is "flushed" to
-// stable storage right before each checkpoint; the flush cost is charged by
-// the protocol, this class only tracks the unflushed byte count.
+// stable storage right before each checkpoint; the protocol records the
+// flushed volume as accounting only, this class tracks the unflushed byte
+// count.
 //
 // Logs are value types: a checkpoint snapshots the whole log into the image
 // (the disk copy), and a restart restores from that copy.

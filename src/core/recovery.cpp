@@ -183,7 +183,7 @@ void RecoveryManager::on_restore_done(mpi::RankId rep) {
     ++joins_completed_;
     GCR_INFO("churn: rank %d rejoined at t=%.3fs", rep,
              sim::to_seconds(rt_->engine().now()));
-    if (churn_options_.merge_on_join && planner_ != nullptr) {
+    if (planner_ != nullptr) {
       enqueue_churn_op({ChurnOp::Kind::kMerge, rep, 0});
     }
   } else {
@@ -327,15 +327,12 @@ void RecoveryManager::arm_churn_model(std::unique_ptr<sim::ChurnModel> model,
   churn_model_ = std::move(model);
   planner_ = planner;
   churn_options_ = options;
-  churn_cap_ = options.max_group_size;
-  if (churn_cap_ <= 0) {
-    // Default: churn may refill groups to the configured partition's grain
-    // but never grow one past it (GP1 stays fully uncoordinated: cap 1
-    // means no merge target ever qualifies).
-    for (int g = 0; g < protocol_->groups().num_groups(); ++g) {
-      churn_cap_ = std::max(
-          churn_cap_, static_cast<int>(protocol_->groups().members(g).size()));
-    }
+  // Churn may refill groups to the configured partition's grain but never
+  // grow one past it (GP1 stays fully uncoordinated: cap 1 means no merge
+  // target ever qualifies).
+  for (int g = 0; g < protocol_->groups().num_groups(); ++g) {
+    churn_cap_ = std::max(
+        churn_cap_, static_cast<int>(protocol_->groups().members(g).size()));
   }
   const sim::Cluster* cluster = &rt_->cluster();
   churn_model_->bind(rt_->nranks(), [cluster](std::uint64_t stream) {

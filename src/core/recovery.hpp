@@ -81,12 +81,6 @@ struct RecoveryOptions {
 struct ChurnOptions {
   double poll_s = 0.25;   ///< quiescence / commit-poll cadence
   double retry_s = 1.0;   ///< backoff after a fault collides with a regroup
-  /// Merge a rejoined rank into the planner's pick; false = rejoined ranks
-  /// stay singletons (isolation policy).
-  bool merge_on_join = true;
-  /// Cap for planner merges. 0 = the largest group size at arming time, so
-  /// churn cannot grow groups beyond the configured partition's grain.
-  int max_group_size = 0;
 };
 
 class RecoveryManager {
@@ -133,7 +127,8 @@ class RecoveryManager {
   /// Arms a churn model (sim/churn.hpp): drains, spot reclaims and joins
   /// are pulled and dispatched until the job finishes. `planner` (may be
   /// null) picks merge targets for rejoining ranks; it must outlive the
-  /// run.
+  /// run. Merges never grow a group past the largest group size at arming
+  /// time, so churn cannot coarsen the configured partition's grain.
   void arm_churn_model(std::unique_ptr<sim::ChurnModel> model,
                        const RegroupPlanner* planner, ChurnOptions options);
 
@@ -287,7 +282,7 @@ class RecoveryManager {
   std::unique_ptr<sim::ChurnModel> churn_model_;
   const RegroupPlanner* planner_ = nullptr;
   ChurnOptions churn_options_;
-  int churn_cap_ = 0;  ///< resolved max_group_size
+  int churn_cap_ = 0;  ///< merge size cap: largest group at arming time
   std::deque<ChurnOp> churn_ops_;
   bool churn_op_active_ = false;
   std::vector<sim::ProcPtr> churn_procs_;

@@ -3,13 +3,19 @@
 #include "util/assert.hpp"
 
 namespace gcr::core {
+namespace {
+
+/// Signal handling before markers.
+constexpr double kRequestHandlingS = 2e-3;
+/// In-channel message recording rate.
+constexpr double kChannelRecordBps = 200e6;
+
+}  // namespace
 
 VclProtocol::VclProtocol(mpi::Runtime& rt, ckpt::Checkpointer& checkpointer,
-                         ImageSizeFn image_bytes, Metrics& metrics,
-                         VclProtocolOptions options)
+                         ImageSizeFn image_bytes, Metrics& metrics)
     : rt_(&rt), checkpointer_(&checkpointer),
-      image_bytes_(std::move(image_bytes)), metrics_(&metrics),
-      options_(options) {
+      image_bytes_(std::move(image_bytes)), metrics_(&metrics) {
   const int n = rt.nranks();
   states_.reserve(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
@@ -101,7 +107,7 @@ sim::Co<void> VclProtocol::run_checkpoint(mpi::Rank& rank) {
   st.in_checkpoint = true;
   st.send_blocked = true;
 
-  co_await sim::delay(eng, sim::from_seconds(options_.request_handling_s) +
+  co_await sim::delay(eng, sim::from_seconds(kRequestHandlingS) +
                                rt_->cluster().draw_jitter(st.jitter_rng));
   const sim::Time t_begin = eng.now();
 
@@ -148,7 +154,7 @@ sim::Co<void> VclProtocol::run_checkpoint(mpi::Rank& rank) {
   // Record channel-recording cost.
   co_await sim::delay(
       eng, sim::from_seconds(static_cast<double>(st.recorded_bytes) /
-                             options_.channel_record_Bps));
+                             kChannelRecordBps));
 
   // Global commit: the snapshot is only usable once EVERY rank's piece is
   // on the servers; sends stay blocked until then (paper Figure 2's windows

@@ -34,16 +34,10 @@
 
 namespace gcr::core {
 
-struct VclProtocolOptions {
-  double request_handling_s = 2e-3;   ///< signal handling before markers
-  double channel_record_Bps = 200e6;  ///< in-channel message recording rate
-};
-
 class VclProtocol : public mpi::Interposer {
  public:
   VclProtocol(mpi::Runtime& rt, ckpt::Checkpointer& checkpointer,
-              ImageSizeFn image_bytes, Metrics& metrics,
-              VclProtocolOptions options = {});
+              ImageSizeFn image_bytes, Metrics& metrics);
 
   // ---- mpi::Interposer ----
   sim::Co<bool> before_send(mpi::Rank& rank, mpi::Message& msg) override;
@@ -82,7 +76,6 @@ class VclProtocol : public mpi::Interposer {
   ckpt::Checkpointer* checkpointer_;
   ImageSizeFn image_bytes_;
   Metrics* metrics_;
-  VclProtocolOptions options_;
   std::vector<std::unique_ptr<RankState>> states_;
   std::int64_t recorded_total_ = 0;
   std::uint64_t round_ = 0;

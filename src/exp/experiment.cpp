@@ -196,8 +196,8 @@ trace::Trace profile_app(const AppFactory& app, int nranks,
 }
 
 group::GroupSet derive_groups(const AppFactory& app, int nranks,
-                              int max_group_size, std::uint64_t seed) {
-  const trace::Trace trace = profile_app(app, nranks, seed);
+                              int max_group_size) {
+  const trace::Trace trace = profile_app(app, nranks);
   group::FormationOptions options;
   options.max_group_size = max_group_size;
   return group::form_groups_from_trace(nranks, trace, options);

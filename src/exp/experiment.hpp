@@ -182,8 +182,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config);
 trace::Trace profile_app(const AppFactory& app, int nranks,
                          std::uint64_t seed = 1);
 
-/// Full trace-assisted workflow: profile, then run Algorithm 2.
+/// Full trace-assisted workflow: profile (profile_app's default seed), then
+/// run Algorithm 2.
 group::GroupSet derive_groups(const AppFactory& app, int nranks,
-                              int max_group_size = 0, std::uint64_t seed = 1);
+                              int max_group_size = 0);
 
 }  // namespace gcr::exp

@@ -23,6 +23,11 @@ constexpr std::int64_t kSyncBytes = 8;
 // Per-message framing bytes added on the wire (headers, TCP/IP overhead).
 constexpr std::int64_t kWireHeaderBytes = 64;
 
+// Per-send stack/syscall CPU cost.
+constexpr double kCpuSendOverheadS = 20e-6;
+// Per-recv matching/copy CPU cost.
+constexpr double kCpuRecvOverheadS = 15e-6;
+
 // Receives match the NEXT message in the per-pair sequence, not the first
 // tag match in arrival order: replayed (old-seq) messages may arrive after
 // newer live traffic, and per-pair FIFO consumption is the protocol's
@@ -87,8 +92,7 @@ sim::Co<void> AppHandle::alltoall(std::int64_t bytes_per_pair) {
 
 // ------------------------------------------------------------------ Runtime
 
-Runtime::Runtime(sim::Cluster& cluster, int nranks, RuntimeOptions options)
-    : cluster_(&cluster), options_(options) {
+Runtime::Runtime(sim::Cluster& cluster, int nranks) : cluster_(&cluster) {
   GCR_CHECK(nranks > 0);
   // One rank per node; the driver (mpirun) needs one extra node.
   GCR_CHECK_MSG(cluster.num_nodes() >= nranks + 1,
@@ -181,7 +185,7 @@ sim::Co<void> Runtime::send(Rank& rank, RankId dst, int tag,
                             std::int64_t bytes) {
   GCR_CHECK(dst >= 0 && dst < nranks());
   GCR_CHECK(bytes >= 0);
-  co_await compute(rank, options_.cpu_send_overhead_s);
+  co_await compute(rank, kCpuSendOverheadS);
   Message msg;
   msg.src = rank.id();
   msg.dst = dst;
@@ -209,7 +213,7 @@ sim::Co<void> Runtime::send(Rank& rank, RankId dst, int tag,
 
 sim::Co<Message> Runtime::sendrecv(Rank& rank, RankId dst, int stag,
                                    std::int64_t sbytes, RankId src, int rtag) {
-  co_await compute(rank, options_.cpu_send_overhead_s);
+  co_await compute(rank, kCpuSendOverheadS);
   Message msg;
   msg.src = rank.id();
   msg.dst = dst;
@@ -283,7 +287,7 @@ Runtime::RecvAwaiter Runtime::wait_match(Rank& rank, RankId src, int tag) {
 sim::Co<Message> Runtime::recv(Rank& rank, RankId src, int tag) {
   GCR_CHECK(src >= 0 && src < nranks());
   Message msg = co_await wait_match(rank, src, tag);
-  co_await compute(rank, options_.cpu_recv_overhead_s);
+  co_await compute(rank, kCpuRecvOverheadS);
   verify_consume(rank, msg);
   for (Observer* obs : observers_) obs->on_consume(rank, msg);
   co_return msg;
@@ -292,7 +296,6 @@ sim::Co<Message> Runtime::recv(Rank& rank, RankId src, int tag) {
 void Runtime::verify_consume(Rank& rank, const Message& msg) {
   auto& consumed = rank.consumed_[static_cast<std::size_t>(msg.src)];
   ++consumed;
-  if (!options_.verify_delivery) return;
   GCR_CHECK_MSG(msg.seq == consumed,
                 "per-pair delivery order violated (lost/dup/reordered)");
   GCR_CHECK_MSG(msg.checksum == message_checksum(msg.src, msg.dst, msg.seq),

@@ -22,12 +22,6 @@
 
 namespace gcr::mpi {
 
-struct RuntimeOptions {
-  double cpu_send_overhead_s = 20e-6;  ///< per-send stack/syscall CPU cost
-  double cpu_recv_overhead_s = 15e-6;  ///< per-recv matching/copy CPU cost
-  bool verify_delivery = true;  ///< assert seq/checksum invariants on consume
-};
-
 class Runtime;
 
 /// What an application body receives: its rank plus the MPI-like call
@@ -73,13 +67,12 @@ using AppBody = std::function<sim::Co<void>(AppHandle)>;
 
 class Runtime {
  public:
-  Runtime(sim::Cluster& cluster, int nranks, RuntimeOptions options = {});
+  Runtime(sim::Cluster& cluster, int nranks);
 
   sim::Cluster& cluster() { return *cluster_; }
   sim::Engine& engine() { return cluster_->engine(); }
   int nranks() const { return static_cast<int>(ranks_.size()); }
   Rank& rank(RankId id) { return *ranks_[static_cast<std::size_t>(id)]; }
-  const RuntimeOptions& options() const { return options_; }
 
   /// Node index reserved for the checkpoint driver (mpirun).
   int driver_node() const { return nranks(); }
@@ -192,7 +185,6 @@ class Runtime {
   sim::Network::SendTimes transmit(const Message& msg);
 
   sim::Cluster* cluster_;
-  RuntimeOptions options_;
   Interposer* protocol_ = nullptr;
   std::vector<Observer*> observers_;
   std::vector<std::unique_ptr<Rank>> ranks_;

@@ -15,16 +15,18 @@
 namespace gcr::sim {
 
 struct JitterParams {
-  double median_s = 2e-3;       ///< lognormal median
-  double sigma = 0.8;           ///< lognormal shape
   double spike_prob = 0.05;     ///< probability of a heavy straggler
-  double spike_min_s = 0.10;    ///< uniform spike lower bound (seconds)
-  double spike_max_s = 6.00;    ///< uniform spike upper bound (seconds)
   bool enabled = true;          ///< false: draw() returns 0 without consuming RNG
 };
 
 class JitterModel {
  public:
+  static constexpr double kMedianS = 2e-3;  ///< lognormal median
+  static constexpr double kSigma = 0.8;     ///< lognormal shape
+  /// Uniform spike bounds (seconds).
+  static constexpr double kSpikeMinS = 0.10;
+  static constexpr double kSpikeMaxS = 6.00;
+
   explicit JitterModel(const JitterParams& params = {}) : params_(params) {}
 
   const JitterParams& params() const { return params_; }
@@ -35,12 +37,10 @@ class JitterModel {
     // Consume both variates unconditionally so the stream position does not
     // depend on the spike branch (keeps substreams comparable across runs).
     const double spike_roll = rng.next_double();
-    const double body = rng.next_lognormal(std::log(params_.median_s),
-                                           params_.sigma);
+    const double body = rng.next_lognormal(std::log(kMedianS), kSigma);
     if (spike_roll < params_.spike_prob) {
       const double spike =
-          params_.spike_min_s +
-          (params_.spike_max_s - params_.spike_min_s) * rng.next_double();
+          kSpikeMinS + (kSpikeMaxS - kSpikeMinS) * rng.next_double();
       return from_seconds(body + spike);
     }
     return from_seconds(body);

@@ -11,23 +11,16 @@ namespace gcr::sim {
 Network::Network(Engine& engine, int num_nodes, const NetParams& params,
                  std::uint64_t routing_seed)
     : engine_(&engine), params_(params), num_nodes_(num_nodes),
-      topo_(make_topology(params.topology, num_nodes, params.bandwidth_Bps)),
+      topo_(make_topology(params.topology, num_nodes)),
       routing_rng_(routing_seed),
       egress_free_(static_cast<std::size_t>(num_nodes), 0) {
   GCR_CHECK(params_.topology.nic_concurrency >= 1);
   if (routed()) {
     const auto nlinks = static_cast<std::size_t>(topo_->num_links());
-    links_.resize(nlinks);
-    for (std::size_t l = 0; l < nlinks; ++l) {
-      links_[l].bandwidth_Bps =
-          topo_->link_bandwidth_Bps(static_cast<std::int32_t>(l));
-    }
+    link_head_.assign(nlinks, kNil);
     link_active_.assign(nlinks, 0);
     nodes_.resize(static_cast<std::size_t>(num_nodes));
     recip_ = {0.0, 1.0};  // recip_[a] = 1/a; grown as link occupancy grows
-  } else {
-    // Flat still exposes a (zeroed) load view so introspection is uniform.
-    link_active_.assign(static_cast<std::size_t>(topo_->num_links()), 0);
   }
 }
 
@@ -215,13 +208,13 @@ void Network::link_insert(std::int32_t link, std::uint32_t idx, int hop) {
   constexpr int kMax = Route::kMaxHops;
   Transfer& t = pool_[idx];
   const std::uint32_t handle = idx * kMax + static_cast<std::uint32_t>(hop);
-  Link& L = links_[static_cast<std::size_t>(link)];
-  t.lnext[static_cast<std::size_t>(hop)] = L.head;
+  std::uint32_t& head = link_head_[static_cast<std::size_t>(link)];
+  t.lnext[static_cast<std::size_t>(hop)] = head;
   t.lprev[static_cast<std::size_t>(hop)] = kNil;
-  if (L.head != kNil) {
-    pool_[L.head / kMax].lprev[L.head % kMax] = handle;
+  if (head != kNil) {
+    pool_[head / kMax].lprev[head % kMax] = handle;
   }
-  L.head = handle;
+  head = handle;
   const std::int32_t active = ++link_active_[static_cast<std::size_t>(link)];
   if (static_cast<std::size_t>(active) >= recip_.size()) {
     recip_.push_back(1.0 / static_cast<double>(recip_.size()));
@@ -234,11 +227,10 @@ void Network::link_remove(std::int32_t link, std::uint32_t idx, int hop) {
   const auto h = static_cast<std::size_t>(hop);
   const std::uint32_t next = t.lnext[h];
   const std::uint32_t prev = t.lprev[h];
-  Link& L = links_[static_cast<std::size_t>(link)];
   if (prev != kNil) {
     pool_[prev / kMax].lnext[prev % kMax] = next;
   } else {
-    L.head = next;
+    link_head_[static_cast<std::size_t>(link)] = next;
   }
   if (next != kNil) pool_[next / kMax].lprev[next % kMax] = prev;
   --link_active_[static_cast<std::size_t>(link)];
@@ -274,9 +266,9 @@ void Network::resettle_members(std::int32_t link, Time now, std::uint32_t skip,
     // and no member's rate can equal a share that never existed: the pass
     // would match nothing, so skip it.
     if (old_active >= recip_.size()) return;
-    old_share = links_[l].bandwidth_Bps * recip_[old_active];
+    old_share = params_.bandwidth_Bps * recip_[old_active];
   }
-  for (std::uint32_t m = links_[l].head; m != kNil;) {
+  for (std::uint32_t m = link_head_[l]; m != kNil;) {
     const std::uint32_t idx = m / kMax;
     Transfer& u = pool_[idx];
     m = u.lnext[m % kMax];

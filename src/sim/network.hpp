@@ -8,19 +8,20 @@
 // arrives `latency` after the occupation ends. This path is bit-identical
 // to the pre-topology implementation: same arithmetic, same engine events.
 //
-// Routed topologies (fat-tree, dragonfly — sim/topology.hpp) model every
-// directed physical link as a fair-share contended resource, reusing the
-// resettling protocol proven in sim::StorageDevice: a transfer's rate is
-// its *bottleneck* share, min over route links of bandwidth/active; each
-// membership change settles the affected transfers' progress at the old
-// rate and re-splits from now. Completion estimates live in a lazy min-heap
-// invalidated by per-transfer generations; a single generation-guarded
-// engine timer fires the earliest one. Each sender NIC admits
-// `nic_concurrency` transfers; later sends queue FIFO at the sender, which
-// keeps the active set (and the per-event resettle cost) bounded by nodes,
-// not by outstanding messages. The steady path allocates nothing: transfers
-// recycle through a pooled free list, link membership is intrusive, and the
-// heap reuses its buffer.
+// Flat has no topology object. Routed topologies (fat-tree, dragonfly —
+// sim/topology.hpp) model every directed physical link as a fair-share
+// contended resource running at the NIC bandwidth (`bandwidth_Bps`),
+// reusing the resettling protocol proven in sim::StorageDevice: a
+// transfer's rate is its *bottleneck* share, min over route links of
+// bandwidth/active; each membership change settles the affected
+// transfers' progress at the old rate and re-splits from now. Completion
+// estimates live in a lazy min-heap invalidated by per-transfer
+// generations; a single generation-guarded engine timer fires the earliest
+// one. Each sender NIC admits `nic_concurrency` transfers; later sends
+// queue FIFO at the sender, which keeps the active set (and the per-event
+// resettle cost) bounded by nodes, not by outstanding messages. The steady
+// path allocates nothing: transfers recycle through a pooled free list,
+// link membership is intrusive, and the heap reuses its buffer.
 //
 // A routed send is admitted to the fabric at the send instant (or queues
 // behind its NIC's admitted transfers). Delivery runs
@@ -57,6 +58,7 @@ struct NetParams {
   double loopback_Bps = 400e6;     ///< same-node copy bandwidth (P4-era)
   double loopback_latency_s = 2e-6;
   /// Fabric shape + routing policy; kFlat selects the legacy model above.
+  /// Every routed link runs at `bandwidth_Bps`.
   TopologyParams topology;
 };
 
@@ -70,7 +72,8 @@ class Network {
   /// Nodes with their own NIC (valid src/dst range for send()).
   int num_nodes() const { return num_nodes_; }
   /// True when a multi-link topology routes transfers (not kFlat).
-  bool routed() const { return topo_->kind() != TopologyKind::kFlat; }
+  bool routed() const { return topo_ != nullptr; }
+  /// The routed topology (routed() only; flat has none).
   const Topology& topology() const { return *topo_; }
 
   struct SendTimes {
@@ -169,11 +172,6 @@ class Network {
     std::array<std::uint32_t, Route::kMaxHops> lprev;
   };
 
-  struct Link {
-    double bandwidth_Bps = 0;
-    std::uint32_t head = kNil;  ///< first member handle
-  };
-
   /// Per-sender NIC admission: `admitted` in flight, the rest chained FIFO.
   struct NodeState {
     std::int32_t admitted = 0;
@@ -214,7 +212,7 @@ class Network {
   /// 4k-rank coordination storm). All rate producers use this exact
   /// expression so rate == share comparisons stay bitwise-exact.
   double share(std::size_t link) const {
-    return links_[link].bandwidth_Bps *
+    return params_.bandwidth_Bps *
            recip_[static_cast<std::size_t>(link_active_[link])];
   }
 
@@ -250,12 +248,12 @@ class Network {
   Engine* engine_;
   NetParams params_;
   int num_nodes_;
-  std::unique_ptr<Topology> topo_;
+  std::unique_ptr<Topology> topo_;  ///< nullptr for flat
   Rng routing_rng_;
   std::vector<Time> egress_free_;  ///< flat path: per-node NIC next-free
 
   // Fabric state (sized only under routing).
-  std::vector<Link> links_;
+  std::vector<std::uint32_t> link_head_;  ///< first member handle per link
   std::vector<std::int32_t> link_active_;
   std::vector<double> recip_;  ///< recip_[a] == 1.0/a, up to peak occupancy
   std::vector<Transfer> pool_;

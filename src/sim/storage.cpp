@@ -24,8 +24,7 @@ StorageDevice::StorageDevice(Engine& engine, std::string name,
   GCR_CHECK_MSG(params_.concurrency >= 1, "storage concurrency must be >= 1");
 }
 
-Co<void> StorageDevice::transfer(std::int64_t bytes, bool is_write,
-                                 std::function<void()> on_transfer_start) {
+Co<void> StorageDevice::transfer(std::int64_t bytes, bool is_write) {
   GCR_CHECK(bytes >= 0);
   co_await slot_.acquire();
   ScopedPermit permit(slot_);
@@ -35,7 +34,6 @@ Co<void> StorageDevice::transfer(std::int64_t bytes, bool is_write,
     int* counter;
     ~FlightGuard() { --*counter; }
   } flight{&in_flight_};
-  if (on_transfer_start) on_transfer_start();
   if (params_.concurrency == 1) {
     // Legacy strict-FIFO path: one delay while holding the single slot.
     // This posts exactly the events the pre-fair-share device posted, so

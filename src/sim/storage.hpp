@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -54,20 +53,13 @@ class StorageDevice {
   /// with the other admitted transfers. Kill-safe: a killed writer frees
   /// its slot and its bandwidth share.
   Co<void> write(std::int64_t bytes) {
-    return transfer(bytes, /*is_write=*/true, nullptr);
-  }
-
-  /// Like write(), but invokes `on_transfer_start` once the device admits
-  /// the transfer (after any queueing) — for callers that model work
-  /// blocked only during the physical transfer, not the queue wait.
-  Co<void> write(std::int64_t bytes, std::function<void()> on_transfer_start) {
-    return transfer(bytes, /*is_write=*/true, std::move(on_transfer_start));
+    return transfer(bytes, /*is_write=*/true);
   }
 
   /// Reads `bytes`; completes when the data is in memory. Same queueing,
   /// fair-share, and kill-safety contract as write().
   Co<void> read(std::int64_t bytes) {
-    return transfer(bytes, /*is_write=*/false, nullptr);
+    return transfer(bytes, /*is_write=*/false);
   }
 
   /// Pure duration of one unqueued, uncontended transfer (for analytic
@@ -103,8 +95,7 @@ class StorageDevice {
     ~ShareGuard() { dev->abandon(id); }
   };
 
-  Co<void> transfer(std::int64_t bytes, bool is_write,
-                    std::function<void()> on_transfer_start);
+  Co<void> transfer(std::int64_t bytes, bool is_write);
   /// Fair-share stream for concurrency > 1: joins the active set, waits for
   /// the settled completion. Caller holds an admission permit throughout.
   Co<void> shared_transfer(std::int64_t bytes);

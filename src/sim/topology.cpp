@@ -7,10 +7,6 @@
 namespace gcr::sim {
 namespace {
 
-double pick_bw(double class_bw, double default_bw) {
-  return class_bw > 0 ? class_bw : default_bw;
-}
-
 /// Smallest even k >= 4 with k^3/4 hosts >= n.
 int derive_fattree_k(int n) {
   for (int k = 4;; k += 2) {
@@ -33,55 +29,12 @@ int derive_dragonfly_p(int n) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Flat
-
-FlatTopology::FlatTopology(int num_nodes, double bandwidth_Bps)
-    : num_nodes_(num_nodes), bw_(bandwidth_Bps) {
-  GCR_CHECK(num_nodes > 0);
-  GCR_CHECK(bandwidth_Bps > 0);
-}
-
-void FlatTopology::resolve(int src, [[maybe_unused]] int dst,
-                           std::span<const std::int32_t>, Rng&,
-                           Route& out) const {
-  GCR_ASSERT(src != dst);
-  GCR_ASSERT(src >= 0 && src < num_nodes_ && dst >= 0 && dst < num_nodes_);
-  out.nhops = 0;
-  out.push(src);  // the sender's egress link
-}
-
-std::string FlatTopology::describe() const {
-  return "flat(nodes=" + std::to_string(num_nodes_) + ")";
-}
-
-// ---------------------------------------------------------------------------
 // Fat-tree
 
-FatTreeTopology::FatTreeTopology(int num_nodes, int k, FatTreeRouting routing,
-                                 double access_Bps, double fabric_Bps,
-                                 double core_Bps)
-    : k_(k), half_(k / 2), hosts_(k * k * k / 4), routing_(routing),
-      access_bw_(access_Bps), fabric_bw_(fabric_Bps), core_bw_(core_Bps) {
+FatTreeTopology::FatTreeTopology(int num_nodes, int k, FatTreeRouting routing)
+    : k_(k), half_(k / 2), hosts_(k * k * k / 4), routing_(routing) {
   GCR_CHECK(k >= 4 && k % 2 == 0);
   GCR_CHECK(hosts_ >= num_nodes);
-  GCR_CHECK(access_bw_ > 0 && fabric_bw_ > 0 && core_bw_ > 0);
-}
-
-double FatTreeTopology::link_bandwidth_Bps(std::int32_t link) const {
-  switch (link_class(link)) {
-    case LinkClass::kAccess: return access_bw_;
-    case LinkClass::kFabric: return fabric_bw_;
-    case LinkClass::kGlobal: return core_bw_;
-  }
-  GCR_CHECK(false);
-  return 0;
-}
-
-LinkClass FatTreeTopology::link_class(std::int32_t link) const {
-  GCR_ASSERT(link >= 0 && link < num_links());
-  if (link < 2 * hosts_) return LinkClass::kAccess;
-  if (link < 4 * hosts_) return LinkClass::kFabric;
-  return LinkClass::kGlobal;
 }
 
 void FatTreeTopology::resolve(int src, int dst,
@@ -149,44 +102,15 @@ int FatTreeTopology::min_hops(int src, int dst) const {
   return edge_of(src) == edge_of(dst) ? 2 : 4;
 }
 
-std::string FatTreeTopology::describe() const {
-  return "fattree(k=" + std::to_string(k_) +
-         ", hosts=" + std::to_string(hosts_) +
-         ", links=" + std::to_string(num_links()) + ", " +
-         (routing_ == FatTreeRouting::kAdaptive ? "adaptive" : "deterministic") +
-         ")";
-}
-
 // ---------------------------------------------------------------------------
 // Dragonfly
 
 DragonflyTopology::DragonflyTopology(int num_nodes, int a, int p, int h,
-                                     DragonflyRouting routing,
-                                     double access_Bps, double local_Bps,
-                                     double global_Bps)
+                                     DragonflyRouting routing)
     : a_(a), p_(p), h_(h), groups_(a * h + 1), hosts_(groups_ * a * p),
-      routing_(routing), access_bw_(access_Bps), local_bw_(local_Bps),
-      global_bw_(global_Bps) {
+      routing_(routing) {
   GCR_CHECK(a >= 2 && p >= 1 && h >= 1);
   GCR_CHECK(hosts_ >= num_nodes);
-  GCR_CHECK(access_bw_ > 0 && local_bw_ > 0 && global_bw_ > 0);
-}
-
-double DragonflyTopology::link_bandwidth_Bps(std::int32_t link) const {
-  switch (link_class(link)) {
-    case LinkClass::kAccess: return access_bw_;
-    case LinkClass::kFabric: return local_bw_;
-    case LinkClass::kGlobal: return global_bw_;
-  }
-  GCR_CHECK(false);
-  return 0;
-}
-
-LinkClass DragonflyTopology::link_class(std::int32_t link) const {
-  GCR_ASSERT(link >= 0 && link < num_links());
-  if (link < 2 * hosts_) return LinkClass::kAccess;
-  if (link < 2 * hosts_ + groups_ * a_ * (a_ - 1)) return LinkClass::kFabric;
-  return LinkClass::kGlobal;
 }
 
 int DragonflyTopology::push_global_segment(int gsrc, int from_router, int gdst,
@@ -242,36 +166,20 @@ int DragonflyTopology::min_hops(int src, int dst) const {
   return 3 + (rs != gateway ? 1 : 0) + (landing != rd ? 1 : 0);
 }
 
-std::string DragonflyTopology::describe() const {
-  return "dragonfly(a=" + std::to_string(a_) + ", p=" + std::to_string(p_) +
-         ", h=" + std::to_string(h_) + ", groups=" + std::to_string(groups_) +
-         ", hosts=" + std::to_string(hosts_) + ", " +
-         (routing_ == DragonflyRouting::kValiant ? "valiant" : "minimal") +
-         ")";
-}
-
 // ---------------------------------------------------------------------------
 // Factory
 
 std::unique_ptr<Topology> make_topology(const TopologyParams& params,
-                                        int num_nodes,
-                                        double default_bandwidth_Bps) {
+                                        int num_nodes) {
   GCR_CHECK(num_nodes > 0);
-  GCR_CHECK(default_bandwidth_Bps > 0);
-  const double access = pick_bw(params.access_bandwidth_Bps,
-                                default_bandwidth_Bps);
-  const double fabric = pick_bw(params.fabric_bandwidth_Bps,
-                                default_bandwidth_Bps);
-  const double global = pick_bw(params.global_bandwidth_Bps,
-                                default_bandwidth_Bps);
   switch (params.kind) {
     case TopologyKind::kFlat:
-      return std::make_unique<FlatTopology>(num_nodes, access);
+      return nullptr;
     case TopologyKind::kFatTree: {
       const int k =
           params.fattree_k > 0 ? params.fattree_k : derive_fattree_k(num_nodes);
-      return std::make_unique<FatTreeTopology>(
-          num_nodes, k, params.fattree_routing, access, fabric, global);
+      return std::make_unique<FatTreeTopology>(num_nodes, k,
+                                               params.fattree_routing);
     }
     case TopologyKind::kDragonfly: {
       int a = params.df_routers_per_group;
@@ -286,8 +194,8 @@ std::unique_ptr<Topology> make_topology(const TopologyParams& params,
         if (a == 0) a = 2 * p;
         if (h == 0) h = (a + 1) / 2;
       }
-      return std::make_unique<DragonflyTopology>(
-          num_nodes, a, p, h, params.df_routing, access, fabric, global);
+      return std::make_unique<DragonflyTopology>(num_nodes, a, p, h,
+                                                 params.df_routing);
     }
   }
   GCR_CHECK(false);

@@ -2,13 +2,12 @@
 //
 // A Topology maps a (src, dst) node pair to the ordered set of directed
 // physical links the message crosses. The fabric layer (sim/network.hpp)
-// models each link as a fair-share contended resource; the topology only
-// decides *which* links a transfer occupies. Three implementations:
+// models each link as a fair-share contended resource running at the NIC
+// bandwidth (NetParams::bandwidth_Bps); the topology only decides *which*
+// links a transfer occupies. The flat fabric, the paper's switched
+// Ethernet, has no topology object: Network keeps the legacy NIC
+// arithmetic for it. Two routed implementations:
 //
-//  - flat:      one egress link per node, the paper's switched-Ethernet
-//               model. The fabric never routes through it (Network keeps
-//               the legacy NIC arithmetic for bit-reproducibility); it
-//               exists so tests and sweeps can treat "flat" uniformly.
 //  - fat-tree:  k-ary Clos (Al-Fares layout): k pods of k/2 edge and k/2
 //               aggregation switches, (k/2)^2 cores, k^3/4 hosts. Up-path
 //               choice is the routing policy: deterministic (dst-hashed,
@@ -39,20 +38,9 @@ enum class TopologyKind : std::uint8_t { kFlat, kFatTree, kDragonfly };
 enum class FatTreeRouting : std::uint8_t { kDeterministic, kAdaptive };
 enum class DragonflyRouting : std::uint8_t { kMinimal, kValiant };
 
-/// Link speed class; per-class bandwidth overrides live in TopologyParams.
-enum class LinkClass : std::uint8_t {
-  kAccess,  ///< host/terminal links (NIC <-> first switch)
-  kFabric,  ///< intra-pod (fat-tree edge<->agg) / intra-group local links
-  kGlobal,  ///< fat-tree core links / dragonfly inter-group channels
-};
-
 struct TopologyParams {
   TopologyKind kind = TopologyKind::kFlat;
 
-  /// Per-class link bandwidths; 0 inherits NetParams::bandwidth_Bps.
-  double access_bandwidth_Bps = 0;
-  double fabric_bandwidth_Bps = 0;
-  double global_bandwidth_Bps = 0;
   /// Per-link propagation latency (paid once per hop, after the last byte
   /// clears the bottleneck).
   double hop_latency_s = 10e-6;
@@ -94,8 +82,6 @@ class Topology {
   virtual int num_nodes() const = 0;
   /// Directed physical links (dense ids in [0, num_links)).
   virtual int num_links() const = 0;
-  virtual double link_bandwidth_Bps(std::int32_t link) const = 0;
-  virtual LinkClass link_class(std::int32_t link) const = 0;
 
   /// Resolves src -> dst (src != dst) into `out`. `load` is the per-link
   /// admitted-transfer count (adaptive policies read it; others ignore it);
@@ -106,53 +92,19 @@ class Topology {
 
   /// Closed-form minimal hop count (conformance oracle for resolve()).
   virtual int min_hops(int src, int dst) const = 0;
-
-  /// Human-readable shape summary for bench tables and logs.
-  virtual std::string describe() const = 0;
-};
-
-/// One egress link per node; resolve() returns that single link. The flat
-/// fabric path in Network bypasses this (legacy NIC arithmetic), so the
-/// class exists for interface uniformity and tests.
-class FlatTopology final : public Topology {
- public:
-  explicit FlatTopology(int num_nodes, double bandwidth_Bps);
-
-  TopologyKind kind() const override { return TopologyKind::kFlat; }
-  int num_nodes() const override { return num_nodes_; }
-  int num_links() const override { return num_nodes_; }
-  double link_bandwidth_Bps(std::int32_t) const override { return bw_; }
-  LinkClass link_class(std::int32_t) const override {
-    return LinkClass::kAccess;
-  }
-  void resolve(int src, int dst, std::span<const std::int32_t> load, Rng& rng,
-               Route& out) const override;
-  int min_hops(int src, int dst) const override {
-    return src == dst ? 0 : 1;
-  }
-  std::string describe() const override;
-
- private:
-  int num_nodes_;
-  double bw_;
 };
 
 class FatTreeTopology final : public Topology {
  public:
   /// `k` even and >= 4; hosts = k^3/4 must cover `num_nodes`.
-  FatTreeTopology(int num_nodes, int k, FatTreeRouting routing,
-                  double access_Bps, double fabric_Bps, double core_Bps);
+  FatTreeTopology(int num_nodes, int k, FatTreeRouting routing);
 
   TopologyKind kind() const override { return TopologyKind::kFatTree; }
   int num_nodes() const override { return hosts_; }
   int num_links() const override { return 6 * hosts_; }
-  double link_bandwidth_Bps(std::int32_t link) const override;
-  LinkClass link_class(std::int32_t link) const override;
   void resolve(int src, int dst, std::span<const std::int32_t> load, Rng& rng,
                Route& out) const override;
   int min_hops(int src, int dst) const override;
-  /// Two hosts under one edge switch: host -> edge -> host.
-  std::string describe() const override;
 
   int k() const { return k_; }
   int hosts() const { return hosts_; }
@@ -184,9 +136,6 @@ class FatTreeTopology final : public Topology {
   int half_;  ///< k/2
   int hosts_;
   FatTreeRouting routing_;
-  double access_bw_;
-  double fabric_bw_;
-  double core_bw_;
 };
 
 class DragonflyTopology final : public Topology {
@@ -194,26 +143,18 @@ class DragonflyTopology final : public Topology {
   /// `a` routers/group, `p` hosts/router, `h` global channels/router;
   /// groups g = a*h + 1 (one direct channel per peer group).
   DragonflyTopology(int num_nodes, int a, int p, int h,
-                    DragonflyRouting routing, double access_Bps,
-                    double local_Bps, double global_Bps);
+                    DragonflyRouting routing);
 
   TopologyKind kind() const override { return TopologyKind::kDragonfly; }
   int num_nodes() const override { return hosts_; }
   int num_links() const override {
     return 2 * hosts_ + groups_ * a_ * (a_ - 1) + groups_ * a_ * h_;
   }
-  double link_bandwidth_Bps(std::int32_t link) const override;
-  LinkClass link_class(std::int32_t link) const override;
   void resolve(int src, int dst, std::span<const std::int32_t> load, Rng& rng,
                Route& out) const override;
   int min_hops(int src, int dst) const override;
-  /// Two terminals on one router: terminal -> router -> terminal.
-  std::string describe() const override;
 
   int groups() const { return groups_; }
-  int routers_per_group() const { return a_; }
-  int nodes_per_router() const { return p_; }
-  int global_per_router() const { return h_; }
   int group_of(int node) const { return node / (a_ * p_); }
   int router_of(int node) const { return (node % (a_ * p_)) / p_; }
 
@@ -250,16 +191,12 @@ class DragonflyTopology final : public Topology {
   int groups_;
   int hosts_;
   DragonflyRouting routing_;
-  double access_bw_;
-  double local_bw_;
-  double global_bw_;
 };
 
-/// Builds the configured topology sized for `num_nodes`; class bandwidths
-/// default to `default_bandwidth_Bps` where the params leave them 0.
+/// Builds the configured routed topology sized for `num_nodes`; nullptr
+/// for kFlat, which has no topology object.
 std::unique_ptr<Topology> make_topology(const TopologyParams& params,
-                                        int num_nodes,
-                                        double default_bandwidth_Bps);
+                                        int num_nodes);
 
 const char* topology_kind_name(TopologyKind kind);
 /// Parses "flat" / "fattree" / "dragonfly"; aborts on anything else.

@@ -24,10 +24,6 @@ namespace gcr::trace {
 
 class Tracer : public mpi::Observer {
  public:
-  /// If `sends_only` is true, only send events are kept (cheapest mode,
-  /// sufficient for group formation).
-  explicit Tracer(bool sends_only = false) : sends_only_(sends_only) {}
-
   void on_send(const mpi::Rank& rank, const mpi::Message& msg,
                bool transmitted) override {
     // Suppressed re-sends never reach the wire; profiling runs are
@@ -38,13 +34,11 @@ class Tracer : public mpi::Observer {
   }
 
   void on_deliver(const mpi::Rank& rank, const mpi::Message& msg) override {
-    if (sends_only_) return;
     records_.push_back(TraceRecord{rank.engine().now(), EventKind::kDeliver,
                                     rank.id(), msg.src, msg.tag, msg.bytes});
   }
 
   void on_consume(const mpi::Rank& rank, const mpi::Message& msg) override {
-    if (sends_only_) return;
     records_.push_back(TraceRecord{rank.engine().now(), EventKind::kConsume,
                                     rank.id(), msg.src, msg.tag, msg.bytes});
   }
@@ -80,7 +74,6 @@ class Tracer : public mpi::Observer {
     return t;
   }
 
-  bool sends_only_;
   Trace records_;
 };
 

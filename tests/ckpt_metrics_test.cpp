@@ -56,21 +56,6 @@ TEST(Checkpointer, RemoteImagesContendOnSharedServers) {
   EXPECT_NEAR(sim::to_seconds(done[3]), 2.0, 1e-6);
 }
 
-sim::Co<void> flush_zero(ckpt::Checkpointer* ck, sim::Time* done,
-                         sim::Engine* eng) {
-  co_await ck->flush_log(0, 0);
-  *done = eng->now();
-}
-
-TEST(Checkpointer, FlushLogSkipsZeroBytes) {
-  sim::Cluster cluster(small_cluster(2, 0));
-  ckpt::Checkpointer ck(cluster);
-  sim::Time done = 1;
-  cluster.engine().spawn("f", flush_zero(&ck, &done, &cluster.engine()));
-  cluster.engine().run();
-  EXPECT_EQ(done, 0);  // no time passed
-}
-
 TEST(ImageRegistry, LatestWinsPerRank) {
   ckpt::ImageRegistry reg;
   EXPECT_EQ(reg.latest(0), nullptr);

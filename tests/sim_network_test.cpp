@@ -249,8 +249,8 @@ TEST(Jitter, SpikesObeyBounds) {
   Rng rng(7);
   for (int i = 0; i < 100; ++i) {
     const double s = to_seconds(model.draw(rng));
-    EXPECT_GE(s, p.spike_min_s);
-    EXPECT_LE(s, p.spike_max_s + 1.0);  // + lognormal body
+    EXPECT_GE(s, JitterModel::kSpikeMinS);
+    EXPECT_LE(s, JitterModel::kSpikeMaxS + 1.0);  // + lognormal body
   }
 }
 

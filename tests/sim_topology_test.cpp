@@ -31,7 +31,7 @@ NetParams fattree_params(FatTreeRouting routing = FatTreeRouting::kDeterministic
 }
 
 TEST(Topology, FatTreeMinHopClosedForm) {
-  FatTreeTopology t(16, 4, FatTreeRouting::kDeterministic, 10e6, 10e6, 10e6);
+  FatTreeTopology t(16, 4, FatTreeRouting::kDeterministic);
   EXPECT_EQ(t.min_hops(0, 1), 2);   // same edge switch
   EXPECT_EQ(t.min_hops(0, 2), 4);   // same pod, different edge
   EXPECT_EQ(t.min_hops(0, 4), 6);   // different pod (via core)
@@ -58,8 +58,7 @@ TEST(Topology, FatTreeMinHopClosedForm) {
 
 TEST(Topology, DragonflyMinHopClosedForm) {
   // a=4, p=2, h=2 -> g = a*h+1 = 9 groups, 72 hosts.
-  DragonflyTopology t(72, 4, 2, 2, DragonflyRouting::kMinimal, 10e6, 10e6,
-                      10e6);
+  DragonflyTopology t(72, 4, 2, 2, DragonflyRouting::kMinimal);
   ASSERT_EQ(t.groups(), 9);
   ASSERT_EQ(t.num_nodes(), 72);
   EXPECT_EQ(t.min_hops(0, 1), 2);  // same router: up, down
@@ -87,8 +86,7 @@ TEST(Topology, DragonflyMinHopClosedForm) {
 }
 
 TEST(Topology, DragonflyValiantStaysInBounds) {
-  DragonflyTopology t(72, 4, 2, 2, DragonflyRouting::kValiant, 10e6, 10e6,
-                      10e6);
+  DragonflyTopology t(72, 4, 2, 2, DragonflyRouting::kValiant);
   Rng rng(7);
   std::vector<std::int32_t> load(static_cast<std::size_t>(t.num_links()), 0);
   for (int s = 0; s < t.num_nodes(); s += 3) {
@@ -109,7 +107,7 @@ TEST(Topology, DragonflyValiantStaysInBounds) {
 }
 
 TEST(Topology, DeterministicPoliciesIgnoreRngAndLoad) {
-  FatTreeTopology t(16, 4, FatTreeRouting::kDeterministic, 10e6, 10e6, 10e6);
+  FatTreeTopology t(16, 4, FatTreeRouting::kDeterministic);
   std::vector<std::int32_t> idle(static_cast<std::size_t>(t.num_links()), 0);
   std::vector<std::int32_t> busy(static_cast<std::size_t>(t.num_links()), 9);
   Rng r1(1), r2(999);
@@ -210,13 +208,13 @@ TEST(Fabric, SixtyFourKHostFabricIsSlim) {
   // rounds up past the node count.
   TopologyParams ft;
   ft.kind = TopologyKind::kFatTree;
-  auto t1 = make_topology(ft, 65536, 10e6);
+  auto t1 = make_topology(ft, 65536);
   EXPECT_EQ(t1->num_nodes(), 65536);
   EXPECT_EQ(t1->num_links(), 6 * 65536);
 
   TopologyParams df;
   df.kind = TopologyKind::kDragonfly;
-  auto t2 = make_topology(df, 65536, 10e6);
+  auto t2 = make_topology(df, 65536);
   EXPECT_GE(t2->num_nodes(), 65536);
 
   Engine eng;
