@@ -73,10 +73,6 @@ std::uint64_t GroupProtocol::draw_target_skew(RankState& st,
   return st.jitter_rng.next_below(static_cast<std::uint64_t>(window) + 1);
 }
 
-std::int64_t GroupProtocol::log_bytes(mpi::RankId rank) const {
-  return states_[static_cast<std::size_t>(rank)]->log.total_bytes();
-}
-
 void GroupProtocol::finalize_metrics() {}
 
 // ------------------------------------------------------------- send/deliver

@@ -104,9 +104,6 @@ class GroupProtocol : public mpi::Interposer {
     MessageLog log;
   };
 
-  /// Message-log bytes currently held by a rank (ablation instrumentation).
-  std::int64_t log_bytes(mpi::RankId rank) const;
-
   // ---- elastic regrouping API (DESIGN.md §16; home engine only) ----
   /// Starts a split transition: until install_groups or end_transition,
   /// before_send logs any message that crosses a group boundary in the
@@ -117,7 +114,6 @@ class GroupProtocol : public mpi::Interposer {
   void begin_transition(const group::GroupSet& pending);
   /// Abandons the pending transition (drain aborted or forcibly reclaimed).
   void end_transition();
-  bool in_transition() const { return transition_.has_value(); }
 
   /// True when every listed rank can tolerate a grouping change right now:
   /// alive, not inside a checkpoint round (leader round open, commit

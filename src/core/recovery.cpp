@@ -47,16 +47,6 @@ void RecoveryManager::fail_group_at(int group, sim::Time t) {
   });
 }
 
-void RecoveryManager::fail_rank_at(mpi::RankId rank, sim::Time t) {
-  rt_->engine().call_at(t, [this, rank] {
-    fail_group_now(protocol_->groups().group_of(rank));
-  });
-}
-
-void RecoveryManager::fail_node_at(int node, sim::Time t) {
-  rt_->engine().call_at(t, [this, node] { fail_node_now(node); });
-}
-
 void RecoveryManager::fail_node_now(int node) {
   // One rank per node (mpi::Runtime's placement); nodes beyond the rank
   // range (the driver node) have nothing to kill.

@@ -7,11 +7,11 @@
 // (or from scratch) and re-enters execution through the protocol's restart
 // procedure (volume exchange + replay). Non-failed groups keep running.
 //
-// Failures are injected either directly (fail_group_at / fail_node_at,
-// whole-app restart via restart_all_at), through the legacy per-group
-// exponential streams (arm_random_failures), or through a pluggable
-// node-level FaultModel (sim/faults.hpp) whose node faults map to the
-// group hosting that node's rank.
+// Failures are injected either directly (fail_group_at; whole-app restart
+// via restart_all_at), through the legacy per-group exponential streams
+// (arm_random_failures), or through a pluggable node-level FaultModel
+// (sim/faults.hpp) whose node faults map to the group hosting that node's
+// rank.
 //
 // Concurrent failures are handled with a recovery QUEUE, not rejection:
 // a failure always kills its group immediately (the physical event is never
@@ -97,14 +97,6 @@ class RecoveryManager {
 
   /// Schedules a failure of one group at simulated time `t`.
   void fail_group_at(int group, sim::Time t);
-
-  /// Schedules a failure of the group containing `rank`.
-  void fail_rank_at(mpi::RankId rank, sim::Time t);
-
-  /// Schedules a node fault at time `t`: kills the group containing the
-  /// rank hosted on `node` (one rank per node). Faults on rankless nodes
-  /// (the driver) are ignored.
-  void fail_node_at(int node, sim::Time t);
 
   /// Schedules a whole-application restart (kill everything, restore from
   /// the stored images) at time `t`.

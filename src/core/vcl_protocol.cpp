@@ -209,11 +209,4 @@ void VclProtocol::request_round() {
   }
 }
 
-bool VclProtocol::any_in_checkpoint() const {
-  for (const auto& st : states_) {
-    if (st->in_checkpoint) return true;
-  }
-  return false;
-}
-
 }  // namespace gcr::core

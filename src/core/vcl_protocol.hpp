@@ -48,7 +48,6 @@ class VclProtocol : public mpi::Interposer {
   /// Driver: one Chandy-Lamport round across ALL ranks (VCL is global).
   void request_round();
 
-  bool any_in_checkpoint() const;
   std::int64_t recorded_channel_bytes() const { return recorded_total_; }
 
  private:

@@ -58,7 +58,6 @@ class Rank {
 
   /// App progress marker; updated at each safe point, restored on restart.
   std::uint64_t iteration() const { return iteration_; }
-  void set_iteration(std::uint64_t it) { iteration_ = it; }
 
   /// Where the app must resume from (0 on a fresh start).
   std::uint64_t start_iteration() const { return start_iteration_; }

@@ -102,7 +102,6 @@ Runtime::Runtime(sim::Cluster& cluster, int nranks) : cluster_(&cluster) {
     ranks_.push_back(
         std::make_unique<Rank>(cluster.engine(), r, /*node=*/r, nranks));
   }
-  job_done_ = std::make_unique<sim::Trigger>(cluster.engine());
 }
 
 void Runtime::start_app(AppBody body) {
@@ -132,7 +131,6 @@ void Runtime::note_app_finished(Rank& rank) {
   rank.finished_ = true;
   ++finished_ranks_;
   if (protocol_) protocol_->rank_finished(rank);
-  if (finished_ranks_ == nranks()) job_done_->fire();
 }
 
 void Runtime::spawn_app_coroutine(Rank& rank) {
@@ -577,13 +575,6 @@ void Runtime::debug_dump(std::ostream& os) const {
       }
       os << '\n';
     }
-  }
-}
-
-void Runtime::clear_finished(Rank& rank) {
-  if (rank.finished_) {
-    rank.finished_ = false;
-    --finished_ranks_;
   }
 }
 

@@ -86,7 +86,6 @@ class Runtime {
 
   /// True once every rank's app body returned normally.
   bool job_finished() const { return finished_ranks_ == nranks(); }
-  sim::Trigger& job_done() { return *job_done_; }
 
   // ---- p2p / compute (called via AppHandle) ----
   sim::Co<void> send(Rank& rank, RankId dst, int tag, std::int64_t bytes);
@@ -123,10 +122,6 @@ class Runtime {
   /// kill-safe (the registration is cleared on unwind).
   sim::Co<void> await_egress(std::uint64_t ticket);
 
-  /// True when the cluster routes transfers over a multi-link topology —
-  /// callers then pace sends via await_egress instead of egress timestamps.
-  bool routed_network() { return cluster_->network().routed(); }
-
   // ---- lifecycle (used by protocols / recovery orchestration) ----
   /// Captures the runtime-visible state of a rank (at a safe point).
   RankSnapshot snapshot_rank(const Rank& rank) const;
@@ -149,10 +144,6 @@ class Runtime {
 
   /// Registers the daemon coroutine handle so kill_rank can reach it.
   void set_daemon_proc(Rank& rank, sim::ProcPtr proc);
-
-  /// Lets a protocol mark a finished rank as running again (used only by
-  /// whole-application restart experiments).
-  void clear_finished(Rank& rank);
 
   /// Internal: invoked by the app wrapper coroutine.
   sim::Co<void> run_app_body(Rank& rank);
@@ -190,7 +181,6 @@ class Runtime {
   std::vector<std::unique_ptr<Rank>> ranks_;
   AppBody app_body_;
   int finished_ranks_ = 0;
-  std::unique_ptr<sim::Trigger> job_done_;
   std::int64_t app_bytes_sent_ = 0;
   std::int64_t app_messages_sent_ = 0;
 };

@@ -1,4 +1,4 @@
-// Basic awaitables: Delay, Trigger, Semaphore, CountBarrier.
+// Basic awaitables: Delay, Trigger, Semaphore.
 //
 // Every awaitable that suspends on the engine follows the Waiter protocol
 // (sim/engine.hpp): register via suspend_current (a pooled slot, no heap
@@ -102,9 +102,6 @@ class Semaphore {
   /// Permits not currently held (may be claimed by queued waiters on the
   /// next drain).
   std::int64_t available() const { return permits_; }
-  /// Waiters suspended in acquire() (stale killed entries included until
-  /// a drain skips them).
-  std::size_t queue_length() const { return waiters_.size(); }
 
   /// Returns n permits and hands them to queued live waiters FIFO.
   /// Never blocks; safe to call from non-coroutine code.
@@ -184,37 +181,6 @@ class ScopedPermit {
 
  private:
   Semaphore* sem_;
-};
-
-/// Reusable rendezvous for a fixed participant count: the k-th arrival
-/// releases everyone and the barrier re-arms for the next generation.
-/// NOTE: protocol barriers inside checkpoint coordination use real control
-/// messages (costed); this is for tests and intra-node synchronization.
-class CountBarrier {
- public:
-  CountBarrier(Engine& engine, std::size_t parties)
-      : engine_(&engine), parties_(parties), gate_(engine) {
-    GCR_CHECK(parties > 0);
-  }
-
-  Co<void> arrive_and_wait() {
-    Trigger* my_gate = &gate_;
-    if (++arrived_ == parties_) {
-      arrived_ = 0;
-      my_gate->fire();
-      my_gate->reset();
-      co_return;
-    }
-    // Trigger generation handling: waiters registered before fire() are all
-    // released by it; reset() only affects later arrivals.
-    co_await my_gate->wait();
-  }
-
- private:
-  Engine* engine_;
-  std::size_t parties_;
-  std::size_t arrived_ = 0;
-  Trigger gate_;
 };
 
 }  // namespace gcr::sim

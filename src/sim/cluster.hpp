@@ -100,7 +100,6 @@ class Cluster {
   /// drives runs through it; the next benchmark change removes it.
   Engine& shards() { return engine_; }
   Network& network() { return network_; }
-  const JitterModel& jitter_model() const { return jitter_; }
 
   int num_nodes() const { return params_.num_nodes; }
 

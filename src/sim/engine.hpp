@@ -193,8 +193,6 @@ class Engine {
   /// Events currently parked in wheel slots (excludes due ring and the
   /// overflow heap).
   std::size_t timer_wheel_depth() const { return wheel_count_; }
-  /// Events in the far-future / behind-cursor overflow heap.
-  std::size_t overflow_heap_depth() const { return heap_.size(); }
   /// Buckets moved one or more levels down by wheel cascades so far.
   std::uint64_t wheel_relinks() const { return wheel_relinks_; }
 

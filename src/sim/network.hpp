@@ -115,14 +115,6 @@ class Network {
   /// whose NIC timestamps model no recallable in-flight state.
   void abort_transfers_from(int src_node);
 
-  /// Pure timing query (no event scheduled, no NIC occupied): the flat
-  /// uncontended transfer time. Under routing this is an estimate.
-  Time transfer_duration(std::int64_t bytes) const {
-    return from_seconds(params_.per_message_s +
-                        static_cast<double>(bytes) / params_.bandwidth_Bps +
-                        params_.latency_s);
-  }
-
   /// Cumulative payload bytes ever passed to send() (monotone).
   std::int64_t total_bytes() const { return total_bytes_; }
   /// Cumulative send() calls (monotone).
@@ -142,7 +134,6 @@ class Network {
   std::int32_t link_active(std::int32_t link) const {
     return link_active_[static_cast<std::size_t>(link)];
   }
-  std::span<const std::int32_t> link_load() const { return link_active_; }
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;

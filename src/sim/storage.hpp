@@ -71,8 +71,6 @@ class StorageDevice {
 
   std::int64_t bytes_written() const { return bytes_written_; }
   std::int64_t bytes_read() const { return bytes_read_; }
-  /// Requests waiting for admission (not yet transferring).
-  std::size_t queue_length() const { return slot_.queue_length(); }
   /// Transfers currently sharing the device bandwidth.
   int active_transfers() const { return in_flight_; }
   /// High-water mark of concurrently admitted transfers over the run.

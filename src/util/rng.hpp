@@ -66,18 +66,6 @@ class Rng {
     }
   }
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t next_int(std::int64_t lo, std::int64_t hi) {
-    GCR_ASSERT(lo <= hi);
-    return lo + static_cast<std::int64_t>(
-                    next_below(static_cast<std::uint64_t>(hi - lo) + 1));
-  }
-
-  /// Uniform double in [lo, hi).
-  double next_range(double lo, double hi) {
-    return lo + (hi - lo) * next_double();
-  }
-
   /// Standard normal via Box-Muller (deterministic; no cached spare to keep
   /// the stream position independent of call pattern).
   double next_normal() {

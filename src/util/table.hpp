@@ -30,8 +30,6 @@ class Table {
   /// Writes RFC-4180-ish CSV (quotes cells containing commas/quotes).
   void print_csv(std::ostream& os) const;
 
-  std::size_t row_count() const { return rows_.size(); }
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

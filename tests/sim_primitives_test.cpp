@@ -1,4 +1,4 @@
-// Awaitable primitives: Trigger, Semaphore, CountBarrier, Channel edge cases.
+// Awaitable primitives: Trigger, Semaphore, Channel edge cases.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -140,43 +140,6 @@ TEST(Semaphore, KilledQueuedWaiterSkipped) {
   eng.run();
   EXPECT_EQ(order, (std::vector<int>{0, 2}));
   EXPECT_EQ(sem.available(), 1);
-}
-
-Co<void> barrier_party(Engine& eng, CountBarrier& bar, Time arrive_at,
-                       std::vector<Time>* done) {
-  co_await delay(eng, arrive_at);
-  co_await bar.arrive_and_wait();
-  done->push_back(eng.now());
-}
-
-TEST(CountBarrier, ReleasesTogetherAtLastArrival) {
-  Engine eng;
-  CountBarrier bar(eng, 3);
-  std::vector<Time> done;
-  eng.spawn("a", barrier_party(eng, bar, 1_ms, &done));
-  eng.spawn("b", barrier_party(eng, bar, 5_ms, &done));
-  eng.spawn("c", barrier_party(eng, bar, 9_ms, &done));
-  eng.run();
-  ASSERT_EQ(done.size(), 3u);
-  for (Time t : done) EXPECT_EQ(t, 9_ms);
-}
-
-TEST(CountBarrier, ReusableAcrossGenerations) {
-  Engine eng;
-  CountBarrier bar(eng, 2);
-  std::vector<Time> done;
-  auto party = [](Engine& e, CountBarrier& b, std::vector<Time>* d,
-                  Time stagger) -> Co<void> {
-    for (int round = 0; round < 3; ++round) {
-      co_await delay(e, stagger);
-      co_await b.arrive_and_wait();
-      d->push_back(e.now());
-    }
-  };
-  eng.spawn("a", party(eng, bar, &done, 1_ms));
-  eng.spawn("b", party(eng, bar, &done, 2_ms));
-  eng.run();
-  EXPECT_EQ(done.size(), 6u);  // three rounds, both released each time
 }
 
 Co<void> pop_n(Channel<int>& ch, int n, std::vector<int>* out) {
