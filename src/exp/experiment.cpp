@@ -108,9 +108,14 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
                                 planner.get(), config.churn_options);
     }
   } else {
+    // Every group-protocol-only setting is refused rather than ignored.
     GCR_CHECK_MSG(config.failures.empty() && !config.restart_after_finish &&
-                      config.fault_model.kind == sim::FaultModelKind::kNone,
-                  "VCL restart/failures are not supported (see DESIGN.md §8)");
+                      config.fault_model.kind == sim::FaultModelKind::kNone &&
+                      config.random_failure_mtbf_s.empty() &&
+                      config.per_group_intervals.empty() &&
+                      config.churn.kind == sim::ChurnModelKind::kNone,
+                  "VCL restart/failures/per-group intervals/churn are not "
+                  "supported (see DESIGN.md §8)");
     vcl_protocol = std::make_unique<core::VclProtocol>(
         runtime, checkpointer, spec.image_bytes, metrics);
     runtime.set_protocol(vcl_protocol.get());

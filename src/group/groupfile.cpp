@@ -28,7 +28,8 @@ std::optional<GroupSet> read_groupfile(std::istream& is) {
     std::string keyword;
     ls >> keyword;
     if (keyword == "nranks") {
-      if (!(ls >> nranks) || nranks <= 0) {
+      // A trailing token is an error, not ignored: a typo must not load.
+      if (!(ls >> nranks) || nranks <= 0 || !(ls >> std::ws).eof()) {
         GCR_WARN("groupfile: bad nranks line: %s", line.c_str());
         return std::nullopt;
       }
@@ -36,6 +37,12 @@ std::optional<GroupSet> read_groupfile(std::istream& is) {
       std::vector<mpi::RankId> members;
       mpi::RankId r;
       while (ls >> r) members.push_back(r);
+      if (!ls.eof()) {
+        // Stopped at a token that is not a rank: a mistyped rank would
+        // otherwise silently drop out of the group.
+        GCR_WARN("groupfile: bad group line: %s", line.c_str());
+        return std::nullopt;
+      }
       if (members.empty()) {
         GCR_WARN("groupfile: empty group line");
         return std::nullopt;

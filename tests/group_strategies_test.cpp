@@ -88,6 +88,14 @@ TEST(GroupFile, RejectsMalformed) {
     std::stringstream ss("nranks 2\nbanana 0 1\n");
     EXPECT_FALSE(read_groupfile(ss).has_value());
   }
+  {
+    std::stringstream ss("nranks 4\ngroup 0 1 x\ngroup 2 3\n");  // bad rank
+    EXPECT_FALSE(read_groupfile(ss).has_value());
+  }
+  {
+    std::stringstream ss("nranks 4 junk\ngroup 0 1\ngroup 2 3\n");
+    EXPECT_FALSE(read_groupfile(ss).has_value());
+  }
 }
 
 TEST(Dynamic, MergesOnCommunication) {

@@ -118,6 +118,16 @@ TEST(VclDeathTest, RestartRefused) {
   ExperimentConfig cfg = vcl_config(4);
   cfg.restart_after_finish = true;
   EXPECT_DEATH((void)run_experiment(cfg), "not supported");
+  // Group-protocol-only settings are refused too, never silently ignored.
+  cfg = vcl_config(4);
+  cfg.random_failure_mtbf_s = {0.05};
+  EXPECT_DEATH((void)run_experiment(cfg), "not supported");
+  cfg = vcl_config(4);
+  cfg.per_group_intervals = {0.01};
+  EXPECT_DEATH((void)run_experiment(cfg), "not supported");
+  cfg = vcl_config(4);
+  cfg.churn.kind = sim::ChurnModelKind::kDrains;
+  EXPECT_DEATH((void)run_experiment(cfg), "not supported");
 }
 
 }  // namespace
