@@ -225,6 +225,27 @@ TEST(Fabric, SixtyFourKHostFabricIsSlim) {
   net.send(0, 65535, 1'000'000, [&] { arrived = eng.now(); });
   eng.run();
   EXPECT_NEAR(to_seconds(arrived), 0.1, 1e-6);
+
+  // The derived dragonfly, timed with nonzero per-message and per-hop
+  // costs: an uncontended message over a global channel arrives at
+  // bytes / bandwidth + per_message + nhops * hop_latency.
+  Engine df_eng;
+  NetParams dp;
+  dp.bandwidth_Bps = 10e6;
+  dp.per_message_s = 10e-6;
+  dp.topology.kind = TopologyKind::kDragonfly;
+  dp.topology.hop_latency_s = 1e-6;
+  Network df_net(df_eng, 65536, dp);
+  const auto& dt = dynamic_cast<const DragonflyTopology&>(df_net.topology());
+  ASSERT_NE(dt.group_of(0), dt.group_of(65535));  // crosses a global channel
+  const int nhops = dt.min_hops(0, 65535);
+  Time df_arrived = -1;
+  df_net.send(0, 65535, 1'000'000, [&] { df_arrived = df_eng.now(); });
+  df_eng.run();
+  EXPECT_NEAR(to_seconds(df_arrived),
+              1'000'000 / dp.bandwidth_Bps + dp.per_message_s +
+                  nhops * dp.topology.hop_latency_s,
+              1e-8);
 }
 
 TEST(Fabric, SteadyStatePathIsAllocationFree) {
