@@ -10,10 +10,13 @@
 // as the pre-fair-share implementation, so existing figure campaigns
 // reproduce bit-for-bit.
 //
-// Writers/readers are coroutines; kill-safety is two-layered: a waiter
-// killed while queued releases its admission slot (Semaphore protocol), and
-// a transfer killed mid-flight is removed from the fair-share set on unwind
-// so the survivors immediately speed up (no stranded bandwidth).
+// write() and read() are the only entry points: each call queues for
+// admission, then moves its bytes, and returns when they are durable (or
+// in memory). Writers/readers are coroutines; kill-safety is two-layered:
+// a waiter killed while queued releases its admission slot (Semaphore
+// protocol), and a transfer killed mid-flight is removed from the
+// fair-share set on unwind so the survivors immediately speed up (no
+// stranded bandwidth).
 #pragma once
 
 #include <cstdint>

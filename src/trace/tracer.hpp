@@ -1,9 +1,10 @@
 // Light-weight MPI communication tracer (paper §3.2 / §4).
 //
 // Attaches to the MiniMPI runtime as a passive Observer — the analogue of
-// linking the tracer library into the application for a profiling run. The
-// collected send records feed Algorithm 2 (group formation); the full event
-// stream feeds the timeline renderer.
+// linking the tracer library into the application for a profiling run. It
+// records every transmitted send and every deliver and consume event: the
+// send records feed Algorithm 2 (group formation); the full event stream
+// feeds the timeline renderer.
 //
 // Records land in one buffer in dispatch order; records() and take()
 // return them in (time, rank) order, so each rank's own records keep their
