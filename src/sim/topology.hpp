@@ -76,7 +76,6 @@ class Topology {
  public:
   virtual ~Topology() = default;
 
-  virtual TopologyKind kind() const = 0;
   /// Hosts addressable as send() endpoints (may exceed the cluster's node
   /// count when the radix rounds up; surplus hosts simply stay idle).
   virtual int num_nodes() const = 0;
@@ -99,7 +98,6 @@ class FatTreeTopology final : public Topology {
   /// `k` even and >= 4; hosts = k^3/4 must cover `num_nodes`.
   FatTreeTopology(int num_nodes, int k, FatTreeRouting routing);
 
-  TopologyKind kind() const override { return TopologyKind::kFatTree; }
   int num_nodes() const override { return hosts_; }
   int num_links() const override { return 6 * hosts_; }
   void resolve(int src, int dst, std::span<const std::int32_t> load, Rng& rng,
@@ -145,7 +143,6 @@ class DragonflyTopology final : public Topology {
   DragonflyTopology(int num_nodes, int a, int p, int h,
                     DragonflyRouting routing);
 
-  TopologyKind kind() const override { return TopologyKind::kDragonfly; }
   int num_nodes() const override { return hosts_; }
   int num_links() const override {
     return 2 * hosts_ + groups_ * a_ * (a_ - 1) + groups_ * a_ * h_;
