@@ -40,7 +40,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "sim/engine.hpp"
