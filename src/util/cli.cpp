@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -59,8 +60,10 @@ double Cli::get_double(const std::string& name, double def,
   const std::string v = get_string(name, std::to_string(def), help);
   char* end = nullptr;
   const double parsed = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0') {
-    usage_error(program_, "--" + name + " expects a number, got: " + v);
+  // inf/nan parse, but no flag means them: an infinite time or rate would
+  // reach sim::from_seconds, whose integer cast of a non-finite is undefined.
+  if (end == v.c_str() || *end != '\0' || !std::isfinite(parsed)) {
+    usage_error(program_, "--" + name + " expects a finite number, got: " + v);
   }
   return parsed;
 }

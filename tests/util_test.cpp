@@ -36,6 +36,18 @@ TEST(CliDeathTest, RejectsNegativeJobs) {
               "--jobs must be in 0..65536");
 }
 
+TEST(CliDeathTest, RejectsInfiniteDouble) {
+  Cli cli = make_cli({"prog", "--fail-at=inf"});
+  EXPECT_EXIT(cli.get_double("fail-at", 0.0, ""), testing::ExitedWithCode(2),
+              "--fail-at expects a finite number, got: inf");
+}
+
+TEST(CliDeathTest, RejectsNanDouble) {
+  Cli cli = make_cli({"prog", "--mtbf=nan"});
+  EXPECT_EXIT(cli.get_double("mtbf", 1.0, ""), testing::ExitedWithCode(2),
+              "--mtbf expects a finite number, got: nan");
+}
+
 TEST(Rng, DeterministicForSeed) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
