@@ -44,8 +44,11 @@ Trace read_trace(std::istream& is) {
     std::istringstream ls(line);
     TraceRecord rec;
     char kind_ch = 0;
+    std::string trailing;
+    // A token past the six columns is malformed too, not silently dropped.
     if (!(ls >> rec.time >> kind_ch >> rec.rank >> rec.peer >> rec.tag >>
-          rec.bytes)) {
+          rec.bytes) ||
+        ls >> trailing) {
       GCR_WARN("skipping malformed trace line: %s", line.c_str());
       continue;
     }

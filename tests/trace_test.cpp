@@ -124,7 +124,8 @@ TEST(TraceIo, RoundTripPreservesRecords) {
 }
 
 TEST(TraceIo, SkipsMalformedLines) {
-  std::stringstream ss("# comment\ngarbage here\n100 S 0 1 2 300\n");
+  std::stringstream ss(
+      "# comment\ngarbage here\n100 S 0 1 2 300 7\n100 S 0 1 2 300\n");
   const Trace t = read_trace(ss);
   ASSERT_EQ(t.size(), 1u);
   EXPECT_EQ(t[0].bytes, 300);
