@@ -3,7 +3,7 @@
 //
 // A long-running service app (apps/service.hpp: open-loop seeded arrival
 // stream, per-request SLO) runs with periodic checkpoints while a churn
-// model (sim/churn.hpp) drains, reclaims and rejoins nodes: drains exit
+// model (sim/node_events.hpp) drains, reclaims and rejoins nodes: drains exit
 // through a committed checkpoint (clean handoff), spot reclaims get a
 // warning window that may or may not suffice, rolling visits every node
 // once, and every departed node rejoins and is merged back by the
@@ -19,7 +19,7 @@
 // tail latency follow.
 #include "apps/service.hpp"
 #include "bench_common.hpp"
-#include "sim/churn.hpp"
+#include "sim/node_events.hpp"
 
 using namespace gcr;
 using bench::Mode;

@@ -12,9 +12,37 @@
 #include "apps/hpl.hpp"
 #include "bench_common.hpp"
 #include "core/interval.hpp"
+#include "sim/node_events.hpp"
 
 using namespace gcr;
 using bench::Mode;
+
+namespace {
+
+/// Fault schedule: exponential arrivals of mean mtbf_s[g] on group g's
+/// first rank (mtbf_s[g] <= 0: group g never fails), one substream of
+/// `seed` per group, stepped in whole nanoseconds up to the first arrival
+/// past `max_sim_s`.
+std::vector<sim::NodeEvent> group_faults(const group::GroupSet& groups,
+                                         const std::vector<double>& mtbf_s,
+                                         std::uint64_t seed,
+                                         double max_sim_s) {
+  std::vector<sim::NodeEvent> schedule;
+  const sim::Time end = sim::from_seconds(max_sim_s);
+  for (int g = 0; g < groups.num_groups(); ++g) {
+    const double mtbf = mtbf_s[static_cast<std::size_t>(g)];
+    if (mtbf <= 0) continue;
+    Rng rng(mix_seed(seed, 0xFA11 + static_cast<std::uint64_t>(g)));
+    sim::Time t = 0;
+    do {
+      t += sim::from_seconds(rng.next_exponential(mtbf));
+      schedule.push_back({sim::to_seconds(t), groups.members(g).front()});
+    } while (t <= end);
+  }
+  return schedule;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   Cli cli(argc, argv);
@@ -84,7 +112,11 @@ int main(int argc, char** argv) {
     cfg.per_group_intervals =
         schedules[static_cast<std::size_t>(point.get_int("schedule"))]
             .intervals;
-    cfg.random_failure_mtbf_s = mtbf;
+    cfg.fault_model.schedule =
+        group_faults(groups, mtbf, cfg.seed, cfg.max_sim_s);
+    if (!cfg.fault_model.schedule.empty()) {
+      cfg.fault_model.kind = sim::FaultModelKind::kTrace;
+    }
     return cfg;
   };
   sc.collect = [](const exp::SweepPoint&, const exp::ExperimentResult& res,

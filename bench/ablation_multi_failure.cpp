@@ -1,7 +1,8 @@
 // Ablation A5: protocol comparison under CONCURRENT failures — the regime
 // the paper's evaluation (single isolated group failures) never reaches.
 //
-// Sweeps the pluggable fault models (sim/faults.hpp) against NORM/GP/GP1:
+// Sweeps the pluggable fault models (sim/node_events.hpp) against
+// NORM/GP/GP1:
 //   exp      independent per-node exponential faults,
 //   weibull  bursty hazard (shape < 1, as measured in real HPC traces),
 //   burst    spatially correlated multi-node bursts (several groups down at
@@ -18,7 +19,7 @@
 // plus restores aborted by a re-failure.
 #include "apps/hpl.hpp"
 #include "bench_common.hpp"
-#include "sim/faults.hpp"
+#include "sim/node_events.hpp"
 
 using namespace gcr;
 using bench::Mode;
@@ -50,7 +51,7 @@ std::vector<sim::FaultModelKind> parse_kinds(const std::string& csv) {
 
 /// Built-in trace: two same-instant pair failures, a fault landing inside
 /// the previous recovery window, and a late isolated fault.
-std::vector<sim::FaultEvent> demo_schedule(int nranks) {
+std::vector<sim::NodeEvent> demo_schedule(int nranks) {
   const int q = nranks / 4;
   return {{60.0, 0},       {60.0, 2 * q},  {61.0, q},
           {130.0, 0},      {130.5, 1},     {200.0, 3 * q}};

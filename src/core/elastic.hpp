@@ -1,6 +1,6 @@
 // Traffic-affinity regroup planning for elastic membership (DESIGN.md §16).
 //
-// When churn changes the member set (src/sim/churn.hpp driven through the
+// When churn changes the member set (src/sim/node_events.hpp driven through the
 // RecoveryManager), the partition has to be re-derived: a drained rank is
 // split into a singleton before it departs, and a rejoining rank should land
 // in the group it actually communicates with — not wherever a static

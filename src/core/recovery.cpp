@@ -12,11 +12,11 @@
 namespace gcr::core {
 namespace {
 
-/// Stream-id namespace for FaultModel substreams, disjoint from the other
-/// cluster seed consumers (0x6A00+r protocol jitter, 0xFA11+g legacy
-/// failure streams) because it passes through mix_seed a second time.
+/// Stream-id namespace for fault-model substreams, disjoint from the other
+/// cluster seed consumers (0x6A00+r protocol jitter) because it passes
+/// through mix_seed a second time.
 constexpr std::uint64_t kFaultModelStreamBase = 0xFA17A11ULL;
-/// Same construction for ChurnModel substreams; the base differs so a run
+/// Same construction for churn-model substreams; the base differs so a run
 /// arming both models draws from disjoint streams.
 constexpr std::uint64_t kChurnModelStreamBase = 0xC4021EULL;
 
@@ -45,13 +45,6 @@ void RecoveryManager::fail_group_at(int group, sim::Time t) {
   rt_->engine().call_at(t, [this, rep] {
     fail_group_now(protocol_->groups().group_of(rep));
   });
-}
-
-void RecoveryManager::fail_node_now(int node) {
-  // One rank per node (mpi::Runtime's placement); nodes beyond the rank
-  // range (the driver node) have nothing to kill.
-  if (node < 0 || node >= rt_->nranks()) return;
-  fail_group_now(protocol_->groups().group_of(node));
 }
 
 void RecoveryManager::kill_members(int group) {
@@ -182,62 +175,67 @@ void RecoveryManager::on_restore_done(mpi::RankId rep) {
   maybe_start_restores();
 }
 
-void RecoveryManager::arm_random_failures(const std::vector<double>& mtbf_s) {
-  GCR_CHECK(static_cast<int>(mtbf_s.size()) ==
-            protocol_->groups().num_groups());
-  failure_rngs_.clear();
-  for (std::size_t g = 0; g < mtbf_s.size(); ++g) {
-    failure_rngs_.push_back(rt_->cluster().make_rng(
-        0xFA11 + static_cast<std::uint64_t>(g)));
-  }
-  for (std::size_t g = 0; g < mtbf_s.size(); ++g) {
-    if (mtbf_s[g] > 0) {
-      // The arrival STREAM stays keyed to the arming-time group index (so
-      // the legacy timeline is bit-identical); the TARGET is pinned to the
-      // representative rank, which stays meaningful across churn installs.
-      schedule_next_random_failure(
-          static_cast<int>(g),
-          protocol_->groups().members(static_cast<int>(g)).front(),
-          mtbf_s[g]);
-    }
-  }
-}
-
-void RecoveryManager::schedule_next_random_failure(int stream, mpi::RankId rep,
-                                                   double mtbf_s) {
-  const double wait =
-      failure_rngs_[static_cast<std::size_t>(stream)].next_exponential(mtbf_s);
-  rt_->engine().call_after(sim::from_seconds(wait),
-                           [this, stream, rep, mtbf_s] {
-    if (rt_->job_finished()) return;
-    fail_group_now(protocol_->groups().group_of(rep));
-    schedule_next_random_failure(stream, rep, mtbf_s);
-  });
-}
-
-void RecoveryManager::arm_fault_model(std::unique_ptr<sim::FaultModel> model) {
-  GCR_CHECK(model != nullptr);
+void RecoveryManager::arm_fault_model(
+    std::unique_ptr<sim::NodeEventModel> model) {
   GCR_CHECK_MSG(fault_model_ == nullptr, "a fault model is already armed");
-  fault_model_ = std::move(model);
-  const sim::Cluster* cluster = &rt_->cluster();
-  fault_model_->bind(rt_->nranks(), [cluster](std::uint64_t stream) {
-    return cluster->make_rng(mix_seed(kFaultModelStreamBase, stream));
-  });
-  schedule_next_model_event();
+  arm_model(fault_model_, std::move(model), kFaultModelStreamBase);
 }
 
-void RecoveryManager::schedule_next_model_event() {
-  const std::optional<sim::FaultEvent> ev = fault_model_->next();
+void RecoveryManager::arm_model(std::unique_ptr<sim::NodeEventModel>& slot,
+                                std::unique_ptr<sim::NodeEventModel> model,
+                                std::uint64_t stream_base) {
+  GCR_CHECK(model != nullptr);
+  slot = std::move(model);
+  const sim::Cluster* cluster = &rt_->cluster();
+  slot->bind(rt_->nranks(), [cluster, stream_base](std::uint64_t stream) {
+    return cluster->make_rng(mix_seed(stream_base, stream));
+  });
+  pump(*slot);
+}
+
+void RecoveryManager::pump(sim::NodeEventModel& model) {
+  const std::optional<sim::NodeEvent> ev = model.next();
   if (!ev.has_value()) return;
   GCR_CHECK(ev->at_s >= 0);
   // Clamp to now: a schedule may start before the arming time.
   const sim::Time at =
       std::max(sim::from_seconds(ev->at_s), rt_->engine().now());
-  rt_->engine().call_at(at, [this, node = ev->node] {
+  rt_->engine().call_at(at, [this, &model, e = *ev] {
     if (rt_->job_finished()) return;
-    fail_node_now(node);
-    schedule_next_model_event();
+    on_node_event(e);
+    pump(model);
   });
+}
+
+void RecoveryManager::on_node_event(const sim::NodeEvent& ev) {
+  // One rank per node (mpi::Runtime's placement); nodes beyond the rank
+  // range (the driver node) host nothing.
+  const mpi::RankId rank = ev.node;
+  if (rank < 0 || rank >= rt_->nranks()) return;
+  switch (ev.kind) {
+    case sim::NodeEventKind::kFault:
+      fail_group_now(protocol_->groups().group_of(rank));
+      return;
+    case sim::NodeEventKind::kDrain:
+      pending_departures_.insert(rank);
+      enqueue_churn_op({ChurnOp::Kind::kDrain, rank, 0});
+      return;
+    case sim::NodeEventKind::kReclaim: {
+      // The warning clock starts at the EVENT, not when the op reaches the
+      // head of the regroup queue — a busy queue genuinely eats notice.
+      const std::uint64_t token = ++next_reclaim_token_;
+      reclaim_pending_.insert(token);
+      rt_->engine().call_after(
+          sim::from_seconds(ev.warning_s),
+          [this, rank, token] { reclaim_deadline(rank, token); });
+      pending_departures_.insert(rank);
+      enqueue_churn_op({ChurnOp::Kind::kReclaim, rank, token});
+      return;
+    }
+    case sim::NodeEventKind::kJoin:
+      start_join(rank);
+      return;
+  }
 }
 
 void RecoveryManager::restart_all_at(sim::Time t) {
@@ -308,13 +306,11 @@ double RecoveryManager::availability(sim::Time end) const {
 
 // --- churn ------------------------------------------------------------------
 
-void RecoveryManager::arm_churn_model(std::unique_ptr<sim::ChurnModel> model,
-                                      const RegroupPlanner* planner,
-                                      ChurnOptions options) {
-  GCR_CHECK(model != nullptr);
+void RecoveryManager::arm_churn_model(
+    std::unique_ptr<sim::NodeEventModel> model, const RegroupPlanner* planner,
+    ChurnOptions options) {
   GCR_CHECK_MSG(churn_model_ == nullptr, "a churn model is already armed");
   GCR_CHECK(options.poll_s > 0 && options.retry_s > 0);
-  churn_model_ = std::move(model);
   planner_ = planner;
   churn_options_ = options;
   // Churn may refill groups to the configured partition's grain but never
@@ -324,50 +320,7 @@ void RecoveryManager::arm_churn_model(std::unique_ptr<sim::ChurnModel> model,
     churn_cap_ = std::max(
         churn_cap_, static_cast<int>(protocol_->groups().members(g).size()));
   }
-  const sim::Cluster* cluster = &rt_->cluster();
-  churn_model_->bind(rt_->nranks(), [cluster](std::uint64_t stream) {
-    return cluster->make_rng(mix_seed(kChurnModelStreamBase, stream));
-  });
-  schedule_next_churn_event();
-}
-
-void RecoveryManager::schedule_next_churn_event() {
-  const std::optional<sim::ChurnEvent> ev = churn_model_->next();
-  if (!ev.has_value()) return;
-  GCR_CHECK(ev->at_s >= 0);
-  const sim::Time at =
-      std::max(sim::from_seconds(ev->at_s), rt_->engine().now());
-  rt_->engine().call_at(at, [this, e = *ev] {
-    if (rt_->job_finished()) return;
-    on_churn_event(e);
-    schedule_next_churn_event();
-  });
-}
-
-void RecoveryManager::on_churn_event(const sim::ChurnEvent& ev) {
-  const mpi::RankId rank = ev.node;  // one rank per node
-  if (rank < 0 || rank >= rt_->nranks()) return;
-  switch (ev.kind) {
-    case sim::ChurnEventKind::kDrain:
-      pending_departures_.insert(rank);
-      enqueue_churn_op({ChurnOp::Kind::kDrain, rank, 0});
-      return;
-    case sim::ChurnEventKind::kReclaim: {
-      // The warning clock starts at the EVENT, not when the op reaches the
-      // head of the regroup queue — a busy queue genuinely eats notice.
-      const std::uint64_t token = ++next_reclaim_token_;
-      reclaim_pending_.insert(token);
-      rt_->engine().call_after(
-          sim::from_seconds(ev.warning_s),
-          [this, rank, token] { reclaim_deadline(rank, token); });
-      pending_departures_.insert(rank);
-      enqueue_churn_op({ChurnOp::Kind::kReclaim, rank, token});
-      return;
-    }
-    case sim::ChurnEventKind::kJoin:
-      start_join(rank);
-      return;
-  }
+  arm_model(churn_model_, std::move(model), kChurnModelStreamBase);
 }
 
 void RecoveryManager::enqueue_churn_op(ChurnOp op) {

@@ -8,10 +8,9 @@
 // procedure (volume exchange + replay). Non-failed groups keep running.
 //
 // Failures are injected either directly (fail_group_at; whole-app restart
-// via restart_all_at), through the legacy per-group exponential streams
-// (arm_random_failures), or through a pluggable node-level FaultModel
-// (sim/faults.hpp) whose node faults map to the group hosting that node's
-// rank.
+// via restart_all_at) or through a pluggable node-event fault model
+// (sim/node_events.hpp) whose node faults map to the group hosting that
+// node's rank.
 //
 // Concurrent failures are handled with a recovery QUEUE, not rejection:
 // a failure always kills its group immediately (the physical event is never
@@ -64,8 +63,7 @@
 #include "core/elastic.hpp"
 #include "core/group_protocol.hpp"
 #include "mpi/runtime.hpp"
-#include "sim/churn.hpp"
-#include "sim/faults.hpp"
+#include "sim/node_events.hpp"
 #include "util/assert.hpp"
 
 namespace gcr::core {
@@ -102,26 +100,20 @@ class RecoveryManager {
   /// the stored images) at time `t`.
   void restart_all_at(sim::Time t);
 
-  /// Arms random failures: group g fails with exponential inter-arrival
-  /// times of mean `mtbf_s[g]` (0 or negative = that group never fails),
-  /// drawn from a deterministic per-group substream of the cluster seed.
-  /// Arrivals continue until the job finishes. (Legacy group-level model;
-  /// kept bit-compatible. New work should use arm_fault_model.)
-  void arm_random_failures(const std::vector<double>& mtbf_s);
+  /// Arms a fault model (sim::make_fault_model): events are pulled one at
+  /// a time (so infinite renewal models are fine) and injected via the
+  /// node→group mapping until the job finishes or the model is exhausted.
+  /// The model is bound to this runtime's rank-bearing nodes and to
+  /// substreams of the cluster seed.
+  void arm_fault_model(std::unique_ptr<sim::NodeEventModel> model);
 
-  /// Arms a pluggable node-fault model: events are pulled one at a time
-  /// (so infinite renewal models are fine) and injected via the node→group
-  /// mapping until the job finishes or the model is exhausted. The model
-  /// is bound to this runtime's rank-bearing nodes and to substreams of
-  /// the cluster seed.
-  void arm_fault_model(std::unique_ptr<sim::FaultModel> model);
-
-  /// Arms a churn model (sim/churn.hpp): drains, spot reclaims and joins
-  /// are pulled and dispatched until the job finishes. `planner` (may be
-  /// null) picks merge targets for rejoining ranks; it must outlive the
-  /// run. Merges never grow a group past the largest group size at arming
-  /// time, so churn cannot coarsen the configured partition's grain.
-  void arm_churn_model(std::unique_ptr<sim::ChurnModel> model,
+  /// Arms a churn model (sim::make_churn_model) the same way: drains, spot
+  /// reclaims and joins are pulled and dispatched until the job finishes.
+  /// `planner` (may be null) picks merge targets for rejoining ranks; it
+  /// must outlive the run. Merges never grow a group past the largest group
+  /// size at arming time, so churn cannot coarsen the configured
+  /// partition's grain.
+  void arm_churn_model(std::unique_ptr<sim::NodeEventModel> model,
                        const RegroupPlanner* planner, ChurnOptions options);
 
   /// Failures that killed a live (or restoring) group.
@@ -191,7 +183,6 @@ class RecoveryManager {
   // re-resolved via group_of(rep) at execution. In static runs rep↔index
   // resolution is the identity, so the legacy timeline is bit-identical.
   void fail_group_now(int group);
-  void fail_node_now(int node);
   void kill_members(int group);
   /// The state slot of `group` in the current partition (GCR_CHECKed).
   GroupState& gstate(int group) {
@@ -208,13 +199,17 @@ class RecoveryManager {
   void restore_ranks(const std::vector<mpi::RankId>& ranks);
   /// Protocol callback: the group's restart preparation completed.
   void on_restore_done(mpi::RankId rep);
-  void schedule_next_random_failure(int stream, mpi::RankId rep,
-                                    double mtbf_s);
-  void schedule_next_model_event();
+  /// Binds `model` (stored in `slot`) to the rank-bearing nodes and to
+  /// substreams `stream_base` of the cluster seed, then starts pumping it.
+  void arm_model(std::unique_ptr<sim::NodeEventModel>& slot,
+                 std::unique_ptr<sim::NodeEventModel> model,
+                 std::uint64_t stream_base);
+  /// Pulls `model`'s next event and schedules its dispatch, which pulls
+  /// the one after: one event in flight per model.
+  void pump(sim::NodeEventModel& model);
+  void on_node_event(const sim::NodeEvent& ev);
 
   // --- churn driver ---
-  void schedule_next_churn_event();
-  void on_churn_event(const sim::ChurnEvent& ev);
   void enqueue_churn_op(ChurnOp op);
   void pump_churn_ops();
   void finish_churn_op();
@@ -268,10 +263,9 @@ class RecoveryManager {
   /// group).
   std::uint64_t restore_tokens_ = 0;
 
-  std::vector<gcr::Rng> failure_rngs_;  ///< legacy per-group arrival streams
-  std::unique_ptr<sim::FaultModel> fault_model_;
+  std::unique_ptr<sim::NodeEventModel> fault_model_;
 
-  std::unique_ptr<sim::ChurnModel> churn_model_;
+  std::unique_ptr<sim::NodeEventModel> churn_model_;
   const RegroupPlanner* planner_ = nullptr;
   ChurnOptions churn_options_;
   int churn_cap_ = 0;  ///< merge size cap: largest group at arming time

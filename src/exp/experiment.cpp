@@ -90,9 +90,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     for (const FailurePlan& f : config.failures) {
       recovery->fail_group_at(f.group, sim::from_seconds(f.at_s));
     }
-    if (!config.random_failure_mtbf_s.empty()) {
-      recovery->arm_random_failures(config.random_failure_mtbf_s);
-    }
     if (config.fault_model.kind != sim::FaultModelKind::kNone) {
       recovery->arm_fault_model(sim::make_fault_model(config.fault_model));
     }
@@ -111,7 +108,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     // Every group-protocol-only setting is refused rather than ignored.
     GCR_CHECK_MSG(config.failures.empty() && !config.restart_after_finish &&
                       config.fault_model.kind == sim::FaultModelKind::kNone &&
-                      config.random_failure_mtbf_s.empty() &&
                       config.per_group_intervals.empty() &&
                       config.churn.kind == sim::ChurnModelKind::kNone,
                   "VCL restart/failures/per-group intervals/churn are not "

@@ -104,17 +104,13 @@ struct ExperimentConfig {
 
   // Failure injection (group protocol only).
   std::vector<FailurePlan> failures;
-  // Non-empty: random failures, one MTBF per group (seconds; <=0 = group
-  // never fails), exponential arrivals until the job completes. (Legacy
-  // group-level model; prefer `fault_model`.)
-  std::vector<double> random_failure_mtbf_s;
-  // kind != kNone: pluggable node-fault model (sim/faults.hpp) — node
+  // kind != kNone: pluggable node-fault model (sim/node_events.hpp) — node
   // faults map to the group hosting that node's rank; concurrent failures
   // queue recoveries (core/recovery.hpp). Composable with `failures`.
   sim::FaultModelParams fault_model;
   core::RecoveryOptions recovery{};
-  // kind != kNone: planned churn (sim/churn.hpp) — drains, spot reclaims
-  // and rejoins drive the elastic regrouping state machines in
+  // kind != kNone: planned churn (sim/node_events.hpp) — drains, spot
+  // reclaims and rejoins drive the elastic regrouping state machines in
   // core/recovery.hpp, with merge targets picked by a traffic-affinity
   // RegroupPlanner. Group protocol only; composable with faults.
   sim::ChurnModelParams churn;

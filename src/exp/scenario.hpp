@@ -53,7 +53,7 @@ SweepAxis fault_kind_axis(const std::vector<sim::FaultModelKind>& kinds);
 sim::FaultModelKind fault_kind_at(const SweepPoint& point);
 
 /// Axis named "churn" over churn models (none vs drains vs spot vs rolling
-/// — sim/churn.hpp); values are the enum, so points round-trip through
+/// — sim/node_events.hpp); values are the enum, so points round-trip through
 /// `churn_kind_at`. Rates, outages and warning windows sweep as ordinary
 /// `reals` axes the bench folds into its ChurnModelParams.
 SweepAxis churn_kind_axis(const std::vector<sim::ChurnModelKind>& kinds);

@@ -11,7 +11,7 @@
 #include "core/scheduler.hpp"
 #include "exp/experiment.hpp"
 #include "group/strategies.hpp"
-#include "sim/churn.hpp"
+#include "sim/node_events.hpp"
 
 namespace gcr::exp {
 namespace {
@@ -48,8 +48,8 @@ TEST(ChurnTest, DrainIsNotAFailureAndRejoinsThroughMerge) {
   ExperimentConfig cfg = service_config();
   cfg.churn.kind = sim::ChurnModelKind::kTrace;
   cfg.churn.schedule = {
-      {2.0, 3, sim::ChurnEventKind::kDrain, 0.0},
-      {5.0, 3, sim::ChurnEventKind::kJoin, 0.0},
+      {2.0, 3, sim::NodeEventKind::kDrain, 0.0},
+      {5.0, 3, sim::NodeEventKind::kJoin, 0.0},
   };
   const ExperimentResult res = run_experiment(cfg);
   ASSERT_TRUE(res.finished);
@@ -80,8 +80,8 @@ TEST(ChurnTest, ReclaimWarningTriggersCheckpointBeforeKill) {
   cfg.checkpoints = false;
   cfg.churn.kind = sim::ChurnModelKind::kTrace;
   cfg.churn.schedule = {
-      {2.0, 5, sim::ChurnEventKind::kReclaim, 5.0},
-      {9.0, 5, sim::ChurnEventKind::kJoin, 0.0},
+      {2.0, 5, sim::NodeEventKind::kReclaim, 5.0},
+      {9.0, 5, sim::NodeEventKind::kJoin, 0.0},
   };
   const ExperimentResult res = run_experiment(cfg);
   ASSERT_TRUE(res.finished);
@@ -100,7 +100,7 @@ TEST(ChurnTest, ExpiredReclaimWarningForcesGroupFailure) {
   // 1 ms of notice cannot fit quiescence + commit: the node is lost and
   // the whole group fails through the ordinary failure path.
   cfg.churn.schedule = {
-      {2.0, 5, sim::ChurnEventKind::kReclaim, 0.001},
+      {2.0, 5, sim::NodeEventKind::kReclaim, 0.001},
   };
   const ExperimentResult res = run_experiment(cfg);
   ASSERT_TRUE(res.finished);
@@ -147,8 +147,8 @@ TEST(ChurnTest, JoinProducesALiveRankAdmittedIntoAGroup) {
   cfg.app = [sp](int n) { return apps::make_service(n, sp); };
   cfg.churn.kind = sim::ChurnModelKind::kTrace;
   cfg.churn.schedule = {
-      {2.0, 2, sim::ChurnEventKind::kDrain, 0.0},
-      {5.0, 2, sim::ChurnEventKind::kJoin, 0.0},
+      {2.0, 2, sim::NodeEventKind::kDrain, 0.0},
+      {5.0, 2, sim::NodeEventKind::kJoin, 0.0},
   };
   const ExperimentResult res = run_experiment(cfg);
   ASSERT_TRUE(res.finished);

@@ -24,8 +24,7 @@
 #include "apps/sp.hpp"
 #include "exp/experiment.hpp"
 #include "group/strategies.hpp"
-#include "sim/churn.hpp"
-#include "sim/faults.hpp"
+#include "sim/node_events.hpp"
 #include "util/rng.hpp"
 
 namespace gcr::exp {
@@ -293,20 +292,20 @@ ExperimentConfig churn_torture_config(std::uint64_t seed) {
       cfg.churn.kind = sim::ChurnModelKind::kTrace;
       const int k = 2 + static_cast<int>(rng.next_below(3));
       for (int i = 0; i < k; ++i) {
-        sim::ChurnEvent ev;
+        sim::NodeEvent ev;
         ev.at_s = 0.3 + rng.next_double() * 0.7 * horizon;
         ev.node = static_cast<int>(rng.next_below(8));
         double down_at = ev.at_s;
         if (rng.next_below(2) == 0) {
-          ev.kind = sim::ChurnEventKind::kReclaim;
+          ev.kind = sim::NodeEventKind::kReclaim;
           ev.warning_s = 0.2 + rng.next_double() * 1.0;
           down_at += ev.warning_s;
         } else {
-          ev.kind = sim::ChurnEventKind::kDrain;
+          ev.kind = sim::NodeEventKind::kDrain;
         }
         cfg.churn.schedule.push_back(ev);
         cfg.churn.schedule.push_back({down_at + 0.4 + rng.next_double() * 0.8,
-                                      ev.node, sim::ChurnEventKind::kJoin,
+                                      ev.node, sim::NodeEventKind::kJoin,
                                       0.0});
       }
       break;

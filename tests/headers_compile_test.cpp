@@ -34,10 +34,10 @@
 #include "sim/cluster.hpp"
 #include "sim/co.hpp"
 #include "sim/engine.hpp"
-#include "sim/faults.hpp"
 #include "sim/frame_pool.hpp"
 #include "sim/jitter.hpp"
 #include "sim/network.hpp"
+#include "sim/node_events.hpp"
 #include "sim/smallfn.hpp"
 #include "sim/storage.hpp"
 #include "sim/time.hpp"

@@ -8,9 +8,29 @@
 #include "core/interval.hpp"
 #include "exp/experiment.hpp"
 #include "group/strategies.hpp"
+#include "sim/node_events.hpp"
 
 namespace gcr::core {
 namespace {
+
+/// A trace fault model with exponential arrivals of mean mtbf_s[g] on group
+/// g's first rank (0 = group g never fails), drawn from a per-group
+/// substream of `cfg.seed` until one arrival past `cfg.max_sim_s`.
+sim::FaultModelParams flaky_groups(const exp::ExperimentConfig& cfg,
+                                   const std::vector<double>& mtbf_s) {
+  sim::FaultModelParams faults;
+  faults.kind = sim::FaultModelKind::kTrace;
+  for (std::size_t g = 0; g < mtbf_s.size(); ++g) {
+    if (mtbf_s[g] <= 0) continue;
+    Rng rng(mix_seed(cfg.seed, 0xFA11 + g));
+    const int node = cfg.groups->members(static_cast<int>(g)).front();
+    for (sim::Time t = 0; t <= sim::from_seconds(cfg.max_sim_s);) {
+      t += sim::from_seconds(rng.next_exponential(mtbf_s[g]));
+      faults.schedule.push_back({sim::to_seconds(t), node});
+    }
+  }
+  return faults;
+}
 
 TEST(Interval, YoungFormula) {
   EXPECT_DOUBLE_EQ(young_interval(2.0, 3600.0), std::sqrt(2 * 2.0 * 3600.0));
@@ -127,7 +147,7 @@ TEST(Interval, RandomFailuresAreDeterministicPerSeed) {
     cfg.checkpoints = true;
     cfg.schedule.first_at_s = 0.1;
     cfg.schedule.interval_s = 0.2;
-    cfg.random_failure_mtbf_s = {1.5, 0.0, 0.0};  // only group 0 is flaky
+    cfg.fault_model = flaky_groups(cfg, {1.5, 0.0, 0.0});  // only group 0
     cfg.recovery.detect_s = 0.1;
     cfg.recovery.relaunch_s = 0.1;
     return exp::run_experiment(cfg);
@@ -152,7 +172,7 @@ TEST(Interval, FlakyGroupSurvivesRandomStorm) {
   cfg.checkpoints = true;
   cfg.schedule.first_at_s = 0.1;
   cfg.schedule.interval_s = 0.15;
-  cfg.random_failure_mtbf_s = {1.0, 2.0, 0.0, 0.0};
+  cfg.fault_model = flaky_groups(cfg, {1.0, 2.0, 0.0, 0.0});
   cfg.recovery.detect_s = 0.1;
   cfg.recovery.relaunch_s = 0.1;
   exp::ExperimentResult res = exp::run_experiment(cfg);

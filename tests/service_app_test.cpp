@@ -8,7 +8,7 @@
 #include "apps/service.hpp"
 #include "exp/experiment.hpp"
 #include "group/strategies.hpp"
-#include "sim/churn.hpp"
+#include "sim/node_events.hpp"
 
 namespace gcr::exp {
 namespace {

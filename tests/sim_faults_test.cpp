@@ -1,4 +1,4 @@
-// Unit tests for the pluggable fault models (sim/faults.hpp): stream
+// Unit tests for the pluggable fault models (sim/node_events.hpp): stream
 // determinism, nondecreasing event order, distribution sanity, burst
 // adjacency, and the trace parser.
 #include <gtest/gtest.h>
@@ -6,7 +6,7 @@
 #include <map>
 #include <sstream>
 
-#include "sim/faults.hpp"
+#include "sim/node_events.hpp"
 #include "util/rng.hpp"
 
 namespace gcr::sim {
@@ -16,8 +16,8 @@ std::function<Rng(std::uint64_t)> rng_factory(std::uint64_t seed) {
   return [seed](std::uint64_t stream) { return Rng(mix_seed(seed, stream)); };
 }
 
-std::vector<FaultEvent> draw(FaultModel& model, int count) {
-  std::vector<FaultEvent> events;
+std::vector<NodeEvent> draw(NodeEventModel& model, int count) {
+  std::vector<NodeEvent> events;
   for (int i = 0; i < count; ++i) {
     auto ev = model.next();
     if (!ev.has_value()) break;
@@ -102,7 +102,7 @@ TEST(FaultModels, BurstKillsAdjacentNodesWithinSpread) {
   const auto events = draw(*m, 400);
   // Group events into bursts by time gaps larger than the spread window.
   bool saw_multi_node_burst = false;
-  std::vector<FaultEvent> burst;
+  std::vector<NodeEvent> burst;
   auto check_burst = [&] {
     if (burst.size() < 2) return;
     saw_multi_node_burst = true;

@@ -120,7 +120,7 @@ TEST(VclDeathTest, RestartRefused) {
   EXPECT_DEATH((void)run_experiment(cfg), "not supported");
   // Group-protocol-only settings are refused too, never silently ignored.
   cfg = vcl_config(4);
-  cfg.random_failure_mtbf_s = {0.05};
+  cfg.fault_model.kind = sim::FaultModelKind::kExponential;
   EXPECT_DEATH((void)run_experiment(cfg), "not supported");
   cfg = vcl_config(4);
   cfg.per_group_intervals = {0.01};
