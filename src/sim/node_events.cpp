@@ -227,7 +227,7 @@ class ReplayModel : public NodeEventModel {
 };
 
 /// A ReplayModel of `schedule`, which must be non-empty and hold only
-/// faults (`faults`) or only churn events (otherwise).
+/// faults without a warning (`faults`) or only churn events (otherwise).
 std::unique_ptr<NodeEventModel> make_replay(std::vector<NodeEvent> schedule,
                                             bool faults) {
   GCR_CHECK_MSG(!schedule.empty(),
@@ -235,8 +235,10 @@ std::unique_ptr<NodeEventModel> make_replay(std::vector<NodeEvent> schedule,
                          "given and no trace_path set?)"
                        : "churn model: trace schedule is empty");
   for (const NodeEvent& ev : schedule) {
-    GCR_CHECK_MSG((ev.kind == NodeEventKind::kFault) == faults,
-                  faults ? "fault model: trace schedule holds a churn event"
+    const bool fault = ev.kind == NodeEventKind::kFault;
+    GCR_CHECK_MSG(fault == faults && (!fault || ev.warning_s == 0),
+                  faults ? "fault model: trace schedule holds a churn event "
+                           "or a warning"
                          : "churn model: trace schedule holds a fault event");
   }
   return std::make_unique<ReplayModel>(std::move(schedule));

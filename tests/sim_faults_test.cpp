@@ -277,11 +277,13 @@ TEST(FaultModelsDeathTest, TraceFileMustExist) {
 
 TEST(FaultModelsDeathTest, ScheduleHoldsOnlyItsModelsKinds) {
   // The fault and churn models share one event record; neither accepts the
-  // other's events.
+  // other's events, and a fault takes no warning.
   FaultModelParams faults;
   faults.kind = FaultModelKind::kTrace;
   faults.schedule = {{1.0, 0}, {2.0, 1, NodeEventKind::kDrain}};
   EXPECT_DEATH((void)make_fault_model(faults), "holds a churn event");
+  faults.schedule = {{1.0, 0}, {2.0, 1, NodeEventKind::kFault, 5.0}};
+  EXPECT_DEATH((void)make_fault_model(faults), "or a warning");
   ChurnModelParams churn;
   churn.kind = ChurnModelKind::kTrace;
   churn.schedule = {{1.0, 0, NodeEventKind::kDrain}, {2.0, 0}};
