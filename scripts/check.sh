@@ -25,9 +25,10 @@ cmake -B build -S . -DGCR_BUILD_BENCH=ON && cmake --build build -j && cd build &
 ./churn_test
 ./service_app_test
 # Explicit golden gate (also the golden_equivalence ctest): fig05, fig13,
-# the routed-fabric scale sweep, the storage-tier ablation and the elastic
-# churn grid must match the committed goldens byte-for-byte.
+# the routed-fabric scale sweep, the storage-tier ablation, the elastic
+# churn grid and the per-group interval ablation must match the committed
+# goldens byte-for-byte.
 sh ../scripts/check_golden_equivalence.sh \
   bench/fig05_execution_time bench/fig13_scale_vcl \
   bench/fig_scale_extrapolation bench/ablation_storage_tiers \
-  bench/ablation_elastic ../tests/golden
+  bench/ablation_elastic bench/ablation_intervals ../tests/golden
