@@ -479,14 +479,13 @@ sim::Co<bool> GroupProtocol::wait_event(mpi::Rank& rank, std::uint64_t epoch,
   }
 }
 
-sim::Co<bool> GroupProtocol::group_barrier(mpi::Rank& rank,
-                                           std::uint64_t epoch, int phase) {
-  const int g = groups_.group_of(rank.id());
-  const auto& members = groups_.members(g);
+sim::Co<bool> GroupProtocol::group_barrier(
+    mpi::Rank& rank, const std::vector<mpi::RankId>& members,
+    std::uint64_t epoch, int phase) {
   if (members.size() == 1) co_return true;
   RankState& st = state(rank);
   const std::uint64_t key = barrier_key(epoch, phase);
-  if (is_leader(rank)) {
+  if (members.front() == rank.id()) {
     const int needed = static_cast<int>(members.size()) - 1;
     const bool ok = co_await wait_event(rank, epoch, [&st, key, needed] {
       auto it = st.barrier_acks.find(key);
@@ -505,7 +504,7 @@ sim::Co<bool> GroupProtocol::group_barrier(mpi::Rank& rank,
   mpi::Message ack;
   ack.ctrl = mpi::CtrlKind::kBarrierAck;
   ack.ctrl_data = {static_cast<std::int64_t>(epoch), phase};
-  rt_->send_ctrl(rank.id(), leader_of(g), ack);
+  rt_->send_ctrl(rank.id(), members.front(), ack);
   const bool ok = co_await wait_event(
       rank, epoch, [&st, key] { return st.barrier_go.count(key) > 0; });
   st.barrier_go.erase(key);
@@ -531,8 +530,10 @@ sim::Co<void> GroupProtocol::at_safepoint(mpi::Rank& rank) {
 sim::Co<void> GroupProtocol::run_group_checkpoint(mpi::Rank& rank) {
   RankState& st = state(rank);
   const std::uint64_t epoch = st.commit_epoch;
-  const int g = groups_.group_of(rank.id());
-  const auto& members = groups_.members(g);
+  // By value: the round suspends, and a regroup elsewhere may replace the
+  // GroupSet meanwhile (this group itself is never regrouped mid-round).
+  const std::vector<mpi::RankId> members =
+      groups_.members(groups_.group_of(rank.id()));
   sim::Engine& eng = rt_->engine();
 
   const sim::Time t_signal = st.signal_at;
@@ -591,7 +592,7 @@ sim::Co<void> GroupProtocol::run_group_checkpoint(mpi::Rank& rank) {
   });
   st.bookmark_wait_active = false;
   std::fill(st.bookmark_met.begin(), st.bookmark_met.end(), 0);
-  if (ok) ok = co_await group_barrier(rank, epoch, 0);
+  if (ok) ok = co_await group_barrier(rank, members, epoch, 0);
   const sim::Time t_coordinated = eng.now();
 
   if (ok) {
@@ -617,7 +618,7 @@ sim::Co<void> GroupProtocol::run_group_checkpoint(mpi::Rank& rank) {
     const sim::Time t_image = eng.now();
 
     // ---- finalize: wait for the whole group, commit, resume ----
-    const bool committed = co_await group_barrier(rank, epoch, 1);
+    const bool committed = co_await group_barrier(rank, members, epoch, 1);
     if (committed && is_leader(rank)) {
       // The leader's barrier path has no suspension between the last ack
       // and this point: every member has written and staged, and the whole
@@ -769,7 +770,9 @@ sim::Co<void> GroupProtocol::run_restore(mpi::Rank& rank) {
                       [&st] { return st.exchange_pending.empty(); });
 
   // Wait until all group members finish preparing the restart.
-  co_await group_barrier(rank, repoch, 2);
+  const std::vector<mpi::RankId> members =
+      groups_.members(groups_.group_of(rank.id()));
+  co_await group_barrier(rank, members, repoch, 2);
 
   rank.resume_gate().fire();
   st.restoring = false;
@@ -782,8 +785,9 @@ sim::Co<void> GroupProtocol::run_restore(mpi::Rank& rank) {
   rec.exchange_s = sim::to_seconds(eng.now() - t_loaded);
   metrics_->restarts.push_back(rec);
 
-  const int g = groups_.group_of(rank.id());
-  if (restore_done_ && !group_restarting(g)) restore_done_(g);
+  if (restore_done_ && !group_restarting(groups_.group_of(rank.id()))) {
+    restore_done_(rank.id());
+  }
 }
 
 sim::Co<void> GroupProtocol::serve_exchange(mpi::Rank& rank,
@@ -847,8 +851,6 @@ bool GroupProtocol::quiescent_for_regroup(
 
 void GroupProtocol::install_groups(group::GroupSet next) {
   GCR_CHECK(next.nranks() == groups_.nranks());
-  retired_groups_.push_back(
-      std::make_unique<group::GroupSet>(std::move(groups_)));
   groups_ = std::move(next);
   transition_.reset();
 }
@@ -866,10 +868,11 @@ void GroupProtocol::add_transitional_logging(
 
 // ------------------------------------------------------------------- driver
 
-void GroupProtocol::request_group_checkpoint(int group) {
+void GroupProtocol::request_checkpoint(mpi::RankId leader) {
+  if (leader_of(groups_.group_of(leader)) != leader) return;
   mpi::Message req;
   req.ctrl = mpi::CtrlKind::kCkptRequest;
-  rt_->send_ctrl_from_driver(leader_of(group), req);
+  rt_->send_ctrl_from_driver(leader, req);
 }
 
 bool GroupProtocol::group_restarting(int group) const {

@@ -72,12 +72,11 @@ class GroupProtocol : public mpi::Interposer {
   void rank_killed(mpi::Rank& rank) override;
 
   // ---- driver API (the mpirun side) ----
-  /// Injects a checkpoint request for one group: a control message from the
-  /// driver node to the group leader, which then runs prepare/commit.
-  void request_group_checkpoint(int group);
-
-  /// True while the group is restarting (exchange phase).
-  bool group_restarting(int group) const;
+  /// Injects a checkpoint request for the group `leader` leads: a control
+  /// message from the driver node to that rank, which then runs
+  /// prepare/commit. Sends nothing when `leader` leads no group (a request
+  /// deferred across an elastic regroup that made it a follower).
+  void request_checkpoint(mpi::RankId leader);
 
   // ---- recovery API ----
   /// Before respawn_rank: marks the rank as restoring and installs the
@@ -89,11 +88,12 @@ class GroupProtocol : public mpi::Interposer {
   void stage_restore(mpi::Rank& rank, const ckpt::StoredCheckpoint* image,
                      std::uint64_t restore_token);
 
-  /// Invoked (synchronously, from the last member's restore coroutine)
-  /// when a whole group finishes restart preparation. The recovery manager
-  /// uses it to free the group's restore slot; an aborted restore never
-  /// fires it (the coroutines die with the re-killed ranks).
-  void set_restore_done_callback(std::function<void(int group)> fn) {
+  /// Invoked (synchronously, from the last member's restore coroutine, with
+  /// that member's rank) when a whole group finishes restart preparation.
+  /// The recovery manager uses it to free the group's restore slot; an
+  /// aborted restore never fires it (the coroutines die with the re-killed
+  /// ranks).
+  void set_restore_done_callback(std::function<void(mpi::RankId)> fn) {
     restore_done_ = std::move(fn);
   }
 
@@ -122,9 +122,9 @@ class GroupProtocol : public mpi::Interposer {
   /// changes.
   bool quiescent_for_regroup(const std::vector<mpi::RankId>& ranks);
 
-  /// Replaces the current grouping. The old GroupSet is retired, not
-  /// destroyed — suspended checkpoint coroutines of unaffected groups hold
-  /// references into its member vectors.
+  /// Replaces the current grouping (and closes any open transition). Group
+  /// indices renumber; coroutines suspended across the install hold their
+  /// member lists by value.
   void install_groups(group::GroupSet next);
 
   /// Marks every (a,b) pair with a in `a` and b in `b` for continued
@@ -217,17 +217,21 @@ class GroupProtocol : public mpi::Interposer {
   bool is_leader(const mpi::Rank& rank) const {
     return leader_of(groups_.group_of(rank.id())) == rank.id();
   }
+  /// True while the group is restarting (exchange phase).
+  bool group_restarting(int group) const;
 
   sim::Co<void> daemon_loop(mpi::Rank& rank);
   sim::Co<void> handle_ctrl(mpi::Rank& rank, mpi::Message msg);
-  sim::Co<void> run_prepare_round(mpi::Rank& leader);
   sim::Co<void> run_group_checkpoint(mpi::Rank& rank);
   sim::Co<void> run_restore(mpi::Rank& rank);
   sim::Co<void> serve_exchange(mpi::Rank& rank, mpi::Message msg);
   sim::Co<void> replay_to(mpi::Rank& rank, mpi::RankId peer,
                           std::int64_t after);
-  /// In-group barrier via leader (ack/go). Returns false if epoch aborted.
-  sim::Co<bool> group_barrier(mpi::Rank& rank, std::uint64_t epoch, int phase);
+  /// In-group barrier via the leader, `members.front()` (ack/go). Returns
+  /// false if the epoch aborted.
+  sim::Co<bool> group_barrier(mpi::Rank& rank,
+                              const std::vector<mpi::RankId>& members,
+                              std::uint64_t epoch, int phase);
   /// Waits until pred() or the epoch aborts; returns !aborted.
   sim::Co<bool> wait_event(mpi::Rank& rank, std::uint64_t epoch,
                            const std::function<bool()>& pred);
@@ -247,17 +251,12 @@ class GroupProtocol : public mpi::Interposer {
   /// Pending split grouping while a drain transition is open (see
   /// begin_transition); nullopt almost always.
   std::optional<group::GroupSet> transition_;
-  /// Superseded groupings, kept alive because suspended checkpoint
-  /// coroutines of unaffected groups hold `const auto&` references into
-  /// their member vectors. GroupSet's move ctor moves the inner vectors'
-  /// buffers, so those references stay valid across retirement.
-  std::vector<std::unique_ptr<group::GroupSet>> retired_groups_;
   ckpt::Checkpointer* checkpointer_;
   ckpt::ImageRegistry* registry_;
   ImageSizeFn image_bytes_;
   Metrics* metrics_;
   GroupProtocolOptions options_;
-  std::function<void(int group)> restore_done_;
+  std::function<void(mpi::RankId)> restore_done_;
   std::vector<std::unique_ptr<RankState>> states_;
 };
 

@@ -1,7 +1,6 @@
 #include "core/recovery.hpp"
 
 #include <algorithm>
-#include <map>
 #include <string>
 #include <utility>
 
@@ -29,28 +28,27 @@ RecoveryManager::RecoveryManager(mpi::Runtime& rt, GroupProtocol& protocol,
     : rt_(&rt), protocol_(&protocol), registry_(&registry),
       checkpointer_(&checkpointer), options_(options) {
   GCR_CHECK(options_.max_concurrent_restores >= 1);
-  const std::size_t ngroups =
-      static_cast<std::size_t>(protocol.groups().num_groups());
-  gstate_.assign(ngroups, GroupState::kAlive);
-  down_since_.assign(static_cast<std::size_t>(rt.nranks()), sim::Time{-1});
-  protocol_->set_restore_done_callback([this](int group) {
-    on_restore_done(protocol_->groups().members(group).front());
-  });
+  books_.resize(static_cast<std::size_t>(rt.nranks()));
+  protocol_->set_restore_done_callback(
+      [this](mpi::RankId rank) { on_restore_done(rank); });
 }
 
 void RecoveryManager::fail_group_at(int group, sim::Time t) {
-  // Pin the group to its representative rank NOW: churn may renumber the
-  // partition before t arrives; in static runs the resolution is identity.
+  // Pin the group to its first rank NOW: churn may renumber the partition
+  // before t arrives.
   const mpi::RankId rep = protocol_->groups().members(group).front();
-  rt_->engine().call_at(t, [this, rep] {
-    fail_group_now(protocol_->groups().group_of(rep));
-  });
+  rt_->engine().call_at(t, [this, rep] { fail_group_of(rep); });
 }
 
-void RecoveryManager::kill_members(int group) {
-  const auto& members = protocol_->groups().members(group);
-  GCR_INFO("injecting failure of group %d (%zu ranks) at t=%.3fs", group,
-           members.size(), sim::to_seconds(rt_->engine().now()));
+void RecoveryManager::set_state(const std::vector<mpi::RankId>& members,
+                                GroupState state) {
+  for (mpi::RankId m : members) books(m).state = state;
+}
+
+void RecoveryManager::kill_members(const std::vector<mpi::RankId>& members) {
+  GCR_INFO("injecting failure of the group of rank %d (%zu ranks) at t=%.3fs",
+           members.front(), members.size(),
+           sim::to_seconds(rt_->engine().now()));
   for (mpi::RankId r : members) {
     rt_->kill_rank(rt_->rank(r));
     // A FAULT takes the node's staging buffer with it; the member's next
@@ -60,10 +58,11 @@ void RecoveryManager::kill_members(int group) {
   }
 }
 
-void RecoveryManager::fail_group_now(int group) {
+void RecoveryManager::fail_group_of(mpi::RankId rank) {
   if (rt_->job_finished()) return;
-  auto& st = gstate(group);
-  switch (st) {
+  const std::vector<mpi::RankId>& members = members_of(rank);
+  RankBooks& b = books(rank);
+  switch (b.state) {
     case GroupState::kDown:
       // The group is already dead and queued; a node cannot die twice.
       // (Covers a node mid-rejoin-relaunch too: it is not up yet.)
@@ -79,17 +78,16 @@ void RecoveryManager::fail_group_now(int group) {
       // its completion callback never fires) and queue a fresh recovery.
       // If the restore was a REJOIN, the join is the casualty — the fresh
       // recovery is an ordinary one, so the failure books stay balanced.
-      const mpi::RankId rep = protocol_->groups().members(group).front();
       ++failures_;
-      if (rejoining_.erase(rep) > 0) {
+      if (std::exchange(b.rejoining, false)) {
         ++joins_aborted_;
       } else {
         ++aborted_;
       }
       --restores_in_flight_;
-      kill_members(group);
-      st = GroupState::kDown;
-      enqueue_restore(rep);
+      kill_members(members);
+      set_state(members, GroupState::kDown);
+      enqueue_restore(rank);
       maybe_start_restores();  // the aborted restore freed a slot
       return;
     }
@@ -102,7 +100,6 @@ void RecoveryManager::fail_group_now(int group) {
       // is mid-checkpoint — the round dies with the processes and the
       // group's staged images are discarded (rank_killed), so restore sees
       // the previous epoch.
-      const auto& members = protocol_->groups().members(group);
       bool all_finished = true;
       for (mpi::RankId r : members) {
         if (!rt_->rank(r).finished()) {
@@ -111,12 +108,11 @@ void RecoveryManager::fail_group_now(int group) {
         }
       }
       if (all_finished) return;
-      const mpi::RankId rep = members.front();
-      kill_members(group);
+      kill_members(members);
       ++failures_;
-      st = GroupState::kDown;
+      set_state(members, GroupState::kDown);
       mark_down(members, rt_->engine().now());
-      enqueue_restore(rep);
+      enqueue_restore(rank);
       maybe_start_restores();
       return;
     }
@@ -146,28 +142,29 @@ void RecoveryManager::maybe_start_restores() {
 }
 
 void RecoveryManager::start_restore(mpi::RankId rep) {
-  const int group = protocol_->groups().group_of(rep);
-  gstate(group) = GroupState::kRestoring;
+  const std::vector<mpi::RankId>& members = members_of(rep);
+  set_state(members, GroupState::kRestoring);
   ++restores_in_flight_;
-  restore_ranks(protocol_->groups().members(group));
+  restore_ranks(members);
 }
 
-void RecoveryManager::on_restore_done(mpi::RankId rep) {
-  const int group = protocol_->groups().group_of(rep);
+void RecoveryManager::on_restore_done(mpi::RankId rank) {
+  RankBooks& b = books(rank);
   // Whole-application restarts (restart_all_at) also run the restore path
   // but never enter the queue; ignore their completions.
-  if (gstate(group) != GroupState::kRestoring) {
+  if (b.state != GroupState::kRestoring) {
     return;
   }
-  gstate(group) = GroupState::kAlive;
-  mark_up(protocol_->groups().members(group), rt_->engine().now());
+  const std::vector<mpi::RankId>& members = members_of(rank);
+  set_state(members, GroupState::kAlive);
+  mark_up(members, rt_->engine().now());
   --restores_in_flight_;
-  if (rejoining_.erase(rep) > 0) {
+  if (std::exchange(b.rejoining, false)) {
     ++joins_completed_;
-    GCR_INFO("churn: rank %d rejoined at t=%.3fs", rep,
+    GCR_INFO("churn: rank %d rejoined at t=%.3fs", rank,
              sim::to_seconds(rt_->engine().now()));
     if (planner_ != nullptr) {
-      enqueue_churn_op({ChurnOp::Kind::kMerge, rep, 0});
+      enqueue_churn_op({ChurnOp::Kind::kMerge, rank, 0});
     }
   } else {
     ++completed_;
@@ -214,10 +211,10 @@ void RecoveryManager::on_node_event(const sim::NodeEvent& ev) {
   if (rank < 0 || rank >= rt_->nranks()) return;
   switch (ev.kind) {
     case sim::NodeEventKind::kFault:
-      fail_group_now(protocol_->groups().group_of(rank));
+      fail_group_of(rank);
       return;
     case sim::NodeEventKind::kDrain:
-      pending_departures_.insert(rank);
+      ++books(rank).pending_departures;
       enqueue_churn_op({ChurnOp::Kind::kDrain, rank, 0});
       return;
     case sim::NodeEventKind::kReclaim: {
@@ -228,7 +225,7 @@ void RecoveryManager::on_node_event(const sim::NodeEvent& ev) {
       rt_->engine().call_after(
           sim::from_seconds(ev.warning_s),
           [this, rank, token] { reclaim_deadline(rank, token); });
-      pending_departures_.insert(rank);
+      ++books(rank).pending_departures;
       enqueue_churn_op({ChurnOp::Kind::kReclaim, rank, token});
       return;
     }
@@ -277,7 +274,7 @@ void RecoveryManager::restore_ranks(const std::vector<mpi::RankId>& ranks) {
 void RecoveryManager::mark_down(const std::vector<mpi::RankId>& ranks,
                                 sim::Time at) {
   for (mpi::RankId r : ranks) {
-    sim::Time& since = down_since_[static_cast<std::size_t>(r)];
+    sim::Time& since = books(r).down_since;
     if (since < 0) since = at;
   }
 }
@@ -285,7 +282,7 @@ void RecoveryManager::mark_down(const std::vector<mpi::RankId>& ranks,
 void RecoveryManager::mark_up(const std::vector<mpi::RankId>& ranks,
                               sim::Time at) {
   for (mpi::RankId r : ranks) {
-    sim::Time& since = down_since_[static_cast<std::size_t>(r)];
+    sim::Time& since = books(r).down_since;
     if (since >= 0) {
       downtime_ += at - since;
       since = -1;
@@ -296,8 +293,8 @@ void RecoveryManager::mark_up(const std::vector<mpi::RankId>& ranks,
 double RecoveryManager::availability(sim::Time end) const {
   if (end <= 0) return 1.0;
   sim::Time down = downtime_;
-  for (sim::Time since : down_since_) {
-    if (since >= 0 && since < end) down += end - since;
+  for (const RankBooks& b : books_) {
+    if (b.down_since >= 0 && b.down_since < end) down += end - b.down_since;
   }
   const double total =
       sim::to_seconds(end) * static_cast<double>(rt_->nranks());
@@ -316,10 +313,7 @@ void RecoveryManager::arm_churn_model(
   // Churn may refill groups to the configured partition's grain but never
   // grow one past it (GP1 stays fully uncoordinated: cap 1 means no merge
   // target ever qualifies).
-  for (int g = 0; g < protocol_->groups().num_groups(); ++g) {
-    churn_cap_ = std::max(
-        churn_cap_, static_cast<int>(protocol_->groups().members(g).size()));
-  }
+  churn_cap_ = static_cast<int>(protocol_->groups().largest_group_size());
   arm_model(churn_model_, std::move(model), kChurnModelStreamBase);
 }
 
@@ -333,22 +327,18 @@ void RecoveryManager::pump_churn_ops() {
   const ChurnOp op = churn_ops_.front();
   churn_ops_.pop_front();
   churn_op_active_ = true;
-  std::erase_if(churn_procs_, [](const sim::ProcPtr& p) {
-    return p == nullptr || !p->alive();
-  });
   sim::Engine& eng = rt_->engine();
   switch (op.kind) {
     case ChurnOp::Kind::kDrain:
-      churn_procs_.push_back(eng.spawn("drain" + std::to_string(op.rank),
-                                       run_drain_op(op.rank, true, 0)));
+      eng.spawn("drain" + std::to_string(op.rank),
+                run_drain_op(op.rank, true, 0));
       return;
     case ChurnOp::Kind::kReclaim:
-      churn_procs_.push_back(eng.spawn("reclaim" + std::to_string(op.rank),
-                                       run_drain_op(op.rank, false, op.token)));
+      eng.spawn("reclaim" + std::to_string(op.rank),
+                run_drain_op(op.rank, false, op.token));
       return;
     case ChurnOp::Kind::kMerge:
-      churn_procs_.push_back(eng.spawn("merge" + std::to_string(op.rank),
-                                       run_merge_op(op.rank)));
+      eng.spawn("merge" + std::to_string(op.rank), run_merge_op(op.rank));
       return;
   }
 }
@@ -365,18 +355,17 @@ sim::Co<void> RecoveryManager::run_drain_op(mpi::RankId rank, bool voluntary,
   sim::Engine& eng = rt_->engine();
   const sim::Time poll = sim::from_seconds(churn_options_.poll_s);
   const sim::Time retry = sim::from_seconds(churn_options_.retry_s);
+  // A reclaim whose token is gone has lost to its deadline.
+  const auto lost = [this, token] {
+    return token != 0 && reclaim_pending_.count(token) == 0;
+  };
   bool done = false;
   while (!done) {
-    if (rt_->job_finished() ||
-        (token != 0 && churn_cancelled_.count(token) != 0)) {
-      break;
-    }
-    const group::GroupSet& gs = protocol_->groups();
-    const int g = gs.group_of(rank);
+    if (rt_->job_finished() || lost()) break;
     // A group with a finished member cannot checkpoint again (rounds abort
     // on finished ranks); the node lingers until the job ends.
     bool finished = false;
-    for (mpi::RankId m : gs.members(g)) {
+    for (mpi::RankId m : members_of(rank)) {
       if (rt_->rank(m).finished()) {
         finished = true;
         break;
@@ -386,8 +375,8 @@ sim::Co<void> RecoveryManager::run_drain_op(mpi::RankId rank, bool voluntary,
       ++churn_absorbed_;
       break;
     }
-    if (gstate(g) != GroupState::kAlive) {
-      if (gstate(g) == GroupState::kDeparted) {
+    if (books(rank).state != GroupState::kAlive) {
+      if (books(rank).state == GroupState::kDeparted) {
         ++churn_absorbed_;  // already gone (duplicate drain)
         break;
       }
@@ -396,7 +385,7 @@ sim::Co<void> RecoveryManager::run_drain_op(mpi::RankId rank, bool voluntary,
       co_await sim::delay(eng, retry);
       continue;
     }
-    if (!protocol_->quiescent_for_regroup(gs.members(g))) {
+    if (!protocol_->quiescent_for_regroup(members_of(rank))) {
       co_await sim::delay(eng, poll);
       continue;
     }
@@ -404,36 +393,38 @@ sim::Co<void> RecoveryManager::run_drain_op(mpi::RankId rank, bool voluntary,
     // partition (conservative logging across BOTH cuts from here on), then
     // demand a checkpoint commit strictly newer than the rank's current
     // image — that committed cut is what the departed rank will rejoin
-    // from, and what its group survives on without it.
-    group::GroupSet pending = group::split_rank(gs, rank);
-    const bool structural = pending.num_groups() != gs.num_groups();
+    // from, and what its group survives on without it. Churn ops are
+    // serialized, so the partition holds still until this op installs.
+    group::GroupSet pending = group::split_rank(protocol_->groups(), rank);
+    const bool structural =
+        pending.num_groups() != protocol_->groups().num_groups();
     if (structural) protocol_->begin_transition(pending);
     const ckpt::StoredCheckpoint* img = registry_->latest(rank);
     const std::uint64_t baseline = img != nullptr ? img->meta.cut_seq : 0;
-    protocol_->request_group_checkpoint(g);
+    const mpi::RankId leader = members_of(rank).front();
+    protocol_->request_checkpoint(leader);
     bool committed = false;
     bool collided = false;
     while (!committed && !collided) {
       co_await sim::delay(eng, poll);
-      if (rt_->job_finished() ||
-          (token != 0 && churn_cancelled_.count(token) != 0)) {
+      if (rt_->job_finished() || lost()) {
         collided = true;
         done = true;  // the deadline (or the end of the run) took over
         break;
       }
-      if (gstate(g) != GroupState::kAlive) {
+      if (books(rank).state != GroupState::kAlive) {
         collided = true;  // a fault got the group mid-drain
         break;
       }
       const ckpt::StoredCheckpoint* latest = registry_->latest(rank);
       const std::uint64_t cut = latest != nullptr ? latest->meta.cut_seq : 0;
-      const bool quiet = protocol_->quiescent_for_regroup(gs.members(g));
+      const bool quiet = protocol_->quiescent_for_regroup(members_of(rank));
       if (cut > baseline && quiet) {
         committed = true;
       } else if (cut <= baseline && quiet) {
         // The request was dropped (leader busy) or the round aborted; ask
         // again from a quiescent state.
-        protocol_->request_group_checkpoint(g);
+        protocol_->request_checkpoint(leader);
       }
     }
     if (!committed) {
@@ -445,12 +436,11 @@ sim::Co<void> RecoveryManager::run_drain_op(mpi::RankId rank, bool voluntary,
     // split and depart. Everything from here runs in one synchronous
     // instant, so nothing can slip between install and kill.
     if (structural) {
-      install_grouping(std::move(pending));
+      protocol_->install_groups(std::move(pending));
       ++splits_installed_;
     }
-    const int gd = protocol_->groups().group_of(rank);
-    GCR_CHECK(protocol_->groups().members(gd).size() == 1);
-    gstate(gd) = GroupState::kDeparted;
+    GCR_CHECK(members_of(rank).size() == 1);
+    books(rank).state = GroupState::kDeparted;
     GCR_INFO("churn: %s departs rank %d at t=%.3fs",
              voluntary ? "drain" : "reclaim", rank,
              sim::to_seconds(eng.now()));
@@ -463,39 +453,39 @@ sim::Co<void> RecoveryManager::run_drain_op(mpi::RankId rank, bool voluntary,
       ++reclaims_clean_;
       reclaim_pending_.erase(token);
     }
-    mark_down(protocol_->groups().members(gd), eng.now());
+    mark_down({rank}, eng.now());
     done = true;
   }
   // This departure op has resolved (departed, absorbed, cancelled, or the
   // job ended); a join that arrived meanwhile can now be admitted — or
   // absorbed, if the op did not actually depart the node.
-  const auto dep = pending_departures_.find(rank);
-  if (dep != pending_departures_.end()) pending_departures_.erase(dep);
-  if (deferred_joins_.erase(rank) != 0) start_join(rank);
+  RankBooks& b = books(rank);
+  GCR_CHECK_MSG(b.pending_departures > 0, "departure op was never counted");
+  --b.pending_departures;
+  if (std::exchange(b.join_deferred, false)) start_join(rank);
   finish_churn_op();
 }
 
 void RecoveryManager::reclaim_deadline(mpi::RankId rank, std::uint64_t token) {
   if (reclaim_pending_.erase(token) == 0) return;  // the clean drain won
-  churn_cancelled_.insert(token);
   if (rt_->job_finished()) return;
   ++reclaims_forced_;
   GCR_INFO("churn: reclaim warning for rank %d expired at t=%.3fs; forcing "
            "failure",
            rank, sim::to_seconds(rt_->engine().now()));
-  fail_group_now(protocol_->groups().group_of(rank));
+  fail_group_of(rank);
 }
 
 void RecoveryManager::start_join(mpi::RankId rank) {
   if (rt_->job_finished()) return;
-  const int g = protocol_->groups().group_of(rank);
-  if (gstate(g) != GroupState::kDeparted) {
-    if (pending_departures_.count(rank) != 0) {
+  RankBooks& b = books(rank);
+  if (b.state != GroupState::kDeparted) {
+    if (b.pending_departures > 0) {
       // The model schedules joins on the wall clock (departure-event time
       // + outage), but the departure op may still be waiting for
       // quiescence or a committed cut. Park the join; the op re-issues it
       // when it resolves.
-      deferred_joins_.insert(rank);
+      b.join_deferred = true;
       return;
     }
     // The node never departed (its drain was absorbed, or a forced reclaim
@@ -505,9 +495,9 @@ void RecoveryManager::start_join(mpi::RankId rank) {
     return;
   }
   // A departed group is always the singleton the departure installed.
-  GCR_CHECK(protocol_->groups().members(g).size() == 1);
-  gstate(g) = GroupState::kDown;
-  rejoining_.insert(rank);
+  GCR_CHECK(members_of(rank).size() == 1);
+  b.state = GroupState::kDown;
+  b.rejoining = true;
   GCR_INFO("churn: rank %d joining at t=%.3fs", rank,
            sim::to_seconds(rt_->engine().now()));
   // Joins ride the ordinary restore queue: detect_s stands in for the
@@ -523,32 +513,31 @@ sim::Co<void> RecoveryManager::run_merge_op(mpi::RankId rank) {
   const sim::Time retry = sim::from_seconds(churn_options_.retry_s);
   for (;;) {
     if (rt_->job_finished() || planner_ == nullptr) break;
-    const group::GroupSet& gs = protocol_->groups();
-    const int from = gs.group_of(rank);
     // A fault mid-wait, a finished rank, or a lost singleton ends the
     // attempt; the rank stays where it is.
-    if (gstate(from) != GroupState::kAlive ||
-        gs.members(from).size() != 1 || rt_->rank(rank).finished()) {
+    if (books(rank).state != GroupState::kAlive ||
+        members_of(rank).size() != 1 || rt_->rank(rank).finished()) {
       break;
     }
+    const group::GroupSet& gs = protocol_->groups();
     const std::optional<int> target =
         planner_->choose_merge_target(rank, gs, churn_cap_);
     if (!target.has_value()) break;  // no affinity: stay a singleton
-    const int tg = *target;
-    if (gstate(tg) != GroupState::kAlive) {
+    const std::vector<mpi::RankId>& into = gs.members(*target);
+    if (books(into.front()).state != GroupState::kAlive) {
       co_await sim::delay(eng, retry);
       continue;
     }
     bool finished = false;
-    for (mpi::RankId m : gs.members(tg)) {
+    for (mpi::RankId m : into) {
       if (rt_->rank(m).finished()) {
         finished = true;
         break;
       }
     }
     if (finished) break;
-    if (!protocol_->quiescent_for_regroup(gs.members(from)) ||
-        !protocol_->quiescent_for_regroup(gs.members(tg))) {
+    if (!protocol_->quiescent_for_regroup({rank}) ||
+        !protocol_->quiescent_for_regroup(into)) {
       co_await sim::delay(eng, poll);
       continue;
     }
@@ -556,33 +545,15 @@ sim::Co<void> RecoveryManager::run_merge_op(mpi::RankId rank) {
     // transitional double-logging across the old cut (it persists until
     // the merged group's first joint commit clears it), then install the
     // merged partition.
-    protocol_->add_transitional_logging({rank}, gs.members(tg));
-    group::GroupSet next = group::merge_rank(gs, rank, tg);
-    GCR_INFO("churn: merging rank %d into group %d at t=%.3fs", rank, tg,
-             sim::to_seconds(eng.now()));
-    install_grouping(std::move(next));
+    protocol_->add_transitional_logging({rank}, into);
+    group::GroupSet next = group::merge_rank(gs, rank, *target);
+    GCR_INFO("churn: merging rank %d into the group of rank %d at t=%.3fs",
+             rank, into.front(), sim::to_seconds(eng.now()));
+    protocol_->install_groups(std::move(next));
     ++merges_installed_;
     break;
   }
   finish_churn_op();
-}
-
-void RecoveryManager::install_grouping(group::GroupSet next) {
-  const group::GroupSet& cur = protocol_->groups();
-  std::map<std::vector<mpi::RankId>, GroupState> carry;
-  for (int g = 0; g < cur.num_groups(); ++g) {
-    carry.emplace(cur.members(g), gstate(g));
-  }
-  protocol_->install_groups(std::move(next));
-  const group::GroupSet& now = protocol_->groups();
-  // Unchanged member sets keep their state; changed groups start kAlive
-  // (the transition machinery only installs over alive, quiescent ranks).
-  gstate_.assign(static_cast<std::size_t>(now.num_groups()),
-                 GroupState::kAlive);
-  for (int g = 0; g < now.num_groups(); ++g) {
-    const auto it = carry.find(now.members(g));
-    if (it != carry.end()) gstate(g) = it->second;
-  }
 }
 
 }  // namespace gcr::core

@@ -44,7 +44,10 @@
 //              their first joint commit.
 // Regroup operations are serialized through one FIFO so at most one
 // partition transition is open at a time; fault injection stays fully
-// concurrent with them.
+// concurrent with them. An install renumbers the groups, so recovery books
+// are kept per rank and every decision that outlives an instant names a
+// rank; an install only ever regroups alive, quiescent groups, so it
+// carries no state over.
 //
 // Bookkeeping invariant (asserted by tests/fault_torture_test.cpp): once a
 // run completes, failures_injected == recoveries_completed +
@@ -156,9 +159,27 @@ class RecoveryManager {
   enum class GroupState : std::uint8_t { kAlive, kDown, kRestoring,
                                          kDeparted };
 
+  /// Recovery books of one rank. Groups fail, restore and depart whole, so
+  /// every group-state change is written to every member and any member's
+  /// record answers for its group.
+  struct RankBooks {
+    GroupState state = GroupState::kAlive;
+    /// The current restore is a rejoin, not a failure recovery (only ever
+    /// set on a departed singleton).
+    bool rejoining = false;
+    /// Queued-or-running drain/reclaim ops for this rank's node (the model
+    /// may drain a node again before its earlier cycle resolved).
+    int pending_departures = 0;
+    /// A join arrived while a departure op was pending; it is admitted (or
+    /// absorbed) when that op resolves.
+    bool join_deferred = false;
+    /// Availability accounting: when the rank went down; -1 = up.
+    sim::Time down_since = -1;
+  };
+
   struct PendingRestore {
     sim::Time ready_at;  ///< kill time + detect + relaunch
-    mpi::RankId rep;     ///< representative member (front at enqueue time)
+    mpi::RankId rep;     ///< any member (a down group is never regrouped)
   };
 
   /// Churn operations are serialized so at most one partition transition
@@ -176,29 +197,30 @@ class RecoveryManager {
     std::uint64_t token;  ///< reclaim deadline token (kReclaim only)
   };
 
-  // Groups are identified by a REPRESENTATIVE RANK (members.front() at
-  // decision time) everywhere a decision outlives the instant it was made:
-  // queue entries and timer callbacks. Group INDICES shift
-  // when churn installs a new partition; a rank's group membership is
-  // re-resolved via group_of(rep) at execution. In static runs rep↔index
-  // resolution is the identity, so the legacy timeline is bit-identical.
-  void fail_group_now(int group);
-  void kill_members(int group);
-  /// The state slot of `group` in the current partition (GCR_CHECKed).
-  GroupState& gstate(int group) {
-    GCR_CHECK_MSG(group >= 0 && static_cast<std::size_t>(group) <
-                                    gstate_.size(),
-                  "group index outside the current partition");
-    return gstate_[static_cast<std::size_t>(group)];
+  // Queue entries, timer callbacks and churn ops name a group by a member
+  // rank; an index is looked up and used within one synchronous step.
+  void fail_group_of(mpi::RankId rank);
+  void kill_members(const std::vector<mpi::RankId>& members);
+  /// The books of `rank` (GCR_CHECKed).
+  RankBooks& books(mpi::RankId rank) {
+    GCR_CHECK_MSG(rank >= 0 && static_cast<std::size_t>(rank) < books_.size(),
+                  "rank id outside the run");
+    return books_[static_cast<std::size_t>(rank)];
   }
+  /// Members of `rank`'s group in the current partition.
+  const std::vector<mpi::RankId>& members_of(mpi::RankId rank) const {
+    const group::GroupSet& gs = protocol_->groups();
+    return gs.members(gs.group_of(rank));
+  }
+  void set_state(const std::vector<mpi::RankId>& members, GroupState state);
   void enqueue_restore(mpi::RankId rep);
   /// Starts queued restores while slots are free and heads are ready;
   /// re-arms itself for a not-yet-ready head. Idempotent.
   void maybe_start_restores();
   void start_restore(mpi::RankId rep);
   void restore_ranks(const std::vector<mpi::RankId>& ranks);
-  /// Protocol callback: the group's restart preparation completed.
-  void on_restore_done(mpi::RankId rep);
+  /// Protocol callback: the group of `rank` finished restart preparation.
+  void on_restore_done(mpi::RankId rank);
   /// Binds `model` (stored in `slot`) to the rank-bearing nodes and to
   /// substreams `stream_base` of the cluster seed, then starts pumping it.
   void arm_model(std::unique_ptr<sim::NodeEventModel>& slot,
@@ -220,11 +242,6 @@ class RecoveryManager {
   sim::Co<void> run_merge_op(mpi::RankId rank);
   void start_join(mpi::RankId rank);
   void reclaim_deadline(mpi::RankId rank, std::uint64_t token);
-  /// Installs `next` and rebuilds per-group state: groups with an
-  /// unchanged member set carry their state over; changed groups restart
-  /// at kAlive (the transition machinery only installs over alive,
-  /// quiescent changed groups).
-  void install_grouping(group::GroupSet next);
 
   void mark_down(const std::vector<mpi::RankId>& ranks, sim::Time at);
   void mark_up(const std::vector<mpi::RankId>& ranks, sim::Time at);
@@ -249,10 +266,8 @@ class RecoveryManager {
   int splits_installed_ = 0;
   int merges_installed_ = 0;
 
-  /// Per-group recovery state, indexed by the CURRENT partition's group
-  /// index (renumbered by every regroup install). Read and written only
-  /// through gstate(), which bounds-checks the index in every build.
-  std::vector<GroupState> gstate_;
+  /// Indexed by rank; read and written only through books().
+  std::vector<RankBooks> books_;
   /// FIFO of groups awaiting a restore slot. detect+relaunch is constant,
   /// so failure order == ready order and a deque suffices.
   std::deque<PendingRestore> queue_;
@@ -271,26 +286,13 @@ class RecoveryManager {
   int churn_cap_ = 0;  ///< merge size cap: largest group at arming time
   std::deque<ChurnOp> churn_ops_;
   bool churn_op_active_ = false;
-  std::vector<sim::ProcPtr> churn_procs_;
-  /// Ranks whose current restore is a rejoin, not a failure recovery.
-  std::set<mpi::RankId> rejoining_;
-  /// Ranks with a queued-or-running drain/reclaim op (multiset: the model
-  /// may drain a node again before its earlier cycle resolved).
-  std::multiset<mpi::RankId> pending_departures_;
-  /// Joins that arrived while their node's departure op was still pending;
-  /// admitted (or absorbed) when that op resolves.
-  std::set<mpi::RankId> deferred_joins_;
   /// Reclaim tokens whose deadline has not fired and whose clean drain has
-  /// not completed. Erased by whichever side wins.
+  /// not completed. Erased by whichever side wins, so a reclaim op whose
+  /// token is gone has lost to its deadline.
   std::set<std::uint64_t> reclaim_pending_;
-  /// Tokens whose deadline forced the node out; the op coroutine abandons
-  /// the clean path when it sees its token here.
-  std::set<std::uint64_t> churn_cancelled_;
   std::uint64_t next_reclaim_token_ = 0;
 
-  /// Availability accounting. -1 = rank is up.
-  std::vector<sim::Time> down_since_;
-  sim::Time downtime_ = 0;
+  sim::Time downtime_ = 0;  ///< closed down intervals (availability)
 };
 
 }  // namespace gcr::core

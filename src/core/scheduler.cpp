@@ -16,22 +16,14 @@ CheckpointScheduler CheckpointScheduler::for_groups(mpi::Runtime& rt,
         const group::GroupSet& groups = p->groups();
         const int ngroups = groups.num_groups();
         for (int g = 0; g < ngroups; ++g) {
+          const mpi::RankId leader = groups.members(g).front();
           if (spread <= 0) {
-            p->request_group_checkpoint(g);
+            p->request_checkpoint(leader);
             continue;
           }
-          // A staggered request names the group by its leader rank, not
-          // its index: an elastic regroup before the request fires can
-          // renumber (or dissolve) the group. Resolved at fire time; the
-          // request is dropped if that rank no longer leads a group.
-          const mpi::RankId leader = groups.members(g).front();
           const double offset = spread * g / ngroups;
           r->engine().call_after(sim::from_seconds(offset), [p, leader] {
-            const group::GroupSet& now = p->groups();
-            const int cur = now.group_of(leader);
-            if (now.members(cur).front() == leader) {
-              p->request_group_checkpoint(cur);
-            }
+            p->request_checkpoint(leader);
           });
         }
       },
@@ -58,20 +50,21 @@ void CheckpointScheduler::start_per_group(
   for (int g = 0; g < protocol.groups().num_groups(); ++g) {
     const double period = interval_s[static_cast<std::size_t>(g)];
     if (period <= 0) continue;  // group opted out of checkpointing
-    rt.engine().call_after(sim::from_seconds(period), [&rt, &protocol, g,
+    const mpi::RankId leader = protocol.groups().members(g).front();
+    rt.engine().call_after(sim::from_seconds(period), [&rt, &protocol, leader,
                                                        period] {
-      group_tick(&rt, &protocol, g, period);
+      group_tick(&rt, &protocol, leader, period);
     });
   }
 }
 
 void CheckpointScheduler::group_tick(mpi::Runtime* rt, GroupProtocol* protocol,
-                                     int group, double interval_s) {
+                                     mpi::RankId leader, double interval_s) {
   if (rt->job_finished()) return;
-  protocol->request_group_checkpoint(group);
+  protocol->request_checkpoint(leader);
   rt->engine().call_after(sim::from_seconds(interval_s),
-                          [rt, protocol, group, interval_s] {
-                            group_tick(rt, protocol, group, interval_s);
+                          [rt, protocol, leader, interval_s] {
+                            group_tick(rt, protocol, leader, interval_s);
                           });
 }
 

@@ -39,7 +39,8 @@ class CheckpointScheduler {
       : rt_(&rt), issue_round_(std::move(issue_round)), options_(options) {}
 
   /// Convenience factory: rounds request every group of a GroupProtocol
-  /// with the configured stagger.
+  /// with the configured stagger. A staggered request names its group by
+  /// leader rank, so a regroup before it fires cannot misdirect it.
   static CheckpointScheduler for_groups(mpi::Runtime& rt,
                                         GroupProtocol& protocol,
                                         SchedulerOptions options);
@@ -52,7 +53,8 @@ class CheckpointScheduler {
   void start();
 
   /// Per-group periodic schedules (paper §6: a flaky group can checkpoint
-  /// more often than the rest). `interval_s[g]` is group g's period; the
+  /// more often than the rest). `interval_s[g]` is the period of group g of
+  /// the partition at this call, named from then on by its leader; the
   /// first request for each group fires after one period. Bypasses the
   /// round-based `issue_round` path entirely.
   static void start_per_group(mpi::Runtime& rt, GroupProtocol& protocol,
@@ -62,8 +64,8 @@ class CheckpointScheduler {
 
  private:
   void tick();
-  static void group_tick(mpi::Runtime* rt, GroupProtocol* protocol, int group,
-                         double interval_s);
+  static void group_tick(mpi::Runtime* rt, GroupProtocol* protocol,
+                         mpi::RankId leader, double interval_s);
 
   mpi::Runtime* rt_;
   std::function<void()> issue_round_;
