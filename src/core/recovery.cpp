@@ -194,6 +194,9 @@ void RecoveryManager::pump(sim::NodeEventModel& model) {
   const std::optional<sim::NodeEvent> ev = model.next();
   if (!ev.has_value()) return;
   GCR_CHECK(ev->at_s >= 0);
+  // Model times never decrease, so an event past the tick range (~292
+  // years; from_seconds would overflow) ends the stream: none can fire.
+  if (ev->at_s * 1e9 >= static_cast<double>(sim::kTimeMax)) return;
   // Clamp to now: a schedule may start before the arming time.
   const sim::Time at =
       std::max(sim::from_seconds(ev->at_s), rt_->engine().now());

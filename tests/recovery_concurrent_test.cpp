@@ -5,8 +5,8 @@
 // another group's restart (queued restore, deferred volume exchange), a
 // re-failure of a restoring group (aborted restore, requeued), a failure
 // during a checkpoint window (staged-image rollback), same-timestamp
-// failures of two groups, and absorption of faults hitting an
-// already-down group. Every run that finishes has passed the runtime's
+// failures of two groups, absorption of faults hitting an already-down
+// group, and fault-model events past the end of the tick range. Every run that finishes has passed the runtime's
 // per-consume sequence/checksum verification, so loss, duplication, or
 // reordering anywhere in the deferred-exchange/replay machinery aborts.
 #include <gtest/gtest.h>
@@ -237,6 +237,33 @@ TEST(ConcurrentRecovery, TwoRestoreSlotsOverlapWindows) {
   const Window g1 = restore_window(res, 4, 7);
   EXPECT_LT(g1.begin, g0.end);  // windows genuinely overlap
   EXPECT_LT(g0.begin, g1.end);
+}
+
+// A fault-model event at or past the end of the tick range (~9.2e9 s) ends
+// the model's stream instead of overflowing the conversion to ticks, which
+// fired it at once. An event just inside the range simply never comes due.
+TEST(ConcurrentRecovery, EventPastTheTickRangeNeverFires) {
+  ExperimentConfig cfg;
+  cfg.app = [](int n) {
+    apps::RingParams p;
+    p.iterations = 30;
+    p.compute_s = 0.01;
+    return apps::make_ring(n, p);
+  };
+  cfg.nranks = 4;
+  cfg.groups = group::make_blocks(4, 2);
+  cfg.checkpoints = true;
+  cfg.schedule.first_at_s = 0.1;
+  const ExperimentResult clean = run_experiment(cfg);
+  ASSERT_TRUE(clean.finished);
+  cfg.fault_model.kind = sim::FaultModelKind::kTrace;
+  for (const double at : {9e9, 1e10}) {
+    cfg.fault_model.schedule = {{at, 0}};
+    const ExperimentResult res = run_experiment(cfg);
+    ASSERT_TRUE(res.finished) << at;
+    EXPECT_EQ(res.failures_injected, 0) << at;
+    EXPECT_EQ(res.exec_time_s, clean.exec_time_s) << at;
+  }
 }
 
 }  // namespace
