@@ -62,21 +62,22 @@ int main(int argc, char** argv) {
 
   exp::Scenario sc;
   sc.name = "ablation/elastic";
-  sc.axes = {bench::mode_axis(modes), exp::churn_kind_axis(churns),
-             exp::storage_mode_axis(storages)};
+  sc.axes = {exp::SweepAxis::enums("mode", modes),
+             exp::SweepAxis::enums("churn", churns),
+             exp::SweepAxis::enums("storage", storages)};
   sc.reps = reps;
   sc.config = [&](const exp::SweepPoint& point) {
     exp::ExperimentConfig cfg;
     cfg.app = app;
     cfg.nranks = procs;
     cfg.seed = point.seed;
-    cfg.groups = cache->get(bench::mode_at(point), procs);
+    cfg.groups = cache->get(point.get_enum<Mode>("mode"), procs);
     cfg.checkpoints = true;
     cfg.schedule.first_at_s = ckpt_first;
     cfg.schedule.interval_s = ckpt_every;
     cfg.schedule.round_spread_s = 0.2;
-    cfg.storage.mode = exp::storage_mode_at(point);
-    cfg.churn.kind = exp::churn_kind_at(point);
+    cfg.storage.mode = point.get_enum<ckpt::StorageMode>("storage");
+    cfg.churn.kind = point.get_enum<sim::ChurnModelKind>("churn");
     cfg.churn.drain_mtbd_s = mtbd;
     cfg.churn.outage_s = outage;
     cfg.churn.warning_s = warning;

@@ -102,20 +102,21 @@ int main(int argc, char** argv) {
 
   exp::Scenario sc;
   sc.name = "hpl/multi-failure";
-  sc.axes = {exp::fault_kind_axis(kinds), bench::mode_axis(modes)};
+  sc.axes = {exp::SweepAxis::enums("fault_kind", kinds),
+             exp::SweepAxis::enums("mode", modes)};
   sc.reps = reps;
   sc.config = [n, app, cache, interval, base](const exp::SweepPoint& point) {
     exp::ExperimentConfig cfg;
     cfg.app = app;
     cfg.nranks = n;
     cfg.seed = point.seed;
-    cfg.groups = cache->get(bench::mode_at(point), n);
+    cfg.groups = cache->get(point.get_enum<Mode>("mode"), n);
     cfg.checkpoints = true;
     cfg.schedule.first_at_s = interval;
     cfg.schedule.interval_s = interval;
     cfg.schedule.round_spread_s = 0.4;
     cfg.fault_model = base;
-    cfg.fault_model.kind = exp::fault_kind_at(point);
+    cfg.fault_model.kind = point.get_enum<sim::FaultModelKind>("fault_kind");
     return cfg;
   };
   sc.collect = [](const exp::SweepPoint&, const exp::ExperimentResult& res,

@@ -66,19 +66,20 @@ int main(int argc, char** argv) {
 
   exp::Scenario sc;
   sc.name = "ablation/storage-tiers";
-  sc.axes = {bench::mode_axis(modes), exp::storage_mode_axis(storages)};
+  sc.axes = {exp::SweepAxis::enums("mode", modes),
+             exp::SweepAxis::enums("storage", storages)};
   sc.reps = reps;
   sc.config = [&](const exp::SweepPoint& point) {
     exp::ExperimentConfig cfg;
     cfg.app = app;
     cfg.nranks = procs;
     cfg.seed = point.seed;
-    cfg.groups = cache->get(bench::mode_at(point), procs);
+    cfg.groups = cache->get(point.get_enum<Mode>("mode"), procs);
     cfg.checkpoints = true;
     cfg.schedule.first_at_s = ckpt_first;
     cfg.schedule.interval_s = ckpt_every;
     cfg.schedule.round_spread_s = 0.4;
-    const ckpt::StorageMode storage = exp::storage_mode_at(point);
+    const auto storage = point.get_enum<ckpt::StorageMode>("storage");
     cfg.storage = storage_config(storage, bb_mbps, pfs_mbps, capacity_mb);
     if (storage == ckpt::StorageMode::kDirect) {
       // Direct-PFS: every image funnels straight into one shared device at

@@ -92,21 +92,6 @@ class GroupCache {
   std::map<std::pair<int, int>, std::unique_ptr<Entry>> entries_;
 };
 
-/// Sweep axis over the paper's modes (values are the Mode enum, so points
-/// round-trip through `mode_at`).
-inline exp::SweepAxis mode_axis(const std::vector<Mode>& modes) {
-  exp::SweepAxis axis;
-  axis.name = "mode";
-  for (Mode m : modes) {
-    axis.values.push_back(static_cast<double>(static_cast<int>(m)));
-  }
-  return axis;
-}
-
-inline Mode mode_at(const exp::SweepPoint& point) {
-  return static_cast<Mode>(point.get_int("mode"));
-}
-
 /// Position of a mode within a mode axis (for CampaignResult cell lookups).
 inline std::size_t mode_index(const std::vector<Mode>& modes, Mode m) {
   for (std::size_t i = 0; i < modes.size(); ++i) {

@@ -32,14 +32,14 @@ int main(int argc, char** argv) {
   exp::Scenario sc;
   sc.name = "hpl/multi-ckpt";
   sc.axes = {exp::SweepAxis::ints("interval", intervals),
-             bench::mode_axis(modes)};
+             exp::SweepAxis::enums("mode", modes)};
   sc.reps = reps;
   sc.config = [n, app, cache](const exp::SweepPoint& point) {
     exp::ExperimentConfig cfg;
     cfg.app = app;
     cfg.nranks = n;
     cfg.seed = point.seed;
-    cfg.groups = cache->get(bench::mode_at(point), n);
+    cfg.groups = cache->get(point.get_enum<Mode>("mode"), n);
     const double interval = point.get("interval");
     if (interval > 0) {
       cfg.checkpoints = true;

@@ -24,14 +24,15 @@ int main(int argc, char** argv) {
 
   exp::Scenario sc;
   sc.name = "cg/ckpt-restart";
-  sc.axes = {exp::SweepAxis::ints("procs", procs), bench::mode_axis(modes)};
+  sc.axes = {exp::SweepAxis::ints("procs", procs),
+             exp::SweepAxis::enums("mode", modes)};
   sc.reps = reps;
   sc.config = [app, cache](const exp::SweepPoint& point) {
     exp::ExperimentConfig cfg;
     cfg.app = app;
     cfg.nranks = static_cast<int>(point.get_int("procs"));
     cfg.seed = point.seed;
-    cfg.groups = cache->get(bench::mode_at(point), cfg.nranks);
+    cfg.groups = cache->get(point.get_enum<Mode>("mode"), cfg.nranks);
     cfg.checkpoints = true;
     cfg.schedule.first_at_s = 60.0;
     cfg.schedule.round_spread_s = 0.4;

@@ -103,8 +103,9 @@ int main(int argc, char** argv) {
 
   exp::Scenario sc;
   sc.name = "scale/extrapolation";
-  sc.axes = {exp::SweepAxis::ints("procs", procs), exp::topology_axis(topos),
-             bench::mode_axis(modes)};
+  sc.axes = {exp::SweepAxis::ints("procs", procs),
+             exp::SweepAxis::enums("topology", topos),
+             exp::SweepAxis::enums("mode", modes)};
   sc.reps = reps;
   sc.config = [&](const exp::SweepPoint& point) {
     const int n = static_cast<int>(point.get_int("procs"));
@@ -112,8 +113,8 @@ int main(int argc, char** argv) {
     config.app = app;
     config.nranks = n;
     config.seed = point.seed;
-    config.groups = groups_for_scale(bench::mode_at(point), n);
-    config.topology.kind = exp::topology_kind_at(point);
+    config.groups = groups_for_scale(point.get_enum<Mode>("mode"), n);
+    config.topology.kind = point.get_enum<sim::TopologyKind>("topology");
     // Adaptive (least-loaded) fat-tree uplinks: the bookmark storm is the
     // exact hotspot adaptive routing exists for. Dragonfly stays minimal.
     config.topology.fattree_routing = sim::FatTreeRouting::kAdaptive;

@@ -33,14 +33,15 @@ exp::Scenario hpl_scenario(std::string name, const HplSweepOptions& opt,
 
   exp::Scenario sc;
   sc.name = std::move(name);
-  sc.axes = {exp::SweepAxis::ints("procs", opt.procs), mode_axis(opt.modes)};
+  sc.axes = {exp::SweepAxis::ints("procs", opt.procs),
+             exp::SweepAxis::enums("mode", opt.modes)};
   sc.reps = opt.reps;
   sc.config = [opt, app, cache](const exp::SweepPoint& point) {
     exp::ExperimentConfig cfg;
     cfg.app = app;
     cfg.nranks = static_cast<int>(point.get_int("procs"));
     cfg.seed = point.seed;
-    cfg.groups = cache->get(mode_at(point), cfg.nranks);
+    cfg.groups = cache->get(point.get_enum<Mode>("mode"), cfg.nranks);
     cfg.checkpoints = true;
     cfg.schedule.first_at_s = opt.ckpt_at_s;
     cfg.schedule.round_spread_s = opt.round_spread_s;
@@ -50,8 +51,8 @@ exp::Scenario hpl_scenario(std::string name, const HplSweepOptions& opt,
   sc.collect = [collect](const exp::SweepPoint& point,
                          const exp::ExperimentResult& res,
                          exp::Collector& col) {
-    collect(static_cast<int>(point.get_int("procs")), mode_at(point), res,
-            col);
+    collect(static_cast<int>(point.get_int("procs")),
+            point.get_enum<Mode>("mode"), res, col);
   };
   return sc;
 }

@@ -27,62 +27,6 @@ SweepAxis SweepAxis::indices(std::string name, std::size_t count) {
   return axis;
 }
 
-SweepAxis fault_kind_axis(const std::vector<sim::FaultModelKind>& kinds) {
-  SweepAxis axis;
-  axis.name = "fault_kind";
-  axis.values.reserve(kinds.size());
-  for (sim::FaultModelKind k : kinds) {
-    axis.values.push_back(static_cast<double>(static_cast<int>(k)));
-  }
-  return axis;
-}
-
-sim::FaultModelKind fault_kind_at(const SweepPoint& point) {
-  return static_cast<sim::FaultModelKind>(point.get_int("fault_kind"));
-}
-
-SweepAxis churn_kind_axis(const std::vector<sim::ChurnModelKind>& kinds) {
-  SweepAxis axis;
-  axis.name = "churn";
-  axis.values.reserve(kinds.size());
-  for (sim::ChurnModelKind k : kinds) {
-    axis.values.push_back(static_cast<double>(static_cast<int>(k)));
-  }
-  return axis;
-}
-
-sim::ChurnModelKind churn_kind_at(const SweepPoint& point) {
-  return static_cast<sim::ChurnModelKind>(point.get_int("churn"));
-}
-
-SweepAxis storage_mode_axis(const std::vector<ckpt::StorageMode>& modes) {
-  SweepAxis axis;
-  axis.name = "storage";
-  axis.values.reserve(modes.size());
-  for (ckpt::StorageMode m : modes) {
-    axis.values.push_back(static_cast<double>(static_cast<int>(m)));
-  }
-  return axis;
-}
-
-ckpt::StorageMode storage_mode_at(const SweepPoint& point) {
-  return static_cast<ckpt::StorageMode>(point.get_int("storage"));
-}
-
-SweepAxis topology_axis(const std::vector<sim::TopologyKind>& kinds) {
-  SweepAxis axis;
-  axis.name = "topology";
-  axis.values.reserve(kinds.size());
-  for (sim::TopologyKind k : kinds) {
-    axis.values.push_back(static_cast<double>(static_cast<int>(k)));
-  }
-  return axis;
-}
-
-sim::TopologyKind topology_kind_at(const SweepPoint& point) {
-  return static_cast<sim::TopologyKind>(point.get_int("topology"));
-}
-
 double SweepPoint::get(const std::string& axis) const {
   for (const auto& [name, value] : values) {
     if (name == axis) return value;

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -30,6 +31,20 @@ struct SweepAxis {
   /// 0..count-1 — for axes that index a caller-side table (workloads,
   /// schedules), so the axis can never drift from the table's size.
   static SweepAxis indices(std::string name, std::size_t count);
+  /// Enumerators (fault or churn model, storage mode, topology, paper
+  /// mode) stored as their integer values, so points round-trip through
+  /// SweepPoint::get_enum. Shape parameters sweep as ordinary axes.
+  template <typename E>
+  static SweepAxis enums(std::string name, const std::vector<E>& values) {
+    static_assert(std::is_enum_v<E>);
+    SweepAxis axis;
+    axis.name = std::move(name);
+    for (E v : values) {
+      axis.values.push_back(
+          static_cast<double>(static_cast<std::underlying_type_t<E>>(v)));
+    }
+    return axis;
+  }
 };
 
 /// One point of the expanded grid: a value per axis plus the seed.
@@ -43,36 +58,12 @@ struct SweepPoint {
   /// fails loudly instead of sweeping the wrong parameter.
   double get(const std::string& axis) const;
   std::int64_t get_int(const std::string& axis) const;
+  /// Value of an axis built by SweepAxis::enums.
+  template <typename E>
+  E get_enum(const std::string& axis) const {
+    return static_cast<E>(get_int(axis));
+  }
 };
-
-/// Axis named "fault_kind" over fault models (values are the enum, so
-/// points round-trip through `fault_kind_at`). Model shape parameters
-/// (weibull shape, burst size, MTBF) sweep as ordinary `reals`/`ints` axes
-/// that the bench folds into its FaultModelParams.
-SweepAxis fault_kind_axis(const std::vector<sim::FaultModelKind>& kinds);
-sim::FaultModelKind fault_kind_at(const SweepPoint& point);
-
-/// Axis named "churn" over churn models (none vs drains vs spot vs rolling
-/// — sim/node_events.hpp); values are the enum, so points round-trip through
-/// `churn_kind_at`. Rates, outages and warning windows sweep as ordinary
-/// `reals` axes the bench folds into its ChurnModelParams.
-SweepAxis churn_kind_axis(const std::vector<sim::ChurnModelKind>& kinds);
-sim::ChurnModelKind churn_kind_at(const SweepPoint& point);
-
-/// Axis named "storage" over checkpoint storage modes (direct device vs
-/// burst buffer vs burst buffer + async drain — DESIGN.md §13); values are
-/// the enum, so points round-trip through `storage_mode_at`. Bandwidths
-/// and capacities sweep as ordinary `reals` axes the bench folds into its
-/// StorageConfig.
-SweepAxis storage_mode_axis(const std::vector<ckpt::StorageMode>& modes);
-ckpt::StorageMode storage_mode_at(const SweepPoint& point);
-
-/// Axis named "topology" over fabric shapes (flat switch vs fat-tree vs
-/// dragonfly — DESIGN.md §14); values are the enum, so points round-trip
-/// through `topology_kind_at`. Routing policies and link bandwidths sweep
-/// as ordinary axes the bench folds into its TopologyParams.
-SweepAxis topology_axis(const std::vector<sim::TopologyKind>& kinds);
-sim::TopologyKind topology_kind_at(const SweepPoint& point);
 
 /// What one job contributes to its cell's aggregates. The campaign runner
 /// folds collectors cell-by-cell in job-index order, which keeps every
