@@ -24,12 +24,12 @@ struct ImageMeta {
   std::uint64_t epoch = 0;       ///< per-group checkpoint counter
   std::int64_t bytes = 0;        ///< modeled image size (drives IO timing)
   sim::Time written_at = 0;
-  /// Registry-global commit identity: every commit_group (and put) call
-  /// stamps one fresh cut id on the images it promotes. Two images share a
-  /// cut_seq iff they were committed by the same group commit — i.e. they
-  /// belong to one consistent coordinated cut. Restore uses this to decide
-  /// which peers a restored rank must exchange/replay with when elastic
-  /// regrouping has mixed cuts inside one group (DESIGN.md §16).
+  /// Registry-global commit identity: every commit_group call stamps one
+  /// fresh cut id on the images it promotes. Two images share a cut_seq iff
+  /// they were committed by the same group commit — i.e. they belong to one
+  /// consistent coordinated cut. Restore uses this to decide which peers a
+  /// restored rank must exchange/replay with when elastic regrouping has
+  /// mixed cuts inside one group (DESIGN.md §16).
   std::uint64_t cut_seq = 0;
 };
 
@@ -64,15 +64,6 @@ class ImageRegistry {
     if (staged_.size() < s) staged_.resize(s);
   }
 
-  /// Immediate visibility; used by protocols whose commit point needs no
-  /// group agreement (VCL's global rounds) and by tests.
-  void put(StoredCheckpoint image) {
-    const mpi::RankId r = image.meta.rank;
-    ensure(r);
-    image.meta.cut_seq = next_cut();
-    images_[static_cast<std::size_t>(r)] = std::move(image);
-  }
-
   /// Stages a rank's image pending group commit (replaces any prior stage).
   void stage(StoredCheckpoint image) {
     const mpi::RankId r = image.meta.rank;
@@ -98,7 +89,7 @@ class ImageRegistry {
   /// finalize barrier only passes once every member wrote its image).
   void commit_group(const std::vector<mpi::RankId>& members,
                     std::uint64_t epoch) {
-    const std::uint64_t cut = next_cut();
+    const std::uint64_t cut = ++cuts_;
     for (mpi::RankId r : members) {
       ensure(r);
       std::optional<StoredCheckpoint>& st = staged_[static_cast<std::size_t>(r)];
@@ -119,20 +110,6 @@ class ImageRegistry {
     return img.has_value() ? &*img : nullptr;
   }
 
-  /// Ranks with a committed (restore-visible) image.
-  std::size_t count() const {
-    std::size_t n = 0;
-    for (const std::optional<StoredCheckpoint>& img : images_) {
-      if (img.has_value()) ++n;
-    }
-    return n;
-  }
-  /// Drops every committed and staged image (test teardown).
-  void clear() {
-    images_.clear();
-    staged_.clear();
-  }
-
  private:
   void ensure(mpi::RankId r) {
     GCR_ASSERT(r >= 0);
@@ -140,8 +117,6 @@ class ImageRegistry {
       reserve_ranks(r + 1);
     }
   }
-
-  std::uint64_t next_cut() { return ++cuts_; }
 
   std::vector<std::optional<StoredCheckpoint>> images_;
   std::vector<std::optional<StoredCheckpoint>> staged_;

@@ -56,35 +56,34 @@ TEST(Checkpointer, RemoteImagesContendOnSharedServers) {
   EXPECT_NEAR(sim::to_seconds(done[3]), 2.0, 1e-6);
 }
 
+ckpt::StoredCheckpoint image(mpi::RankId rank, std::uint64_t epoch) {
+  ckpt::StoredCheckpoint img;
+  img.meta.rank = rank;
+  img.meta.epoch = epoch;
+  return img;
+}
+
+/// Commits one rank's image through the two-phase path, as a one-member
+/// group.
+void commit(ckpt::ImageRegistry& reg, mpi::RankId rank, std::uint64_t epoch) {
+  reg.stage(image(rank, epoch));
+  reg.commit_group({rank}, epoch);
+}
+
 TEST(ImageRegistry, LatestWinsPerRank) {
   ckpt::ImageRegistry reg;
   EXPECT_EQ(reg.latest(0), nullptr);
-  ckpt::StoredCheckpoint a;
-  a.meta.rank = 0;
-  a.meta.epoch = 1;
-  reg.put(std::move(a));
-  ckpt::StoredCheckpoint b;
-  b.meta.rank = 0;
-  b.meta.epoch = 2;
-  reg.put(std::move(b));
+  commit(reg, 0, 1);
+  commit(reg, 0, 2);
   ASSERT_NE(reg.latest(0), nullptr);
   EXPECT_EQ(reg.latest(0)->meta.epoch, 2u);
-  EXPECT_EQ(reg.count(), 1u);
-  reg.clear();
-  EXPECT_EQ(reg.latest(0), nullptr);
 }
 
 TEST(ImageRegistry, StagedImagesInvisibleUntilGroupCommit) {
   ckpt::ImageRegistry reg;
-  auto staged = [](mpi::RankId rank, std::uint64_t epoch) {
-    ckpt::StoredCheckpoint img;
-    img.meta.rank = rank;
-    img.meta.epoch = epoch;
-    return img;
-  };
-  reg.put(staged(0, 1));  // a committed earlier epoch
-  reg.stage(staged(0, 2));
-  reg.stage(staged(1, 2));
+  commit(reg, 0, 1);  // a committed earlier epoch
+  reg.stage(image(0, 2));
+  reg.stage(image(1, 2));
   EXPECT_TRUE(reg.has_staged(0));
   EXPECT_TRUE(reg.has_staged(1));
   // Staged images are invisible to restore until the group commits.
@@ -98,14 +97,8 @@ TEST(ImageRegistry, StagedImagesInvisibleUntilGroupCommit) {
 
 TEST(ImageRegistry, DiscardStagedRollsBackToPreviousEpoch) {
   ckpt::ImageRegistry reg;
-  ckpt::StoredCheckpoint committed;
-  committed.meta.rank = 3;
-  committed.meta.epoch = 5;
-  reg.put(std::move(committed));
-  ckpt::StoredCheckpoint next;
-  next.meta.rank = 3;
-  next.meta.epoch = 6;
-  reg.stage(std::move(next));
+  commit(reg, 3, 5);
+  reg.stage(image(3, 6));
   // A failure before commit discards the stage (Interposer::rank_killed);
   // restore sees the previous epoch, never the torn image.
   reg.discard_staged(3);
