@@ -12,7 +12,6 @@ char kind_char(EventKind kind) {
   switch (kind) {
     case EventKind::kSend: return 'S';
     case EventKind::kDeliver: return 'D';
-    case EventKind::kConsume: return 'C';
   }
   return '?';
 }
@@ -21,7 +20,6 @@ bool parse_kind(char ch, EventKind* out) {
   switch (ch) {
     case 'S': *out = EventKind::kSend; return true;
     case 'D': *out = EventKind::kDeliver; return true;
-    case 'C': *out = EventKind::kConsume; return true;
     default: return false;
   }
 }

@@ -1,9 +1,11 @@
 // Trace file IO.
 //
 // Text format, one record per line:
-//   <time_ns> <kind:S|D|C> <rank> <peer> <tag> <bytes>
-// Lines starting with '#' are comments. This is the artifact a profiling run
-// writes and the group-formation tool reads back.
+//   <time_ns> <kind:S|D> <rank> <peer> <tag> <bytes>
+// Lines starting with '#' are comments; a line of any other kind (such as
+// the `C` consume records of older traces) is skipped with a warning. This
+// is the artifact a profiling run writes and the group-formation tool reads
+// back.
 #pragma once
 
 #include <iosfwd>

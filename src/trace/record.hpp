@@ -1,8 +1,9 @@
 // Trace records produced by the communication tracer.
 //
-// The paper's group formation (Algorithm 2) consumes send records of the
-// form (source, destination, size); the timeline diagrams (Figure 2) also
-// use delivery events and checkpoint windows.
+// The paper's group formation (Algorithm 2) reads send records of the form
+// (source, destination, size); the timeline diagrams (Figure 2) also use
+// delivery events and checkpoint windows. Nothing reads consumes, so the
+// tracer records none.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +17,6 @@ namespace gcr::trace {
 enum class EventKind : std::uint8_t {
   kSend = 0,
   kDeliver = 1,
-  kConsume = 2,
 };
 
 struct TraceRecord {

@@ -2,9 +2,9 @@
 //
 // Attaches to the MiniMPI runtime as a passive Observer — the analogue of
 // linking the tracer library into the application for a profiling run. It
-// records every transmitted send and every deliver and consume event: the
-// send records feed Algorithm 2 (group formation); the full event stream
-// feeds the timeline renderer.
+// records every transmitted send and every delivery: the send records feed
+// Algorithm 2 (group formation); sends and deliveries feed the timeline
+// renderer. Consumes are not recorded (nothing reads them).
 //
 // Records land in one buffer in dispatch order; records() and take()
 // return them in (time, rank) order, so each rank's own records keep their
@@ -36,11 +36,6 @@ class Tracer : public mpi::Observer {
 
   void on_deliver(const mpi::Rank& rank, const mpi::Message& msg) override {
     records_.push_back(TraceRecord{rank.engine().now(), EventKind::kDeliver,
-                                    rank.id(), msg.src, msg.tag, msg.bytes});
-  }
-
-  void on_consume(const mpi::Rank& rank, const mpi::Message& msg) override {
-    records_.push_back(TraceRecord{rank.engine().now(), EventKind::kConsume,
                                     rank.id(), msg.src, msg.tag, msg.bytes});
   }
 

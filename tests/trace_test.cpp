@@ -39,15 +39,14 @@ TEST(Tracer, CapturesSendsFromLiveRun) {
     co_await h.safepoint(1);
   });
   cluster.engine().run();
-  int sends = 0, delivers = 0, consumes = 0;
+  int sends = 0, delivers = 0;
   for (const auto& r : tracer.records()) {
     if (r.kind == EventKind::kSend) ++sends;
     if (r.kind == EventKind::kDeliver) ++delivers;
-    if (r.kind == EventKind::kConsume) ++consumes;
   }
   EXPECT_EQ(sends, 1);
   EXPECT_EQ(delivers, 1);
-  EXPECT_EQ(consumes, 1);
+  EXPECT_EQ(tracer.records().size(), 2u);  // the receive records nothing
 }
 
 TEST(Tracer, RecordsComeBackInTimeRankAppendOrder) {
@@ -108,7 +107,6 @@ TEST(TraceIo, RoundTripPreservesRecords) {
   Trace trace;
   trace.push_back(send_rec(1000, 0, 1, 512));
   trace.push_back(TraceRecord{2000, EventKind::kDeliver, 1, 0, 9, 512});
-  trace.push_back(TraceRecord{3000, EventKind::kConsume, 1, 0, 9, 512});
   std::stringstream ss;
   write_trace(ss, trace);
   const Trace back = read_trace(ss);
@@ -124,8 +122,10 @@ TEST(TraceIo, RoundTripPreservesRecords) {
 }
 
 TEST(TraceIo, SkipsMalformedLines) {
+  // A `C` (consume) line, as older traces hold, is an unknown kind.
   std::stringstream ss(
-      "# comment\ngarbage here\n100 S 0 1 2 300 7\n100 S 0 1 2 300\n");
+      "# comment\ngarbage here\n100 S 0 1 2 300 7\n100 S 0 1 2 300\n"
+      "200 C 1 0 2 300\n");
   const Trace t = read_trace(ss);
   ASSERT_EQ(t.size(), 1u);
   EXPECT_EQ(t[0].bytes, 300);
