@@ -26,15 +26,17 @@ GroupSet make_round_robin(int nranks, int k);
 /// Groups of exactly `width` consecutive ranks (last may be smaller).
 GroupSet make_blocks(int nranks, int width);
 
-// Partition surgery for elastic regrouping (DESIGN.md §16). Both keep the
-// relative order of untouched groups, so repeated operations compose
-// deterministically.
+// Partition surgery for elastic regrouping (DESIGN.md §16). The result is a
+// GroupSet, whose groups are ordered by smallest member, so group indices
+// shift: name a group by a member rank across an install, not by index.
 
-/// Moves `rank` out of its group into a new singleton appended as the last
-/// group. If `rank` is already a singleton, returns the partition unchanged.
+/// Moves `rank` out of its group into a new singleton, which sorts into
+/// place by its rank like every group. If `rank` is already a singleton,
+/// returns the partition unchanged.
 GroupSet split_rank(const GroupSet& gs, mpi::RankId rank);
 
-/// Merges singleton `rank` into group `target` (members stay sorted) and
+/// Merges singleton `rank` into group `target` (members stay sorted, so
+/// the merged group's leader, its smallest member, may become `rank`) and
 /// drops the emptied singleton. Aborts if `rank` is not a singleton or
 /// `target` is its own group.
 GroupSet merge_rank(const GroupSet& gs, mpi::RankId rank, int target);

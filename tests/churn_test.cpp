@@ -231,5 +231,42 @@ TEST(ElasticSchedule, StaggeredRequestFollowsLeaderAcrossRegroup) {
   EXPECT_EQ(metrics.aborted_rounds, 0);
 }
 
+// A request naming a rank that leads no group sends nothing at all (not a
+// message the rank then drops), so the driver NIC's timing is untouched.
+TEST(ElasticSchedule, RequestToAFollowerSendsNothing) {
+  sim::ClusterParams cp;
+  cp.num_nodes = kRanks + 1;
+  cp.jitter.enabled = false;
+  sim::Cluster cluster(cp);
+  mpi::Runtime rt(cluster, kRanks);
+  apps::RingParams ring;
+  ring.iterations = 100;
+  const apps::AppSpec app = apps::make_ring(kRanks, ring);
+  ckpt::Checkpointer checkpointer(cluster);
+  ckpt::ImageRegistry registry;
+  core::Metrics metrics;
+  core::GroupProtocol protocol(rt, group::make_blocks(kRanks, 2), checkpointer,
+                               registry, app.image_bytes, metrics);
+  rt.set_protocol(&protocol);
+  std::int64_t to_follower = -1;
+  std::int64_t to_leader = -1;
+  cluster.engine().call_at(sim::from_seconds(0.5), [&] {
+    // Merging {2,3} and {4,5} makes rank 4 a follower of rank 2.
+    protocol.install_groups(
+        group::GroupSet(kRanks, {{0, 1}, {2, 3, 4, 5}, {6, 7}}));
+    const sim::Network& net = cluster.network();
+    const std::int64_t before = net.total_messages();
+    protocol.request_checkpoint(4);
+    to_follower = net.total_messages() - before;
+    protocol.request_checkpoint(2);
+    to_leader = net.total_messages() - before - to_follower;
+  });
+  rt.start_app(app.body);
+  cluster.engine().run_while([&rt] { return !rt.job_finished(); });
+  ASSERT_TRUE(rt.job_finished());
+  EXPECT_EQ(to_follower, 0);
+  EXPECT_EQ(to_leader, 1);
+}
+
 }  // namespace
 }  // namespace gcr::exp

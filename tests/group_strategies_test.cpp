@@ -51,6 +51,32 @@ TEST(Strategies, BlocksOfWidth) {
   EXPECT_EQ(g.smallest_group_size(), 2u);
 }
 
+// Partition surgery renumbers groups: a GroupSet orders its groups by
+// smallest member, so a split singleton sorts into place (not last) and a
+// merge can hand the target group a new leader.
+TEST(Surgery, SplitSortsTheSingletonIntoPlace) {
+  const GroupSet blocks = make_blocks(8, 4);
+  const GroupSet split = split_rank(blocks, 2);
+  EXPECT_EQ(split.to_string(), "{0,1,3} {2} {4,5,6,7}");
+  EXPECT_EQ(split.group_of(2), 1);
+  EXPECT_EQ(split.group_of(4), 2);  // was group 1
+  // Splitting a singleton is a no-op.
+  EXPECT_EQ(split_rank(split, 2), split);
+}
+
+TEST(Surgery, MergeKeepsTheTargetSortedAndMayChangeItsLeader) {
+  const GroupSet split = split_rank(make_blocks(8, 4), 2);
+  const GroupSet merged = merge_rank(split, 2, split.group_of(4));
+  EXPECT_EQ(merged.to_string(), "{0,1,3} {2,4,5,6,7}");
+  EXPECT_EQ(merged.members(merged.group_of(4)).front(), 2);  // new leader
+}
+
+TEST(SurgeryDeathTest, MergeRefusesANonSingleton) {
+  const GroupSet split = split_rank(make_blocks(8, 4), 2);
+  EXPECT_DEATH((void)merge_rank(split, 0, split.group_of(4)),
+               "not a singleton");
+}
+
 TEST(GroupSet, ToStringReadable) {
   GroupSet g = make_round_robin(4, 2);
   EXPECT_EQ(g.to_string(), "{0,2} {1,3}");
