@@ -807,17 +807,11 @@ sim::Co<void> GroupProtocol::replay_to(mpi::Rank& rank, mpi::RankId peer,
   const auto entries = st.log.entries_after(peer, after);
   if (entries.empty()) co_return;
   ++metrics_->resend_ops;
-  sim::Engine& eng = rt_->engine();
   for (const mpi::Message& m : entries) {
-    co_await sim::delay(eng, sim::from_seconds(kReplayPerMsgS));
-    const auto times = rt_->replay_send(rank, m);
+    co_await sim::delay(rt_->engine(), sim::from_seconds(kReplayPerMsgS));
     ++metrics_->resend_messages;
     metrics_->resend_bytes += m.bytes;
-    if (times.ticket != 0) {
-      co_await rt_->await_egress(times.ticket);
-    } else if (times.egress_done > eng.now()) {
-      co_await sim::delay(eng, times.egress_done - eng.now());
-    }
+    co_await rt_->replay_send(rank, m);
   }
 }
 

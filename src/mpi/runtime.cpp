@@ -140,18 +140,35 @@ void Runtime::spawn_app_coroutine(Rank& rank) {
 
 // ------------------------------------------------------------------- p2p
 
-void Runtime::stamp_outgoing(Rank& rank, Message& msg) {
-  auto& sv = rank.sent_[static_cast<std::size_t>(msg.dst)];
-  sv.bytes += msg.bytes;
+Message Runtime::stamp_outgoing(Rank& rank, RankId dst, int tag,
+                                std::int64_t bytes) {
+  GCR_CHECK(dst >= 0 && dst < nranks());
+  GCR_CHECK(bytes >= 0);
+  Message msg;
+  msg.src = rank.id();
+  msg.dst = dst;
+  msg.tag = tag;
+  msg.bytes = bytes;
+  msg.src_inc = rank.incarnation_;
+  msg.dst_inc = ranks_[static_cast<std::size_t>(dst)]->incarnation_;
+  auto& sv = rank.sent_[static_cast<std::size_t>(dst)];
+  sv.bytes += bytes;
   sv.count += 1;
   msg.seq = sv.count;
   msg.cum_bytes = sv.bytes;
   msg.checksum = message_checksum(msg.src, msg.dst, msg.seq);
   ++app_messages_sent_;
-  app_bytes_sent_ += msg.bytes;
+  app_bytes_sent_ += bytes;
+  return msg;
 }
 
-sim::Network::SendTimes Runtime::transmit(const Message& msg) {
+sim::Network::Egress Runtime::emit(Rank& rank, const Message& msg,
+                                   bool transmit_it) {
+  for (Observer* obs : observers_) obs->on_send(rank, msg, transmit_it);
+  return transmit_it ? transmit(msg) : sim::Network::Egress{};
+}
+
+sim::Network::Egress Runtime::transmit(const Message& msg) {
   const int src_node = msg.src == kExternalSource
                            ? driver_node()
                            : ranks_[static_cast<std::size_t>(msg.src)]->node();
@@ -162,79 +179,24 @@ sim::Network::SendTimes Runtime::transmit(const Message& msg) {
       [this, m = std::move(copy)]() mutable { deliver(std::move(m)); });
 }
 
-sim::Co<void> Runtime::await_egress(std::uint64_t ticket) {
-  sim::Network& net = cluster_->network();
-  if (ticket == 0 || !net.egress_pending(ticket)) co_return;
-  // RAII unregistration mirrors StorageDevice's ShareGuard: if the waiting
-  // coroutine is killed mid-wait, the fabric must not fire into a dead
-  // stack frame. Clearing a completed/aborted ticket is a no-op.
-  struct EgressGuard {
-    sim::Network* net;
-    std::uint64_t ticket;
-    ~EgressGuard() { net->clear_egress_trigger(ticket); }
-  };
-  sim::Trigger egress(engine());
-  EgressGuard guard{&net, ticket};
-  net.set_egress_trigger(ticket, &egress);
-  co_await egress.wait();
-}
-
 sim::Co<void> Runtime::send(Rank& rank, RankId dst, int tag,
                             std::int64_t bytes) {
-  GCR_CHECK(dst >= 0 && dst < nranks());
-  GCR_CHECK(bytes >= 0);
   co_await compute(rank, kCpuSendOverheadS);
-  Message msg;
-  msg.src = rank.id();
-  msg.dst = dst;
-  msg.tag = tag;
-  msg.bytes = bytes;
-  msg.src_inc = rank.incarnation_;
-  msg.dst_inc = ranks_[static_cast<std::size_t>(dst)]->incarnation_;
-  stamp_outgoing(rank, msg);
+  Message msg = stamp_outgoing(rank, dst, tag, bytes);
   bool transmit_it = true;
   if (protocol_) transmit_it = co_await protocol_->before_send(rank, msg);
-  for (Observer* obs : observers_) obs->on_send(rank, msg, transmit_it);
-  if (transmit_it) {
-    const auto times = transmit(msg);
-    if (times.ticket != 0) {
-      co_await await_egress(times.ticket);
-    } else {
-      sim::Engine& eng = engine();
-      const sim::Time now = eng.now();
-      if (times.egress_done > now) {
-        co_await sim::delay(eng, times.egress_done - now);
-      }
-    }
-  }
+  co_await emit(rank, msg, transmit_it);
 }
 
 sim::Co<Message> Runtime::sendrecv(Rank& rank, RankId dst, int stag,
                                    std::int64_t sbytes, RankId src, int rtag) {
   co_await compute(rank, kCpuSendOverheadS);
-  Message msg;
-  msg.src = rank.id();
-  msg.dst = dst;
-  msg.tag = stag;
-  msg.bytes = sbytes;
-  msg.src_inc = rank.incarnation_;
-  msg.dst_inc = ranks_[static_cast<std::size_t>(dst)]->incarnation_;
-  stamp_outgoing(rank, msg);
+  Message msg = stamp_outgoing(rank, dst, stag, sbytes);
   bool transmit_it = true;
   if (protocol_) transmit_it = co_await protocol_->before_send(rank, msg);
-  for (Observer* obs : observers_) obs->on_send(rank, msg, transmit_it);
-  sim::Network::SendTimes times{0, 0, 0};
-  if (transmit_it) times = transmit(msg);
+  sim::Network::Egress egress = emit(rank, msg, transmit_it);
   Message in = co_await recv(rank, src, rtag);
-  if (times.ticket != 0) {
-    co_await await_egress(times.ticket);
-  } else {
-    sim::Engine& eng = engine();
-    const sim::Time now = eng.now();
-    if (times.egress_done > now) {
-      co_await sim::delay(eng, times.egress_done - now);
-    }
-  }
+  co_await egress;
   co_return in;
 }
 
@@ -478,8 +440,8 @@ void Runtime::send_ctrl_from_driver(RankId dst, Message msg) {
   send_ctrl(kExternalSource, dst, std::move(msg));
 }
 
-sim::Network::SendTimes Runtime::replay_send(Rank& sender,
-                                             const Message& original) {
+sim::Network::Egress Runtime::replay_send(Rank& sender,
+                                          const Message& original) {
   Message msg = original;
   msg.is_replay = true;
   msg.piggyback_rr = -1;
@@ -503,9 +465,9 @@ RankSnapshot Runtime::snapshot_rank(const Rank& rank) const {
 void Runtime::kill_rank(Rank& rank) {
   GCR_CHECK(rank.alive_);
   rank.alive_ = false;
-  // Drop the node's queued/in-flight fabric transfers *before* unwinding
-  // its coroutines, so no completion can fire into a stack being torn
-  // down, and survivors reclaim the dead sender's link shares. Flat no-op.
+  // Drop the node's queued/in-flight fabric transfers before unwinding its
+  // coroutines, so survivors reclaim the dead sender's link shares at the
+  // kill instant. Flat no-op.
   cluster_->network().abort_transfers_from(rank.node());
   if (rank.app_proc_ && rank.app_proc_->alive()) {
     engine().kill(*rank.app_proc_);

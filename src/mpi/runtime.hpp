@@ -113,14 +113,9 @@ class Runtime {
   /// Re-sends a logged app-plane message (sender-based replay). Bypasses the
   /// protocol's before_send (it IS the protocol acting) and does not bump
   /// the sender's S counters (they already account for the original send).
-  /// Returns the network send times so the caller can pace replay: exact
-  /// egress under the flat model, a ticket to block on under routing.
-  sim::Network::SendTimes replay_send(Rank& sender, const Message& original);
-
-  /// Blocks until the ticket's transfer clears its bottleneck (routed
-  /// fabrics). No-op for a zero ticket or an already-completed transfer;
-  /// kill-safe (the registration is cleared on unwind).
-  sim::Co<void> await_egress(std::uint64_t ticket);
+  /// Returns the message's egress; co_await it to pace replay by the
+  /// sender's NIC, as send() does.
+  sim::Network::Egress replay_send(Rank& sender, const Message& original);
 
   // ---- lifecycle (used by protocols / recovery orchestration) ----
   /// Captures the runtime-visible state of a rank (at a safe point).
@@ -170,10 +165,14 @@ class Runtime {
   RecvAwaiter wait_match(Rank& rank, RankId src, int tag);
   void verify_consume(Rank& rank, const Message& msg);
   void spawn_app_coroutine(Rank& rank);
-  /// Assigns seq/cum_bytes/checksum and bumps the sender's S table.
-  void stamp_outgoing(Rank& rank, Message& msg);
-  /// Common transmit path; returns the network send times (see send()).
-  sim::Network::SendTimes transmit(const Message& msg);
+  /// Builds the app message rank -> dst (checking dst and bytes), assigns
+  /// seq/cum_bytes/checksum and bumps the sender's S table.
+  Message stamp_outgoing(Rank& rank, RankId dst, int tag, std::int64_t bytes);
+  /// Tells the observers about a stamped send, then transmits it unless the
+  /// protocol suppressed it. The egress of a suppressed send is ready.
+  sim::Network::Egress emit(Rank& rank, const Message& msg, bool transmit_it);
+  /// Common transmit path; returns the message's egress (see send()).
+  sim::Network::Egress transmit(const Message& msg);
 
   sim::Cluster* cluster_;
   Interposer* protocol_ = nullptr;

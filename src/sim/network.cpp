@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "sim/awaitables.hpp"
 #include "util/assert.hpp"
 
 namespace gcr::sim {
@@ -24,8 +23,28 @@ Network::Network(Engine& engine, int num_nodes, const NetParams& params,
   }
 }
 
-Network::SendTimes Network::send(int src_node, int dst_node,
-                                 std::int64_t bytes, SmallFn deliver) {
+bool Network::Egress::await_ready() const noexcept {
+  if (net_ == nullptr) return true;
+  if (ticket_ == 0) return instant_ <= net_->engine_->now();
+  return net_->ticket_transfer(ticket_) == nullptr;
+}
+
+void Network::Egress::await_suspend(std::coroutine_handle<> h) {
+  Engine& engine = *net_->engine_;
+  waiter_ = engine.suspend_current(h);
+  if (ticket_ == 0) {
+    engine.fire_at(instant_, waiter_);
+    return;
+  }
+  // complete() fires the handle; a killed waiter's handle is stale by then
+  // (the engine bumped its generation), so firing it is a no-op.
+  Transfer* t = net_->ticket_transfer(ticket_);
+  GCR_CHECK_MSG(!t->egress, "one waiter per routed egress");
+  t->egress = waiter_;
+}
+
+Network::Egress Network::send(int src_node, int dst_node, std::int64_t bytes,
+                              SmallFn deliver) {
   GCR_CHECK(src_node >= 0 && src_node < num_nodes());
   GCR_CHECK(dst_node >= 0 && dst_node < num_nodes());
   GCR_CHECK(bytes >= 0);
@@ -42,7 +61,7 @@ Network::SendTimes Network::send(int src_node, int dst_node,
         static_cast<double>(bytes) / params_.loopback_Bps);
     const Time arrival = now + std::max<Time>(1, copy);
     engine_->call_at(arrival, std::move(deliver));
-    return {arrival, arrival, 0};
+    return Egress(this, arrival, 0);
   }
   if (!routed()) {
     return send_flat(src_node, bytes, std::move(deliver), now);
@@ -50,8 +69,8 @@ Network::SendTimes Network::send(int src_node, int dst_node,
   return send_routed(src_node, dst_node, bytes, std::move(deliver), now);
 }
 
-Network::SendTimes Network::send_flat(int src_node, std::int64_t bytes,
-                                      SmallFn deliver, Time now) {
+Network::Egress Network::send_flat(int src_node, std::int64_t bytes,
+                                   SmallFn deliver, Time now) {
   const Time occupy = from_seconds(
       params_.per_message_s + static_cast<double>(bytes) / params_.bandwidth_Bps);
   Time& nic_free = egress_free_[static_cast<std::size_t>(src_node)];
@@ -61,12 +80,12 @@ Network::SendTimes Network::send_flat(int src_node, std::int64_t bytes,
   const Time arrival = std::max(egress_done + from_seconds(params_.latency_s),
                                 now + 1);
   engine_->call_at(arrival, std::move(deliver));
-  return {egress_done, arrival, 0};
+  return Egress(this, egress_done, 0);
 }
 
-Network::SendTimes Network::send_routed(int src_node, int dst_node,
-                                        std::int64_t bytes, SmallFn deliver,
-                                        Time now) {
+Network::Egress Network::send_routed(int src_node, int dst_node,
+                                     std::int64_t bytes, SmallFn deliver,
+                                     Time now) {
   fabric_offered_ += bytes;
   const std::uint32_t idx = alloc_transfer();
   Transfer& t = pool_[idx];
@@ -75,7 +94,6 @@ Network::SendTimes Network::send_routed(int src_node, int dst_node,
   t.bytes = bytes;
   t.remaining = static_cast<double>(bytes);
   t.deliver = std::move(deliver);
-  t.egress = nullptr;
   t.next_queued = kNil;
 
   NodeState& ns = nodes_[static_cast<std::size_t>(src_node)];
@@ -93,44 +111,16 @@ Network::SendTimes Network::send_routed(int src_node, int dst_node,
     }
   }
 
-  // Uncontended estimates mirroring the routed arithmetic (full-rate
-  // drain, then the per-message + per-hop delivery delay over a minimal
-  // route); the real egress signal is the ticket's trigger, the real
-  // arrival is when `deliver` runs.
-  const Time est_clear =
-      now + std::max<Time>(1, from_seconds(static_cast<double>(bytes) /
-                                           params_.bandwidth_Bps));
-  const Time delivery = std::max<Time>(
-      1, from_seconds(params_.per_message_s +
-                      topo_->min_hops(src_node, dst_node) *
-                          params_.topology.hop_latency_s));
-  return {est_clear, est_clear + delivery, make_ticket(idx)};
+  return Egress(this, 0, make_ticket(idx));
 }
 
-const Network::Transfer* Network::ticket_transfer(std::uint64_t ticket) const {
-  if (ticket == 0) return nullptr;
+Network::Transfer* Network::ticket_transfer(std::uint64_t ticket) {
   const std::uint32_t slot = static_cast<std::uint32_t>(ticket >> 32);
   const std::uint32_t epoch = static_cast<std::uint32_t>(ticket);
   if (slot == 0 || slot - 1 >= pool_.size()) return nullptr;
-  const Transfer& t = pool_[slot - 1];
+  Transfer& t = pool_[slot - 1];
   if (t.epoch != epoch || t.state == XferState::kFree) return nullptr;
   return &t;
-}
-
-bool Network::egress_pending(std::uint64_t ticket) const {
-  return ticket_transfer(ticket) != nullptr;
-}
-
-void Network::set_egress_trigger(std::uint64_t ticket, Trigger* t) {
-  Transfer* x = const_cast<Transfer*>(ticket_transfer(ticket));
-  GCR_CHECK(x != nullptr);
-  GCR_CHECK(x->egress == nullptr);
-  x->egress = t;
-}
-
-void Network::clear_egress_trigger(std::uint64_t ticket) {
-  Transfer* x = const_cast<Transfer*>(ticket_transfer(ticket));
-  if (x != nullptr) x->egress = nullptr;
 }
 
 std::uint32_t Network::alloc_transfer() {
@@ -147,7 +137,7 @@ void Network::free_transfer(std::uint32_t idx) {
   Transfer& t = pool_[idx];
   t.state = XferState::kFree;
   t.deliver = SmallFn();
-  t.egress = nullptr;
+  t.egress = WaiterHandle{};
   ++t.epoch;  // stale tickets stop resolving
   t.next_queued = kNil;
   free_.push_back(idx);
@@ -336,8 +326,8 @@ void Network::complete(std::uint32_t idx, Time now) {
       params_.per_message_s +
       static_cast<double>(route.nhops) * params_.topology.hop_latency_s);
   engine_->call_at(now + std::max<Time>(1, tail), std::move(t.deliver));
-  // The sender's buffer is reusable now: wake a registered egress waiter.
-  if (Trigger* egress = std::exchange(t.egress, nullptr)) egress->fire();
+  // The sender's buffer is reusable now: wake its egress waiter, if any.
+  if (t.egress) engine_->fire(t.egress);
   free_transfer(idx);
 
   NodeState& ns = nodes_[static_cast<std::size_t>(src)];

@@ -27,18 +27,23 @@
 // behind its NIC's admitted transfers). Delivery runs
 // `per_message + nhops * hop_latency` after the last byte clears the
 // bottleneck, so an uncontended message costs
-// bytes/bandwidth + per_message + nhops * hop_latency end to end, and the
-// sender's egress trigger fires at that completion instant. Tickets are
-// (transfer slot, epoch) pairs on the transfer pool, so a recycled slot's
-// stale ticket stops resolving.
+// bytes/bandwidth + per_message + nhops * hop_latency end to end.
+//
+// send() returns an Egress: the sender co_awaits it to block until its
+// buffer has left the NIC, without knowing the fabric. Flat and loopback
+// egress is an exact instant known at send time; routed egress is the
+// transfer's completion, which depends on future contention, so a routed
+// Egress wakes its waiter when the transfer clears its bottleneck (the
+// instant its delivery is scheduled).
 //
 // Kill protocol: abort_transfers_from(node) synchronously drops the node's
 // queued and in-flight transfers (their callbacks never run, their egress
-// triggers are unhooked without firing) and resettles the survivors to
-// reclaim the bandwidth. Transfers that already cleared their bottleneck
-// still deliver — the wire cannot be recalled.
+// waiters are never woken) and resettles the survivors to reclaim the
+// bandwidth. Transfers that already cleared their bottleneck still
+// deliver — the wire cannot be recalled.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <vector>
 
@@ -47,8 +52,6 @@
 #include "sim/topology.hpp"
 
 namespace gcr::sim {
-
-class Trigger;
 
 struct NetParams {
   double latency_s = 70e-6;        ///< one-way wire+switch latency (flat)
@@ -75,37 +78,36 @@ class Network {
   /// The routed topology (routed() only; flat has none).
   const Topology& topology() const { return *topo_; }
 
-  struct SendTimes {
-    Time egress_done;  ///< when the sender's buffer is reusable
-    Time arrival;      ///< when `deliver` runs at the destination
-    /// Nonzero for a routed fabric transfer: a handle for the egress-wait
-    /// protocol below. 0 for flat and loopback sends (their egress_done is
-    /// already exact).
-    std::uint64_t ticket = 0;
+  /// co_await on it returns once the sent buffer is reusable: at the exact
+  /// NIC-drain instant for flat and loopback sends, at bottleneck
+  /// completion for a routed transfer. Ready at once when that moment has
+  /// passed (or the transfer was aborted); a default-constructed Egress is
+  /// always ready. A plain awaitable like Delay: no coroutine frame. A
+  /// killed waiter's stale handle is ignored when the transfer completes.
+  class Egress {
+   public:
+    Egress() = default;
+
+    bool await_ready() const noexcept;
+    void await_suspend(std::coroutine_handle<> h);
+    void await_resume() {
+      if (waiter_) net_->engine_->finish_wait(waiter_);
+    }
+
+   private:
+    friend class Network;
+    Egress(Network* net, Time instant, std::uint64_t ticket)
+        : net_(net), instant_(instant), ticket_(ticket) {}
+
+    Network* net_ = nullptr;
+    Time instant_ = 0;          ///< flat/loopback: when the NIC drains
+    std::uint64_t ticket_ = 0;  ///< routed: the transfer's (slot, epoch)
+    WaiterHandle waiter_;
   };
 
   /// Schedules an asynchronous transfer; `deliver` runs at arrival time.
-  /// The returned times are exact for flat/loopback but uncontended
-  /// *estimates* under routing, because a routed completion depends on
-  /// future contention — block on the ticket (below) for the real signal.
-  SendTimes send(int src_node, int dst_node, std::int64_t bytes,
-                 SmallFn deliver);
-
-  // ---- Egress-wait protocol (routed transfers only) ----
-  // A sender that must block until its buffer drains registers a Trigger
-  // against the ticket; the fabric fires it at bottleneck completion (the
-  // same instant the arrival event is scheduled). The registration follows
-  // StorageDevice's Active::done idiom: the *waiter* owns the trigger and
-  // must clear the registration on unwind (kill-safety) — tickets are
-  // generation-checked, so clearing after completion or abort is a no-op.
-
-  /// True while the ticket's transfer is still queued or in flight.
-  bool egress_pending(std::uint64_t ticket) const;
-  /// Registers `t` to fire at the ticket's completion. The ticket must be
-  /// pending; the trigger must outlive the wait (stack + RAII clear).
-  void set_egress_trigger(std::uint64_t ticket, Trigger* t);
-  /// Unregisters; safe on completed/aborted/reused tickets.
-  void clear_egress_trigger(std::uint64_t ticket);
+  Egress send(int src_node, int dst_node, std::int64_t bytes,
+              SmallFn deliver);
 
   /// Drops every queued and in-flight transfer originating at `src_node`:
   /// callbacks are destroyed (never fire), survivors sharing links speed
@@ -152,8 +154,8 @@ class Network {
     std::int32_t dst = -1;
     std::uint32_t est_gen = 0;  ///< invalidates stale heap estimates
     Time est_time = 0;          ///< fire time of the live heap entry
-    std::uint32_t epoch = 0;    ///< bumped on free: stale tickets stop resolving
-    Trigger* egress = nullptr;  ///< fired at completion (egress-wait)
+    std::uint32_t epoch = 0;  ///< bumped on free: stale tickets stop resolving
+    WaiterHandle egress;      ///< the sender awaiting completion, if any
     XferState state = XferState::kFree;
     Route route;
     SmallFn deliver;
@@ -183,18 +185,21 @@ class Network {
     }
   };
 
-  SendTimes send_flat(int src_node, std::int64_t bytes, SmallFn deliver,
-                      Time now);
-  SendTimes send_routed(int src_node, int dst_node, std::int64_t bytes,
-                        SmallFn deliver, Time now);
+  Egress send_flat(int src_node, std::int64_t bytes, SmallFn deliver,
+                   Time now);
+  Egress send_routed(int src_node, int dst_node, std::int64_t bytes,
+                     SmallFn deliver, Time now);
+  /// A routed Egress names its transfer by (slot + 1, epoch); free_transfer
+  /// bumps the epoch, so the ticket stops resolving once the transfer
+  /// completes or is aborted, even after the slot is reused.
   std::uint64_t make_ticket(std::uint32_t idx) const {
     return (static_cast<std::uint64_t>(idx + 1) << 32) | pool_[idx].epoch;
   }
   /// Resolves a ticket to its still-queued or in-flight transfer, or
   /// nullptr if the transfer completed, was aborted, or the slot was reused.
-  const Transfer* ticket_transfer(std::uint64_t ticket) const;
+  Transfer* ticket_transfer(std::uint64_t ticket);
   /// Drops one queued-or-active transfer: accounts the bytes and frees the
-  /// pool slot (its callback never runs, its egress trigger never fires).
+  /// pool slot (its callback never runs, its egress waiter is never woken).
   void drop_transfer(std::uint32_t idx);
 
   /// Current fair share of one link: bandwidth * 1/active, via the

@@ -299,5 +299,21 @@ TEST(RuntimeDeathTest, TwoOutstandingRecvsForbidden) {
   EXPECT_DEATH(f.cluster.engine().run(), "one outstanding");
 }
 
+// sendrecv builds its message through send's checks: an out-of-range
+// destination or a negative size aborts instead of indexing the rank
+// tables unchecked.
+TEST(RuntimeDeathTest, SendrecvChecksDestinationAndSize) {
+  auto exchange = [](RankId dst, std::int64_t bytes) {
+    Fixture f(2);
+    f.rt.start_app([dst, bytes](AppHandle h) -> sim::Co<void> {
+      if (h.id() == 0) (void)co_await h.sendrecv(dst, 1, bytes, 1, 1);
+    });
+    f.cluster.engine().run();
+  };
+  EXPECT_DEATH(exchange(2, 8), "dst >= 0 && dst < nranks");
+  EXPECT_DEATH(exchange(-1, 8), "dst >= 0 && dst < nranks");
+  EXPECT_DEATH(exchange(1, -1), "bytes >= 0");
+}
+
 }  // namespace
 }  // namespace gcr::mpi

@@ -19,6 +19,20 @@ NetParams fast_params() {
   return p;
 }
 
+NetParams fattree_params() {
+  NetParams p = fast_params();
+  p.topology.kind = TopologyKind::kFatTree;
+  p.topology.fattree_k = 4;
+  p.topology.hop_latency_s = 0;
+  return p;
+}
+
+/// Awaits `egress` as a sender does and records when the wait returned.
+Co<void> time_egress(Network::Egress egress, Engine& eng, Time* at) {
+  co_await egress;
+  *at = eng.now();
+}
+
 TEST(Network, LatencyPlusBandwidth) {
   Engine eng;
   Network net(eng, 2, fast_params());
@@ -60,10 +74,13 @@ TEST(Network, LoopbackBypassesNic) {
   p.loopback_latency_s = 1e-6;
   Network net(eng, 2, p);
   Time arrived = -1;
-  auto times = net.send(0, 0, 1'000'000, [&] { arrived = eng.now(); });
+  Time egress = -1;
+  eng.spawn("sender",
+            time_egress(net.send(0, 0, 1'000'000, [&] { arrived = eng.now(); }),
+                        eng, &egress));
   eng.run();
   EXPECT_EQ(arrived, 1_ms + 1_us);
-  EXPECT_EQ(times.egress_done, arrived);
+  EXPECT_EQ(egress, arrived);
 }
 
 TEST(Network, FifoPerSenderPair) {
@@ -85,12 +102,12 @@ TEST(Network, ZeroByteMessageStillPaysLatency) {
   Engine eng;
   Network net(eng, 2, fast_params());
   Time arrived = -1;
-  const auto times = net.send(0, 1, 0, [&] { arrived = eng.now(); });
+  Time egress = -1;
+  eng.spawn("sender", time_egress(net.send(0, 1, 0, [&] { arrived = eng.now(); }),
+                                  eng, &egress));
   eng.run();
   EXPECT_EQ(arrived, 100_us);
-  EXPECT_EQ(times.arrival, arrived);
-  EXPECT_EQ(times.egress_done, 0);  // per_message_s == 0 in fast_params
-  EXPECT_EQ(times.ticket, 0u);      // flat sends carry no egress ticket
+  EXPECT_EQ(egress, 0);  // per_message_s == 0 in fast_params
 }
 
 TEST(Network, ZeroByteSelfSendDeliversStrictlyLater) {
@@ -106,9 +123,7 @@ TEST(Network, ZeroByteSelfSendDeliversStrictlyLater) {
 
 TEST(Network, RoutedZeroBytePaysPerHopLatency) {
   Engine eng;
-  NetParams p = fast_params();
-  p.topology.kind = TopologyKind::kFatTree;
-  p.topology.fattree_k = 4;
+  NetParams p = fattree_params();
   p.topology.hop_latency_s = 10e-6;
   Network net(eng, 16, p);
   Time arrived = -1;
@@ -117,63 +132,89 @@ TEST(Network, RoutedZeroBytePaysPerHopLatency) {
   EXPECT_GE(arrived, from_seconds(6 * 10e-6));
 }
 
-TEST(Network, RoutedSendTimesAreEstimatesWithTicket) {
-  Engine eng;
-  NetParams p = fast_params();
-  p.topology.kind = TopologyKind::kFatTree;
-  p.topology.fattree_k = 4;
-  p.topology.hop_latency_s = 0;
-  Network net(eng, 16, p);
-  ASSERT_TRUE(net.routed());
-  Time arrived = -1;
-  const auto times = net.send(0, 4, 1'000'000, [&] { arrived = eng.now(); });
-  ASSERT_NE(times.ticket, 0u);
-  EXPECT_TRUE(net.egress_pending(times.ticket));
-  eng.run();
-  // Uncontended, the estimate is exact (modulo the 1-tick delivery floor).
-  EXPECT_NEAR(to_seconds(arrived), to_seconds(times.arrival), 1e-6);
-  EXPECT_FALSE(net.egress_pending(times.ticket));
-  // Clearing a completed ticket's trigger is a harmless no-op.
-  net.clear_egress_trigger(times.ticket);
-}
-
-// A routed send is admitted at the send instant, the sender's egress
-// trigger fires when the last byte clears the bottleneck, and delivery
-// follows per_message + nhops * hop_latency later.
+// A routed send is admitted at the send instant, the sender's egress wait
+// returns when the last byte clears the bottleneck, and delivery follows
+// per_message + nhops * hop_latency later.
 TEST(Network, RoutedEgressFiresAtCompletionAndDeliveryPaysEveryHop) {
   Engine eng;
-  NetParams p = fast_params();
+  NetParams p = fattree_params();
   p.per_message_s = 20e-6;
-  p.topology.kind = TopologyKind::kFatTree;
-  p.topology.fattree_k = 4;
   p.topology.hop_latency_s = 10e-6;
   Network net(eng, 16, p);
   Time arrived = -1;
   Time egress = -1;
   // Cross-pod: 6 hops. 1 MB at 10 MB/s clears the bottleneck at 100 ms.
-  const auto times = net.send(0, 4, 1'000'000, [&] { arrived = eng.now(); });
+  Network::Egress wait = net.send(0, 4, 1'000'000, [&] { arrived = eng.now(); });
   EXPECT_EQ(net.active_transfers(), 1);  // admitted without a step
-  Trigger done(eng);
-  net.set_egress_trigger(times.ticket, &done);
-  auto waiter = [](Trigger& t, Engine& e, Time* at) -> Co<void> {
-    co_await t.wait();
-    *at = e.now();
-  };
-  eng.spawn("sender", waiter(done, eng, &egress));
+  eng.spawn("sender", time_egress(wait, eng, &egress));
   eng.run();
   EXPECT_EQ(egress, 100_ms);
   EXPECT_EQ(arrived, 100_ms + 20_us + 6 * 10_us);
-  EXPECT_EQ(times.egress_done, egress);  // uncontended estimates are exact
-  EXPECT_EQ(times.arrival, arrived);
+}
+
+// sendrecv's order: the sender transmits, waits on something else, and
+// only then awaits its egress. Once the transfer has completed that wait
+// is ready at once, even after a later send reuses the transfer's pool
+// slot (the ticket's epoch no longer matches).
+TEST(Network, RoutedEgressAwaitedAfterCompletionIsReady) {
+  Engine eng;
+  Network net(eng, 16, fattree_params());
+  Time egress = -1;
+  Time second_arrived = -1;
+  auto sender = [](Network& n, Engine& e, Time* at,
+                   Time* later_arrival) -> Co<void> {
+    Network::Egress first = n.send(0, 4, 1'000'000, [] {});  // done at 100 ms
+    co_await delay(e, 120_ms);
+    n.send(0, 4, 1'000'000,
+           [ep = &e, later_arrival] { *later_arrival = ep->now(); });
+    co_await first;
+    *at = e.now();
+  };
+  eng.spawn("sender", sender(net, eng, &egress, &second_arrived));
+  eng.run();
+  EXPECT_EQ(egress, 120_ms);
+  EXPECT_EQ(second_arrived, 220_ms + 1);  // the 1-tick delivery floor
+}
+
+// A sender killed mid-wait, with no abort_transfers_from, leaves a stale
+// waiter handle in its transfer. The kill unwinds the sender once; the
+// transfer still completes and delivers, and firing the stale handle
+// resumes nothing — not even a later process whose wait reuses the
+// sender's waiter slot.
+TEST(Network, KilledRoutedEgressWaiterIsNeverResumed) {
+  Engine eng;
+  Network net(eng, 16, fattree_params());
+  Time arrived = -1;
+  bool resumed = false;
+  int kills = 0;
+  auto sender = [](Network& n, Time* at, Engine& e, bool* after) -> Co<void> {
+    co_await n.send(0, 4, 1'000'000, [at, ep = &e] { *at = ep->now(); });
+    *after = true;
+  };
+  ProcPtr proc = eng.spawn("sender", sender(net, &arrived, eng, &resumed),
+                           [&kills](Proc&, ExitKind kind) {
+                             if (kind == ExitKind::kKilled) ++kills;
+                           });
+  eng.call_at(50_ms, [&] { eng.kill(*proc); });
+  Time bystander_woke = -1;
+  eng.call_at(60_ms, [&] {
+    eng.spawn("bystander", [](Engine& e, Time* at) -> Co<void> {
+      co_await delay(e, 150_ms);
+      *at = e.now();
+    }(eng, &bystander_woke));
+  });
+  eng.run();
+  EXPECT_EQ(kills, 1);
+  EXPECT_FALSE(resumed);
+  EXPECT_EQ(arrived, 100_ms + 1);  // the 1-tick delivery floor
+  EXPECT_EQ(bystander_woke, 210_ms);
+  EXPECT_EQ(net.fabric_bytes_delivered(), 1'000'000);
+  EXPECT_EQ(eng.live_process_count(), 0u);
 }
 
 TEST(Network, InFlightTransferKilledMidHopNeverDelivers) {
   Engine eng;
-  NetParams p = fast_params();
-  p.topology.kind = TopologyKind::kFatTree;
-  p.topology.fattree_k = 4;
-  p.topology.hop_latency_s = 0;
-  Network net(eng, 16, p);
+  Network net(eng, 16, fattree_params());
   bool delivered = false;
   net.send(0, 4, 1'000'000, [&] { delivered = true; });  // 100 ms transfer
   eng.call_at(50_ms, [&] { net.abort_transfers_from(0); });
