@@ -112,7 +112,7 @@ class ImageRegistry {
 
  private:
   void ensure(mpi::RankId r) {
-    GCR_ASSERT(r >= 0);
+    GCR_CHECK_MSG(r >= 0, "ImageRegistry: negative rank id");
     if (static_cast<std::size_t>(r) >= images_.size()) {
       reserve_ranks(r + 1);
     }
