@@ -116,28 +116,18 @@ class Checkpointer {
     }
   }
 
-  /// Direct-mode anonymous image write (analytic tests and callers with no
-  /// commit protocol): setup + device write, durable on completion.
-  sim::Co<void> write_image(int node, std::int64_t bytes) {
-    GCR_CHECK_MSG(!tiers_, "tiered modes stage images per rank; use "
-                           "stage_image/commit_image");
-    co_await sim::delay(cluster_->engine(),
-                        sim::from_seconds(options_.setup_s));
-    co_await device_for(node).write(bytes);
-  }
-
-  /// The direct-mode device a given node writes images to.
-  sim::StorageDevice& device_for(int node) {
-    return options_.remote_storage ? cluster_->remote_server_for(node)
-                                   : cluster_->local_disk(node);
-  }
-
   /// Tier counters, or nullptr in direct mode.
   const TierStats* tier_stats() const {
     return tiers_ ? &tiers_->stats() : nullptr;
   }
 
  private:
+  /// The direct-mode device a given node writes images to.
+  sim::StorageDevice& device_for(int node) {
+    return options_.remote_storage ? cluster_->remote_server_for(node)
+                                   : cluster_->local_disk(node);
+  }
+
   sim::Cluster* cluster_;
   CheckpointerOptions options_;
   std::optional<TierStore> tiers_;

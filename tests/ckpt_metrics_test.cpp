@@ -23,9 +23,12 @@ sim::ClusterParams small_cluster(int nodes, int servers) {
   return p;
 }
 
+/// Stages the image of the rank on `node` (one rank per node); in direct
+/// mode that is the setup delay plus one device write, and commit is a
+/// no-op.
 sim::Co<void> timed_write(ckpt::Checkpointer& ck, int node, std::int64_t bytes,
                           sim::Time* done, sim::Engine& eng) {
-  co_await ck.write_image(node, bytes);
+  co_await ck.stage_image(node, /*rank=*/node, /*epoch=*/1, bytes);
   *done = eng.now();
 }
 
@@ -105,6 +108,20 @@ TEST(ImageRegistry, DiscardStagedRollsBackToPreviousEpoch) {
   EXPECT_FALSE(reg.has_staged(3));
   EXPECT_EQ(reg.latest(3)->meta.epoch, 5u);
   reg.discard_staged(3);  // idempotent
+}
+
+// Rank ids are checked in every build, not only with assertions on: a
+// negative rank aborts instead of indexing the slot arrays out of bounds.
+TEST(ImageRegistryDeathTest, StageRejectsANegativeRank) {
+  ckpt::ImageRegistry reg;
+  reg.reserve_ranks(2);
+  EXPECT_DEATH(reg.stage(image(-1, 1)), "negative rank id");
+}
+
+TEST(ImageRegistryDeathTest, CommitGroupRejectsANegativeRank) {
+  ckpt::ImageRegistry reg;
+  reg.reserve_ranks(2);
+  EXPECT_DEATH(reg.commit_group({-1}, 1), "negative rank id");
 }
 
 TEST(Metrics, AggregatesSumPhases) {
