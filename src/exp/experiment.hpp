@@ -30,12 +30,12 @@ enum class ProtocolKind {
 };
 
 /// Checkpoint storage subsystem (DESIGN.md §13). The default — direct mode
-/// with concurrency 1 — is the pre-tier single-slot FIFO device and keeps
-/// historical campaign outputs byte-identical.
+/// with concurrency 1 — writes each image to a single-slot FIFO device
+/// (the node's disk or its NFS server), as the paper's testbed does.
 struct StorageConfig {
   ckpt::StorageMode mode = ckpt::StorageMode::kDirect;
   /// Fair-share width of the DIRECT devices (local disk / NFS server): K
-  /// admitted transfers share the bandwidth, 1 = strict FIFO (legacy).
+  /// admitted transfers share the bandwidth, 1 = strict FIFO.
   int direct_concurrency = 1;
   // --- tier hierarchy (modes kBurstBuffer / kDrain) ---
   int burst_buffers = 1;               ///< shared burst-buffer servers

@@ -34,17 +34,10 @@ Co<void> StorageDevice::transfer(std::int64_t bytes, bool is_write) {
     int* counter;
     ~FlightGuard() { --*counter; }
   } flight{&in_flight_};
-  if (params_.concurrency == 1) {
-    // Legacy strict-FIFO path: one delay while holding the single slot.
-    // This posts exactly the events the pre-fair-share device posted, so
-    // K=1 configurations reproduce historical outputs bit-for-bit.
-    co_await delay(*engine_, transfer_duration(bytes));
-  } else {
-    // Per-request setup is serial work on the requester's side of the
-    // pipe; only the byte stream itself is shared.
-    co_await delay(*engine_, from_seconds(params_.latency_s));
-    co_await shared_transfer(bytes);
-  }
+  // Per-request setup is serial work on the requester's side of the pipe;
+  // only the byte stream itself is shared.
+  co_await delay(*engine_, from_seconds(params_.latency_s));
+  co_await shared_transfer(bytes);
   if (is_write) {
     bytes_written_ += bytes;
   } else {

@@ -5,10 +5,9 @@
 // FAIR-SHARE the device bandwidth (each progresses at bandwidth/n while n
 // are active, progress resettled on every arrival and departure). Requests
 // beyond the admission limit queue FIFO. `concurrency == 1` (the default)
-// degenerates to the original strict-FIFO single-slot device and is
-// byte-identical to it: the K=1 path posts exactly the same engine events
-// as the pre-fair-share implementation, so existing figure campaigns
-// reproduce bit-for-bit.
+// is a strict-FIFO single-slot device: the one admitted transfer gets the
+// whole bandwidth, so a request completes latency + bytes/bandwidth after
+// admission.
 //
 // write() and read() are the only entry points: each call queues for
 // admission, then moves its bytes, and returns when they are durable (or
@@ -35,7 +34,7 @@ struct StorageParams {
   double bandwidth_Bps = 50e6;  ///< sustained sequential bandwidth (bytes/s)
   double latency_s = 5e-3;      ///< per-request setup (seek / RPC), serial
   /// Transfers served concurrently; they fair-share `bandwidth_Bps`.
-  /// 1 = strict FIFO (the legacy single-slot device, bit-reproducible).
+  /// 1 = strict FIFO, one request at a time at full bandwidth.
   int concurrency = 1;
 };
 
@@ -65,13 +64,6 @@ class StorageDevice {
     return transfer(bytes, /*is_write=*/false);
   }
 
-  /// Pure duration of one unqueued, uncontended transfer (for analytic
-  /// estimates): latency_s + bytes / bandwidth_Bps.
-  Time transfer_duration(std::int64_t bytes) const {
-    return from_seconds(params_.latency_s +
-                        static_cast<double>(bytes) / params_.bandwidth_Bps);
-  }
-
   std::int64_t bytes_written() const { return bytes_written_; }
   std::int64_t bytes_read() const { return bytes_read_; }
   /// Transfers currently sharing the device bandwidth.
@@ -97,8 +89,8 @@ class StorageDevice {
   };
 
   Co<void> transfer(std::int64_t bytes, bool is_write);
-  /// Fair-share stream for concurrency > 1: joins the active set, waits for
-  /// the settled completion. Caller holds an admission permit throughout.
+  /// Fair-share stream: joins the active set, waits for the settled
+  /// completion. Caller holds an admission permit throughout.
   Co<void> shared_transfer(std::int64_t bytes);
 
   /// Advances every active transfer's `remaining` to now at bandwidth/n.
@@ -120,7 +112,7 @@ class StorageDevice {
   int in_flight_ = 0;
   int peak_in_flight_ = 0;
 
-  // Fair-share state (empty while concurrency == 1).
+  // Fair-share state.
   std::vector<Active> active_;
   Time last_settle_ = 0;
   std::uint64_t resched_gen_ = 0;

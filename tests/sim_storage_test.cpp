@@ -2,9 +2,10 @@
 //
 // concurrency K admits K transfers that share bandwidth equally, with
 // progress resettled on every arrival/departure; requests beyond K queue
-// FIFO; K=1 is the legacy strict-FIFO device (its exact-formula tests live
-// in sim_network_test.cpp and still pass unchanged). Completion times here
-// are checked against hand-computed piecewise-linear progress.
+// FIFO; K=1 is the strict-FIFO device, one transfer at a time at full
+// bandwidth (its exact-formula tests live in sim_network_test.cpp).
+// Completion times here are checked against hand-computed piecewise-linear
+// progress.
 #include <gtest/gtest.h>
 
 #include "sim/awaitables.hpp"
