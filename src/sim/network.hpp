@@ -78,12 +78,13 @@ class Network {
   /// The routed topology (routed() only; flat has none).
   const Topology& topology() const { return *topo_; }
 
-  /// co_await on it returns once the sent buffer is reusable: at the exact
-  /// NIC-drain instant for flat and loopback sends, at bottleneck
-  /// completion for a routed transfer. Ready at once when that moment has
-  /// passed (or the transfer was aborted); a default-constructed Egress is
-  /// always ready. A plain awaitable like Delay: no coroutine frame. A
-  /// killed waiter's stale handle is ignored when the transfer completes.
+  /// What send() returns. co_await it to block until the sent buffer is
+  /// reusable: the exact NIC-drain instant for flat and loopback sends,
+  /// bottleneck completion for a routed transfer. It is ready at once when
+  /// that moment has passed or the transfer was aborted; a
+  /// default-constructed Egress is always ready. Like Delay it is a plain
+  /// awaitable with no coroutine frame. A killed waiter's handle is stale,
+  /// so the routed completion that fires it resumes nothing.
   class Egress {
    public:
     Egress() = default;
@@ -154,8 +155,8 @@ class Network {
     std::int32_t dst = -1;
     std::uint32_t est_gen = 0;  ///< invalidates stale heap estimates
     Time est_time = 0;          ///< fire time of the live heap entry
-    std::uint32_t epoch = 0;  ///< bumped on free: stale tickets stop resolving
-    WaiterHandle egress;      ///< the sender awaiting completion, if any
+    std::uint32_t epoch = 0;    ///< bumped on free: stale tickets stop resolving
+    WaiterHandle egress;        ///< the sender awaiting completion, if any
     XferState state = XferState::kFree;
     Route route;
     SmallFn deliver;

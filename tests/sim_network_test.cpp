@@ -155,7 +155,7 @@ TEST(Network, RoutedEgressFiresAtCompletionAndDeliveryPaysEveryHop) {
 // sendrecv's order: the sender transmits, waits on something else, and
 // only then awaits its egress. Once the transfer has completed that wait
 // is ready at once, even after a later send reuses the transfer's pool
-// slot (the ticket's epoch no longer matches).
+// slot (freeing the slot bumped its epoch).
 TEST(Network, RoutedEgressAwaitedAfterCompletionIsReady) {
   Engine eng;
   Network net(eng, 16, fattree_params());

@@ -174,9 +174,9 @@ namespace gcr::exp {
 namespace {
 
 /// End-to-end: the full protocol stack (checkpoints + faults + recovery)
-/// over each fabric kind. The routed egress-wait path replaces the flat
-/// model's exact NIC timestamps, so this exercises ticket registration,
-/// kill-time cleanup, and replay pacing under contention.
+/// over each fabric kind. The routed egress wait replaces the flat model's
+/// exact NIC timestamps, so this exercises egress waits cut short by kills,
+/// kill-time transfer aborts, and replay pacing under contention.
 ExperimentConfig e2e_config(std::uint64_t seed, sim::TopologyKind kind) {
   ExperimentConfig cfg;
   cfg.seed = seed;
