@@ -115,9 +115,6 @@ int main(int argc, char** argv) {
     config.seed = point.seed;
     config.groups = groups_for_scale(point.get_enum<Mode>("mode"), n);
     config.topology.kind = point.get_enum<sim::TopologyKind>("topology");
-    // Adaptive (least-loaded) fat-tree uplinks: the bookmark storm is the
-    // exact hotspot adaptive routing exists for. Dragonfly stays minimal.
-    config.topology.fattree_routing = sim::FatTreeRouting::kAdaptive;
     config.checkpoints = true;
     config.schedule.first_at_s = 0.1;  // inside the ~0.4 s stencil run
     config.schedule.max_rounds = 1;

@@ -221,7 +221,6 @@ std::uint64_t link_contention(int nodes, int rounds) {
   Engine eng;
   sim::NetParams np;
   np.topology.kind = sim::TopologyKind::kFatTree;
-  np.topology.fattree_routing = sim::FatTreeRouting::kAdaptive;
   sim::Network net(eng, nodes, np);
   long delivered = 0;
   struct Stream {

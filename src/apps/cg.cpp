@@ -9,6 +9,17 @@ namespace {
 
 constexpr int kTagTranspose = 20;
 
+/// Global dot product every k-th step.
+constexpr std::uint64_t kAllreduceEvery = 3;
+/// Per-step traffic in local-vector volumes: the transpose-reduce moves q,
+/// then z/r updates and the irregular indexed gathers move several more
+/// vector-lengths across the row (calibrated so Class C execution times on
+/// Fast Ethernet land in the paper's range).
+constexpr double kExchangeVolumeFactor = 7.0;
+/// Sparse matvec runs memory-bound on a P4 (~10% of peak).
+constexpr double kFlopsPerS = 150e6;
+constexpr std::int64_t kBaseMemBytes = 6 * 1024 * 1024;
+
 bool is_pow2(int v) { return v > 0 && (v & (v - 1)) == 0; }
 
 int ilog2(int v) {
@@ -47,10 +58,7 @@ sim::Co<void> cg_body(std::shared_ptr<CgShared> sh, mpi::AppHandle h) {
     }
     // Global dot product (rho / alpha) — tiny but global. The transpose
     // exchanges dominate the traffic; dots are less frequent.
-    if (sh->params.allreduce_every > 0 &&
-        s % static_cast<std::uint64_t>(sh->params.allreduce_every) == 0) {
-      co_await h.allreduce(8);
-    }
+    if (s % kAllreduceEvery == 0) co_await h.allreduce(8);
   }
   co_await h.safepoint(total_steps);
 }
@@ -68,7 +76,7 @@ AppSpec make_cg(int nranks, const CgParams& params) {
   // Each rank owns na/nprows rows; the transpose exchange moves the local
   // vector segment (na/npcols doubles) across the row in log steps.
   sh->exchange_bytes = static_cast<std::int64_t>(
-      params.exchange_volume_factor * 8.0 *
+      kExchangeVolumeFactor * 8.0 *
       static_cast<double>(params.na) / sh->npcols);
 
   // Flops: nnz ~ na*(nonzer+1)^2 per matvec, split across ranks and inner
@@ -79,7 +87,7 @@ AppSpec make_cg(int nranks, const CgParams& params) {
   const double flops_per_outer = 2.0 * nnz * 26.0 /  // 26 CG steps per NPB iter
                                  static_cast<double>(params.inner_steps);
   sh->compute_per_step_s =
-      flops_per_outer / static_cast<double>(nranks) / params.flops_per_s;
+      flops_per_outer / static_cast<double>(nranks) / kFlopsPerS;
 
   AppSpec spec;
   spec.name = "cg";
@@ -89,7 +97,7 @@ AppSpec make_cg(int nranks, const CgParams& params) {
       static_cast<std::int64_t>(nnz) * 12;  // values + indices
   const std::int64_t vectors_bytes = 10 * 8 * params.na;
   const std::int64_t mem =
-      (matrix_bytes + vectors_bytes) / nranks + params.base_mem_bytes;
+      (matrix_bytes + vectors_bytes) / nranks + kBaseMemBytes;
   spec.image_bytes = [mem](mpi::RankId) { return mem; };
   spec.body = [sh](mpi::AppHandle h) { return cg_body(sh, h); };
   return spec;

@@ -22,15 +22,6 @@ struct CgParams {
   int nonzer = 15;            ///< nonzeros parameter (Class C)
   int outer_iters = 75;       ///< safe-point granularity
   int inner_steps = 26;       ///< CG steps per outer iteration (NPB: ~26)
-  int allreduce_every = 3;    ///< global dot product every k-th step
-  /// Per-step traffic in local-vector volumes: the transpose-reduce moves
-  /// q, then z/r updates and the irregular indexed gathers move several
-  /// more vector-lengths across the row (calibrated so Class C execution
-  /// times on Fast Ethernet land in the paper's range).
-  double exchange_volume_factor = 7.0;
-  /// Sparse matvec runs memory-bound on a P4 (~10% of peak).
-  double flops_per_s = 150e6;
-  std::int64_t base_mem_bytes = 6 * 1024 * 1024;
 };
 
 /// nranks must be a power of two (NPB restriction).

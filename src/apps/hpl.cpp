@@ -14,6 +14,10 @@ constexpr int kTagPanelFact = 10;
 constexpr int kTagPanelBcast = 11;
 constexpr int kTagUBcast = 12;
 
+constexpr std::int64_t kNb = 120;  ///< block size
+/// Sustained per-process rate (P4 2.0 GHz).
+constexpr double kFlopsPerS = 1.8e9;
+
 struct HplShared {
   HplParams params;
   HplGrid grid;
@@ -41,7 +45,7 @@ sim::Co<void> hpl_body(std::shared_ptr<HplShared> sh, mpi::AppHandle h) {
     const std::uint64_t k = s / 4;
     const int step = static_cast<int>(s % 4);
     const std::int64_t trailing =
-        prm.n - static_cast<std::int64_t>(k) * prm.nb;
+        prm.n - static_cast<std::int64_t>(k) * kNb;
     const std::int64_t rows_loc = std::max<std::int64_t>(
         1, (trailing + g.p - 1) / g.p);
     const std::int64_t cols_loc = std::max<std::int64_t>(
@@ -54,27 +58,27 @@ sim::Co<void> hpl_body(std::shared_ptr<HplShared> sh, mpi::AppHandle h) {
         // Panel factorization inside the panel-owning process column:
         // factor + column-broadcast of the panel block.
         if (mycol == panel_col) {
-          co_await h.compute(static_cast<double>(prm.nb) * prm.nb *
-                             static_cast<double>(rows_loc) / prm.flops_per_s);
-          co_await bcast_subset(h, my_col, pivot_row, rows_loc * prm.nb * 8,
+          co_await h.compute(static_cast<double>(kNb) * kNb *
+                             static_cast<double>(rows_loc) / kFlopsPerS);
+          co_await bcast_subset(h, my_col, pivot_row, rows_loc * kNb * 8,
                                 kTagPanelFact);
         }
         break;
       case 1:
         // Panel broadcast along every process row.
-        co_await bcast_subset(h, my_row, panel_col, rows_loc * prm.nb * 8,
+        co_await bcast_subset(h, my_row, panel_col, rows_loc * kNb * 8,
                               kTagPanelBcast);
         break;
       case 2:
         // U broadcast (row swaps) along every process column.
-        co_await bcast_subset(h, my_col, pivot_row, cols_loc * prm.nb * 8,
+        co_await bcast_subset(h, my_col, pivot_row, cols_loc * kNb * 8,
                               kTagUBcast);
         break;
       case 3:
         // Trailing update: 2·NB·rows·cols flops per process.
-        co_await h.compute(2.0 * static_cast<double>(prm.nb) *
+        co_await h.compute(2.0 * static_cast<double>(kNb) *
                            static_cast<double>(rows_loc) *
-                           static_cast<double>(cols_loc) / prm.flops_per_s);
+                           static_cast<double>(cols_loc) / kFlopsPerS);
         break;
     }
   }
@@ -94,7 +98,7 @@ AppSpec make_hpl(int nranks, const HplParams& params) {
   auto sh = std::make_shared<HplShared>();
   sh->params = params;
   sh->grid = hpl_grid(nranks, params.grid_rows);
-  sh->iters = static_cast<std::uint64_t>(params.n / params.nb);
+  sh->iters = static_cast<std::uint64_t>(params.n / kNb);
   sh->row_members.resize(static_cast<std::size_t>(sh->grid.p));
   sh->col_members.resize(static_cast<std::size_t>(sh->grid.q));
   for (int r = 0; r < nranks; ++r) {
@@ -106,7 +110,7 @@ AppSpec make_hpl(int nranks, const HplParams& params) {
   spec.name = "hpl";
   spec.iterations = sh->iters * 4;
   const std::int64_t mem =
-      8 * params.n * params.n / nranks + params.base_mem_bytes;
+      8 * params.n * params.n / nranks + kHplBaseMemBytes;
   spec.image_bytes = [mem](mpi::RankId) { return mem; };
   spec.body = [sh](mpi::AppHandle h) { return hpl_body(sh, h); };
   return spec;

@@ -24,11 +24,13 @@ namespace gcr::apps {
 
 struct HplParams {
   std::int64_t n = 20000;       ///< matrix order
-  std::int64_t nb = 120;        ///< block size
-  int grid_rows = 8;            ///< P (paper fixes P=8)
-  double flops_per_s = 1.8e9;   ///< sustained per-process rate (P4 2.0 GHz)
-  std::int64_t base_mem_bytes = 12 * 1024 * 1024;  ///< runtime footprint
+  /// P (paper fixes P=8). Nothing sets it; it stays because perfbench
+  /// reads it, until the next benchmark change.
+  int grid_rows = 8;
 };
+
+/// Per-process runtime footprint added to every HPL image.
+inline constexpr std::int64_t kHplBaseMemBytes = 12 * 1024 * 1024;
 
 /// Process-grid geometry helpers (row-major mapping).
 struct HplGrid {

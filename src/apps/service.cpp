@@ -15,6 +15,12 @@ constexpr int kTagPeer = 50;
 constexpr int kTagCross = 51;
 constexpr double kNotDone = -1.0;
 
+constexpr std::int64_t kRequestBytes = 4096;  ///< peer-consult payload
+/// Every k-th request consults a peer replica...
+constexpr std::uint64_t kPartnerEvery = 4;
+/// ...and, outside those, every k-th a remote partition.
+constexpr std::uint64_t kCrossEvery = 16;
+
 /// Shared across all rank bodies of one experiment. Arrival times are
 /// precomputed at spec construction, so the request schedule is a function
 /// of (seed, nranks) alone — faults, churn and restarts cannot perturb it
@@ -49,12 +55,11 @@ sim::Co<void> service_body(std::shared_ptr<ServiceState> s, int nranks,
     // Fan-out: periodic peer-replica consult inside the block, rarer
     // cross-partition consult. Every rank runs the same request index, so
     // the shifted-ring exchanges pair up deterministically.
-    if (bs > 1 && p.partner_every > 0 && it % p.partner_every == 0) {
-      (void)co_await h.sendrecv(peer_next, kTagPeer, p.request_bytes,
-                                peer_prev, kTagPeer);
-    } else if (width < nranks && p.cross_every > 0 &&
-               it % p.cross_every == 0) {
-      (void)co_await h.sendrecv(cross_next, kTagCross, p.request_bytes,
+    if (bs > 1 && it % kPartnerEvery == 0) {
+      (void)co_await h.sendrecv(peer_next, kTagPeer, kRequestBytes, peer_prev,
+                                kTagPeer);
+    } else if (width < nranks && it % kCrossEvery == 0) {
+      (void)co_await h.sendrecv(cross_next, kTagCross, kRequestBytes,
                                 cross_prev, kTagCross);
     }
     co_await h.compute(p.service_s);

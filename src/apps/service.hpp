@@ -27,9 +27,6 @@ struct ServiceParams {
   std::uint64_t requests = 200;     ///< per-rank request count
   double arrival_rate_hz = 2.0;     ///< per-rank mean arrival rate (Poisson)
   double service_s = 0.05;          ///< per-request compute time
-  std::int64_t request_bytes = 4096;  ///< peer-consult payload
-  int partner_every = 4;   ///< every k-th request consults a peer replica
-  int cross_every = 16;    ///< every k-th request consults a remote partition
   int cluster_width = 0;   ///< replica-block width (0 = one global block)
   double slo_s = 0.5;      ///< latency SLO threshold (arrival -> completion)
   std::int64_t mem_bytes = 64ll << 20;  ///< checkpoint image size per rank

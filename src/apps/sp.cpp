@@ -11,6 +11,10 @@ namespace {
 constexpr int kTagXSweep = 30;
 constexpr int kTagYSweep = 31;
 
+/// Stencil sweeps are memory-bound on a P4.
+constexpr double kFlopsPerS = 100e6;
+constexpr std::int64_t kBaseMemBytes = 12 * 1024 * 1024;
+
 struct SpShared {
   SpParams params;
   int side = 0;  ///< sqrt(nranks)
@@ -87,15 +91,14 @@ AppSpec make_sp(int nranks, const SpParams& params) {
 
   // SP-C: ~900 flops per grid point per iteration.
   const double flops_per_iter = gp * gp * gp * 900.0 * scale;
-  sh->compute_per_iter_s = flops_per_iter / static_cast<double>(nranks) /
-                           params.flops_per_s;
+  sh->compute_per_iter_s =
+      flops_per_iter / static_cast<double>(nranks) / kFlopsPerS;
 
   AppSpec spec;
   spec.name = "sp";
   spec.iterations = sh->iters * 3;
-  const std::int64_t mem = static_cast<std::int64_t>(gp * gp * gp) * 15 * 8 /
-                               nranks +
-                           params.base_mem_bytes;
+  const std::int64_t mem =
+      static_cast<std::int64_t>(gp * gp * gp) * 15 * 8 / nranks + kBaseMemBytes;
   spec.image_bytes = [mem](mpi::RankId) { return mem; };
   spec.body = [sh](mpi::AppHandle h) { return sp_body(sh, h); };
   return spec;

@@ -21,8 +21,6 @@ struct SpParams {
   int grid_points = 162;       ///< Class C problem size per dimension
   int niter = 400;             ///< NPB iteration count (Class C)
   int modeled_iters = 100;     ///< safe points; work scaled by niter/modeled
-  double flops_per_s = 100e6;  ///< stencil sweeps are memory-bound on a P4
-  std::int64_t base_mem_bytes = 12 * 1024 * 1024;
 };
 
 /// nranks must be a perfect square.

@@ -27,7 +27,6 @@ namespace gcr::ckpt {
 
 struct CheckpointerOptions {
   bool remote_storage = false;   ///< direct mode: write to shared NFS servers
-  double setup_s = 0.05;         ///< BLCR quiesce + metadata per image (s)
   /// Storage path for images. Non-direct modes require the cluster's tier
   /// hierarchy (ClusterParams::tiers) and exclude `remote_storage`.
   StorageMode mode = StorageMode::kDirect;
@@ -37,6 +36,9 @@ struct CheckpointerOptions {
 
 class Checkpointer {
  public:
+  /// BLCR quiesce + metadata per image, paid on every dump and load (s).
+  static constexpr double kSetupS = 0.05;
+
   /// `cluster` must outlive the checkpointer. Asserts that the cluster has
   /// the devices the configured mode needs.
   Checkpointer(sim::Cluster& cluster, CheckpointerOptions options = {})
@@ -65,8 +67,7 @@ class Checkpointer {
   /// failure mid-write strands no device slot or tier capacity.
   sim::Co<void> stage_image(int node, mpi::RankId rank, std::uint64_t epoch,
                             std::int64_t bytes) {
-    co_await sim::delay(cluster_->engine(),
-                        sim::from_seconds(options_.setup_s));
+    co_await sim::delay(cluster_->engine(), sim::from_seconds(kSetupS));
     if (tiers_) {
       co_await tiers_->stage_image(node, rank, epoch, bytes);
     } else {
@@ -107,8 +108,7 @@ class Checkpointer {
   /// reading from the fastest tier holding the committed image (direct
   /// mode: the node's device). Blocks until the data is in memory.
   sim::Co<void> read_image(int node, mpi::RankId rank, std::int64_t bytes) {
-    co_await sim::delay(cluster_->engine(),
-                        sim::from_seconds(options_.setup_s));
+    co_await sim::delay(cluster_->engine(), sim::from_seconds(kSetupS));
     if (tiers_) {
       co_await tiers_->read_image(node, rank, bytes);
     } else {

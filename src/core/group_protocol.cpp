@@ -165,7 +165,7 @@ void GroupProtocol::rank_started(mpi::Rank& rank) {
   for (int p = 0; p < rt_->nranks(); ++p) {
     if (p == back) continue;
     mpi::Rank& peer = rt_->rank(p);
-    RankState& ps = *states_[static_cast<std::size_t>(p)];
+    RankState& ps = state(p);
     if (!peer.alive() || ps.exchange_deferred.count(back) == 0) continue;
     ps.exchange_deferred.erase(back);
     ps.exchange_pending.insert(back);
@@ -213,7 +213,7 @@ void GroupProtocol::rank_killed(mpi::Rank& rank) {
   const mpi::RankId dead = rank.id();
   for (int p = 0; p < rt_->nranks(); ++p) {
     if (p == dead) continue;
-    RankState& ps = *states_[static_cast<std::size_t>(p)];
+    RankState& ps = state(p);
     if (ps.exchange_pending.erase(dead) > 0) {
       ps.exchange_deferred.insert(dead);
       wake(rt_->rank(p));
@@ -632,7 +632,7 @@ sim::Co<void> GroupProtocol::run_group_checkpoint(mpi::Rank& rank) {
       // post-merge logging inside this group can stop: any future restore
       // rolls the whole group back to this cut (or a later one) together.
       for (mpi::RankId m : members) {
-        RankState& ms = *states_[static_cast<std::size_t>(m)];
+        RankState& ms = state(m);
         if (ms.extra_log.empty()) continue;
         for (mpi::RankId q : members) ms.extra_log.erase(q);
       }
@@ -750,7 +750,7 @@ sim::Co<void> GroupProtocol::run_restore(mpi::Rank& rank) {
       // cuts; such pairs exchange and replay exactly like out-of-group
       // peers, and the transitional logging window (extra_log) guarantees
       // their logs cover the gap (DESIGN.md §16).
-      const RankState& qs = *states_[static_cast<std::size_t>(q)];
+      const RankState& qs = state(q);
       const bool same_cut =
           st.from_image == qs.from_image &&
           (!st.from_image || st.restore_cut == qs.restore_cut);
@@ -829,7 +829,7 @@ bool GroupProtocol::quiescent_for_regroup(
     const std::vector<mpi::RankId>& ranks) {
   for (mpi::RankId r : ranks) {
     if (!rt_->rank(r).alive()) return false;
-    const RankState& st = *states_[static_cast<std::size_t>(r)];
+    const RankState& st = state(r);
     // round_open covers the leader's whole prepare/commit window — including
     // the stretch where members have replied but not yet accepted a commit
     // and so carry no flag of their own; commit_pending covers the
@@ -854,8 +854,8 @@ void GroupProtocol::add_transitional_logging(
   for (mpi::RankId x : a) {
     for (mpi::RankId y : b) {
       if (x == y) continue;
-      states_[static_cast<std::size_t>(x)]->extra_log.insert(y);
-      states_[static_cast<std::size_t>(y)]->extra_log.insert(x);
+      state(x).extra_log.insert(y);
+      state(y).extra_log.insert(x);
     }
   }
 }
@@ -871,7 +871,7 @@ void GroupProtocol::request_checkpoint(mpi::RankId leader) {
 
 bool GroupProtocol::group_restarting(int group) const {
   for (mpi::RankId m : groups_.members(group)) {
-    if (states_[static_cast<std::size_t>(m)]->restoring) return true;
+    if (state(m).restoring) return true;
   }
   return false;
 }

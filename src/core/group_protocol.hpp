@@ -211,6 +211,12 @@ class GroupProtocol : public mpi::Interposer {
   RankState& state(const mpi::Rank& rank) {
     return *states_[static_cast<std::size_t>(rank.id())];
   }
+  /// The state of rank `id` (GCR_CHECKed: ids come from callers).
+  RankState& state(mpi::RankId id) const {
+    GCR_CHECK_MSG(id >= 0 && static_cast<std::size_t>(id) < states_.size(),
+                  "rank id outside the run");
+    return *states_[static_cast<std::size_t>(id)];
+  }
   mpi::RankId leader_of(int group) const {
     return groups_.members(group).front();
   }

@@ -19,6 +19,11 @@ constexpr std::uint64_t kFaultModelStreamBase = 0xFA17A11ULL;
 /// arming both models draws from disjoint streams.
 constexpr std::uint64_t kChurnModelStreamBase = 0xC4021EULL;
 
+/// Churn ops' quiescence / commit-poll cadence.
+constexpr sim::Time kChurnPoll = sim::from_seconds(0.25);
+/// Churn ops' backoff after a fault collides with a regroup.
+constexpr sim::Time kChurnRetry = sim::from_seconds(1.0);
+
 }  // namespace
 
 RecoveryManager::RecoveryManager(mpi::Runtime& rt, GroupProtocol& protocol,
@@ -27,7 +32,6 @@ RecoveryManager::RecoveryManager(mpi::Runtime& rt, GroupProtocol& protocol,
                                  RecoveryOptions options)
     : rt_(&rt), protocol_(&protocol), registry_(&registry),
       checkpointer_(&checkpointer), options_(options) {
-  GCR_CHECK(options_.max_concurrent_restores >= 1);
   books_.resize(static_cast<std::size_t>(rt.nranks()));
   protocol_->set_restore_done_callback(
       [this](mpi::RankId rank) { on_restore_done(rank); });
@@ -84,11 +88,11 @@ void RecoveryManager::fail_group_of(mpi::RankId rank) {
       } else {
         ++aborted_;
       }
-      --restores_in_flight_;
+      restore_in_flight_ = false;
       kill_members(members);
       set_state(members, GroupState::kDown);
       enqueue_restore(rank);
-      maybe_start_restores();  // the aborted restore freed a slot
+      maybe_start_restores();  // the aborted restore freed the slot
       return;
     }
     case GroupState::kAlive: {
@@ -127,8 +131,7 @@ void RecoveryManager::enqueue_restore(mpi::RankId rep) {
 }
 
 void RecoveryManager::maybe_start_restores() {
-  while (restores_in_flight_ < options_.max_concurrent_restores &&
-         !queue_.empty()) {
+  while (!restore_in_flight_ && !queue_.empty()) {
     const PendingRestore next = queue_.front();
     if (next.ready_at > rt_->engine().now()) {
       // Head not ready: try again when it is. Spurious wakeups (several
@@ -144,7 +147,7 @@ void RecoveryManager::maybe_start_restores() {
 void RecoveryManager::start_restore(mpi::RankId rep) {
   const std::vector<mpi::RankId>& members = members_of(rep);
   set_state(members, GroupState::kRestoring);
-  ++restores_in_flight_;
+  restore_in_flight_ = true;
   restore_ranks(members);
 }
 
@@ -158,7 +161,7 @@ void RecoveryManager::on_restore_done(mpi::RankId rank) {
   const std::vector<mpi::RankId>& members = members_of(rank);
   set_state(members, GroupState::kAlive);
   mark_up(members, rt_->engine().now());
-  --restores_in_flight_;
+  restore_in_flight_ = false;
   if (std::exchange(b.rejoining, false)) {
     ++joins_completed_;
     GCR_INFO("churn: rank %d rejoined at t=%.3fs", rank,
@@ -307,12 +310,10 @@ double RecoveryManager::availability(sim::Time end) const {
 // --- churn ------------------------------------------------------------------
 
 void RecoveryManager::arm_churn_model(
-    std::unique_ptr<sim::NodeEventModel> model, const RegroupPlanner* planner,
-    ChurnOptions options) {
+    std::unique_ptr<sim::NodeEventModel> model,
+    const RegroupPlanner* planner) {
   GCR_CHECK_MSG(churn_model_ == nullptr, "a churn model is already armed");
-  GCR_CHECK(options.poll_s > 0 && options.retry_s > 0);
   planner_ = planner;
-  churn_options_ = options;
   // Churn may refill groups to the configured partition's grain but never
   // grow one past it (GP1 stays fully uncoordinated: cap 1 means no merge
   // target ever qualifies).
@@ -356,8 +357,6 @@ void RecoveryManager::finish_churn_op() {
 sim::Co<void> RecoveryManager::run_drain_op(mpi::RankId rank, bool voluntary,
                                             std::uint64_t token) {
   sim::Engine& eng = rt_->engine();
-  const sim::Time poll = sim::from_seconds(churn_options_.poll_s);
-  const sim::Time retry = sim::from_seconds(churn_options_.retry_s);
   // A reclaim whose token is gone has lost to its deadline.
   const auto lost = [this, token] {
     return token != 0 && reclaim_pending_.count(token) == 0;
@@ -374,22 +373,17 @@ sim::Co<void> RecoveryManager::run_drain_op(mpi::RankId rank, bool voluntary,
         break;
       }
     }
-    if (finished) {
-      ++churn_absorbed_;
-      break;
-    }
+    if (finished) break;
     if (books(rank).state != GroupState::kAlive) {
-      if (books(rank).state == GroupState::kDeparted) {
-        ++churn_absorbed_;  // already gone (duplicate drain)
-        break;
-      }
+      // Already gone (duplicate drain).
+      if (books(rank).state == GroupState::kDeparted) break;
       // Down or restoring: a clean exit may still be possible later (for a
       // reclaim, the deadline decides independently).
-      co_await sim::delay(eng, retry);
+      co_await sim::delay(eng, kChurnRetry);
       continue;
     }
     if (!protocol_->quiescent_for_regroup(members_of(rank))) {
-      co_await sim::delay(eng, poll);
+      co_await sim::delay(eng, kChurnPoll);
       continue;
     }
     // Quiescent and alive. Open the transition toward the post-departure
@@ -409,7 +403,7 @@ sim::Co<void> RecoveryManager::run_drain_op(mpi::RankId rank, bool voluntary,
     bool committed = false;
     bool collided = false;
     while (!committed && !collided) {
-      co_await sim::delay(eng, poll);
+      co_await sim::delay(eng, kChurnPoll);
       if (rt_->job_finished() || lost()) {
         collided = true;
         done = true;  // the deadline (or the end of the run) took over
@@ -432,7 +426,7 @@ sim::Co<void> RecoveryManager::run_drain_op(mpi::RankId rank, bool voluntary,
     }
     if (!committed) {
       if (structural) protocol_->end_transition();
-      if (!done) co_await sim::delay(eng, retry);
+      if (!done) co_await sim::delay(eng, kChurnRetry);
       continue;
     }
     // Committed cut in hand and the group is quiescent again: install the
@@ -460,12 +454,15 @@ sim::Co<void> RecoveryManager::run_drain_op(mpi::RankId rank, bool voluntary,
     done = true;
   }
   // This departure op has resolved (departed, absorbed, cancelled, or the
-  // job ended); a join that arrived meanwhile can now be admitted — or
+  // job ended); one join that arrived meanwhile can now be admitted — or
   // absorbed, if the op did not actually depart the node.
   RankBooks& b = books(rank);
   GCR_CHECK_MSG(b.pending_departures > 0, "departure op was never counted");
   --b.pending_departures;
-  if (std::exchange(b.join_deferred, false)) start_join(rank);
+  if (b.joins_deferred > 0) {
+    --b.joins_deferred;
+    start_join(rank);
+  }
   finish_churn_op();
 }
 
@@ -486,15 +483,14 @@ void RecoveryManager::start_join(mpi::RankId rank) {
     if (b.pending_departures > 0) {
       // The model schedules joins on the wall clock (departure-event time
       // + outage), but the departure op may still be waiting for
-      // quiescence or a committed cut. Park the join; the op re-issues it
-      // when it resolves.
-      b.join_deferred = true;
+      // quiescence or a committed cut. Park the join; the next op to
+      // resolve re-issues it.
+      ++b.joins_deferred;
       return;
     }
     // The node never departed (its drain was absorbed, or a forced reclaim
     // turned the departure into a failure — which recovers through the
     // ordinary queue); there is nothing to rejoin.
-    ++churn_absorbed_;
     return;
   }
   // A departed group is always the singleton the departure installed.
@@ -504,16 +500,14 @@ void RecoveryManager::start_join(mpi::RankId rank) {
   GCR_INFO("churn: rank %d joining at t=%.3fs", rank,
            sim::to_seconds(rt_->engine().now()));
   // Joins ride the ordinary restore queue: detect_s stands in for the
-  // scheduler noticing the node, relaunch_s for process creation, and the
-  // restore-slot limit applies.
+  // scheduler noticing the node, relaunch_s for process creation, and it
+  // waits its turn behind restores.
   enqueue_restore(rank);
   maybe_start_restores();
 }
 
 sim::Co<void> RecoveryManager::run_merge_op(mpi::RankId rank) {
   sim::Engine& eng = rt_->engine();
-  const sim::Time poll = sim::from_seconds(churn_options_.poll_s);
-  const sim::Time retry = sim::from_seconds(churn_options_.retry_s);
   for (;;) {
     if (rt_->job_finished() || planner_ == nullptr) break;
     // A fault mid-wait, a finished rank, or a lost singleton ends the
@@ -528,7 +522,7 @@ sim::Co<void> RecoveryManager::run_merge_op(mpi::RankId rank) {
     if (!target.has_value()) break;  // no affinity: stay a singleton
     const std::vector<mpi::RankId>& into = gs.members(*target);
     if (books(into.front()).state != GroupState::kAlive) {
-      co_await sim::delay(eng, retry);
+      co_await sim::delay(eng, kChurnRetry);
       continue;
     }
     bool finished = false;
@@ -541,7 +535,7 @@ sim::Co<void> RecoveryManager::run_merge_op(mpi::RankId rank) {
     if (finished) break;
     if (!protocol_->quiescent_for_regroup({rank}) ||
         !protocol_->quiescent_for_regroup(into)) {
-      co_await sim::delay(eng, poll);
+      co_await sim::delay(eng, kChurnPoll);
       continue;
     }
     // Both sides alive and quiescent. In ONE synchronous instant: open

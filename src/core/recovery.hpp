@@ -17,7 +17,7 @@
 // deferred — a fault mid-checkpoint aborts the round and discards the
 // group's staged images; a fault mid-restart aborts that restart). The
 // group then becomes ready to restore after detect+relaunch, and restores
-// run at most `max_concurrent_restores` at a time in failure order. The
+// run one at a time (the paper's setting) in failure order. The
 // protocol's deferred-exchange path (core/group_protocol.cpp) keeps a
 // restoring group from blocking on a peer group that is itself down, so
 // queued recoveries never deadlock.
@@ -36,8 +36,8 @@
 //              whole group fails through the normal failure path and the
 //              event is tallied under reclaims_forced().
 //   join     — a departed node comes back. Its singleton group is restored
-//              through the ordinary restore queue (so joins respect the
-//              restore-slot limit and the deferred-exchange rules), then
+//              through the ordinary restore queue (so joins wait their turn
+//              behind restores and follow the deferred-exchange rules), then
 //              optionally merged into the group the RegroupPlanner picks
 //              from observed traffic. Transitional double-logging
 //              (add_transitional_logging) covers the merged pair until
@@ -49,11 +49,11 @@
 // rank; an install only ever regroups alive, quiescent groups, so it
 // carries no state over.
 //
-// Bookkeeping invariant (asserted by tests/fault_torture_test.cpp): once a
-// run completes, failures_injected == recoveries_completed +
-// recoveries_aborted, and recoveries_outstanding() == 0. Joins ride the
-// restore queue but keep their own books (joins_completed/joins_aborted),
-// so churn never perturbs the failure identity.
+// Bookkeeping invariant (asserted through ExperimentResult by
+// tests/fault_torture_test.cpp): once a run completes, failures_injected ==
+// recoveries_completed + recoveries_aborted. Joins ride the restore queue
+// but keep their own books (joins_completed/joins_aborted), so churn never
+// perturbs the failure identity.
 #pragma once
 
 #include <cstdint>
@@ -74,14 +74,6 @@ namespace gcr::core {
 struct RecoveryOptions {
   double detect_s = 1.0;    ///< failure detection latency
   double relaunch_s = 1.0;  ///< process recreation (fork/exec, rejoin)
-  /// Restore windows running at once. 1 (default, the paper's setting)
-  /// serializes the restore phase itself; kills are never serialized.
-  int max_concurrent_restores = 1;
-};
-
-struct ChurnOptions {
-  double poll_s = 0.25;   ///< quiescence / commit-poll cadence
-  double retry_s = 1.0;   ///< backoff after a fault collides with a regroup
 };
 
 class RecoveryManager {
@@ -117,7 +109,7 @@ class RecoveryManager {
   /// size at arming time, so churn cannot coarsen the configured
   /// partition's grain.
   void arm_churn_model(std::unique_ptr<sim::NodeEventModel> model,
-                       const RegroupPlanner* planner, ChurnOptions options);
+                       const RegroupPlanner* planner);
 
   /// Failures that killed a live (or restoring) group.
   int failures_injected() const { return failures_; }
@@ -128,10 +120,6 @@ class RecoveryManager {
   int recoveries_completed() const { return completed_; }
   /// Restores aborted by a re-failure of the restoring group.
   int recoveries_aborted() const { return aborted_; }
-  /// Groups currently down or restoring.
-  int recoveries_outstanding() const {
-    return failures_ - completed_ - aborted_;
-  }
 
   // Churn books (all zero without arm_churn_model).
   int drains_completed() const { return drains_completed_; }
@@ -143,9 +131,6 @@ class RecoveryManager {
   /// Join restores cut down by a fault mid-restore (the fault is counted
   /// under failures_injected and recovers through the normal queue).
   int joins_aborted() const { return joins_aborted_; }
-  /// Churn arrivals that found nothing to do (node already down/departed/
-  /// present, or its group finished).
-  int churn_absorbed() const { return churn_absorbed_; }
   int splits_installed() const { return splits_installed_; }
   int merges_installed() const { return merges_installed_; }
 
@@ -170,9 +155,9 @@ class RecoveryManager {
     /// Queued-or-running drain/reclaim ops for this rank's node (the model
     /// may drain a node again before its earlier cycle resolved).
     int pending_departures = 0;
-    /// A join arrived while a departure op was pending; it is admitted (or
-    /// absorbed) when that op resolves.
-    bool join_deferred = false;
+    /// Joins that arrived while a departure op was pending; each resolved
+    /// op admits (or absorbs) one.
+    int joins_deferred = 0;
     /// Availability accounting: when the rank went down; -1 = up.
     sim::Time down_since = -1;
   };
@@ -214,7 +199,7 @@ class RecoveryManager {
   }
   void set_state(const std::vector<mpi::RankId>& members, GroupState state);
   void enqueue_restore(mpi::RankId rep);
-  /// Starts queued restores while slots are free and heads are ready;
+  /// Starts the queue's head when no restore is running and it is ready;
   /// re-arms itself for a not-yet-ready head. Idempotent.
   void maybe_start_restores();
   void start_restore(mpi::RankId rep);
@@ -262,7 +247,6 @@ class RecoveryManager {
   int reclaims_forced_ = 0;
   int joins_completed_ = 0;
   int joins_aborted_ = 0;
-  int churn_absorbed_ = 0;
   int splits_installed_ = 0;
   int merges_installed_ = 0;
 
@@ -271,7 +255,7 @@ class RecoveryManager {
   /// FIFO of groups awaiting a restore slot. detect+relaunch is constant,
   /// so failure order == ready order and a deque suffices.
   std::deque<PendingRestore> queue_;
-  int restores_in_flight_ = 0;
+  bool restore_in_flight_ = false;
   /// Fresh token per restore_ranks call; members of one restore operation
   /// share it (the protocol keys the restart barrier on it, which must not
   /// depend on per-rank kill history once churn mixes histories in one
@@ -282,7 +266,6 @@ class RecoveryManager {
 
   std::unique_ptr<sim::NodeEventModel> churn_model_;
   const RegroupPlanner* planner_ = nullptr;
-  ChurnOptions churn_options_;
   int churn_cap_ = 0;  ///< merge size cap: largest group at arming time
   std::deque<ChurnOp> churn_ops_;
   bool churn_op_active_ = false;

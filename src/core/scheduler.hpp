@@ -60,8 +60,6 @@ class CheckpointScheduler {
   static void start_per_group(mpi::Runtime& rt, GroupProtocol& protocol,
                               const std::vector<double>& interval_s);
 
-  int rounds_issued() const { return rounds_; }
-
  private:
   void tick();
   static void group_tick(mpi::Runtime* rt, GroupProtocol* protocol,

@@ -48,7 +48,6 @@ void VclProtocol::on_deliver(mpi::Rank& rank, const mpi::Message& msg) {
     auto it = st.marker_round.find(msg.src);
     if (it == st.marker_round.end() || it->second < st.epoch) {
       st.recorded_bytes += msg.bytes;
-      recorded_total_ += msg.bytes;
     }
   }
 }

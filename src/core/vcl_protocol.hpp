@@ -48,8 +48,6 @@ class VclProtocol : public mpi::Interposer {
   /// Driver: one Chandy-Lamport round across ALL ranks (VCL is global).
   void request_round();
 
-  std::int64_t recorded_channel_bytes() const { return recorded_total_; }
-
  private:
   struct RankState {
     bool in_checkpoint = false;
@@ -58,7 +56,6 @@ class VclProtocol : public mpi::Interposer {
     std::uint64_t pending_round = 0;  ///< deferred round (arrived mid-ckpt)
     std::map<mpi::RankId, std::uint64_t> marker_round;  ///< peer -> latest
     std::int64_t recorded_bytes = 0;
-    sim::Time signal_at = 0;
     std::unique_ptr<sim::Trigger> gate;   ///< released when sends unblock
     std::unique_ptr<sim::Trigger> event;  ///< marker-arrival wakeups
     gcr::Rng jitter_rng{0};
@@ -76,7 +73,6 @@ class VclProtocol : public mpi::Interposer {
   ImageSizeFn image_bytes_;
   Metrics* metrics_;
   std::vector<std::unique_ptr<RankState>> states_;
-  std::int64_t recorded_total_ = 0;
   std::uint64_t round_ = 0;
   // Global-commit bookkeeping: a Chandy-Lamport snapshot is only usable
   // once every rank's piece is stored, so rounds end at global commit.

@@ -102,7 +102,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       runtime.add_observer(traffic.get());
       planner = std::make_unique<core::RegroupPlanner>(traffic.get());
       recovery->arm_churn_model(sim::make_churn_model(config.churn),
-                                planner.get(), config.churn_options);
+                                planner.get());
     }
   } else {
     // Every group-protocol-only setting is refused rather than ignored.

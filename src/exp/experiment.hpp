@@ -65,8 +65,7 @@ struct ExperimentConfig {
   // Fabric topology (DESIGN.md §14). kFlat (default) is the paper's
   // non-blocking switch and reproduces historical outputs byte-identically;
   // kFatTree/kDragonfly route every message over per-link fair-share
-  // contention for the scale-extrapolation campaigns. Link bandwidths of 0
-  // inherit net_bandwidth_Bps.
+  // contention at net_bandwidth_Bps for the scale-extrapolation campaigns.
   sim::TopologyParams topology;
   // Engines per simulation. Only 1 is accepted: every simulation runs on
   // one sim::Engine, and campaign --jobs supplies the parallelism. The
@@ -114,7 +113,6 @@ struct ExperimentConfig {
   // core/recovery.hpp, with merge targets picked by a traffic-affinity
   // RegroupPlanner. Group protocol only; composable with faults.
   sim::ChurnModelParams churn;
-  core::ChurnOptions churn_options{};
 
   // The paper's restart experiment: after the job finishes, restart the
   // whole application from the stored images and measure restart prep.

@@ -80,10 +80,4 @@ bool save_groupfile(const std::string& path, const GroupSet& groups) {
   return static_cast<bool>(os);
 }
 
-std::optional<GroupSet> load_groupfile(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) return std::nullopt;
-  return read_groupfile(is);
-}
-
 }  // namespace gcr::group

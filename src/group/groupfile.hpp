@@ -24,6 +24,5 @@ void write_groupfile(std::ostream& os, const GroupSet& groups);
 std::optional<GroupSet> read_groupfile(std::istream& is);
 
 bool save_groupfile(const std::string& path, const GroupSet& groups);
-std::optional<GroupSet> load_groupfile(const std::string& path);
 
 }  // namespace gcr::group

@@ -425,10 +425,8 @@ void Runtime::send_ctrl(RankId src_rank, RankId dst, Message msg) {
   GCR_CHECK(msg.is_ctrl());
   msg.src = src_rank;
   msg.dst = dst;
-  msg.src_inc = src_rank == kExternalSource
-                    ? 0
-                    : ranks_[static_cast<std::size_t>(src_rank)]->incarnation_;
-  msg.dst_inc = ranks_[static_cast<std::size_t>(dst)]->incarnation_;
+  msg.src_inc = src_rank == kExternalSource ? 0 : rank(src_rank).incarnation_;
+  msg.dst_inc = rank(dst).incarnation_;
   if (msg.bytes == 0) {
     msg.bytes =
         kSyncBytes + static_cast<std::int64_t>(msg.ctrl_data.size()) * 8;

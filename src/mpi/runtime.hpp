@@ -19,6 +19,7 @@
 #include "sim/awaitables.hpp"
 #include "sim/cluster.hpp"
 #include "sim/co.hpp"
+#include "util/assert.hpp"
 
 namespace gcr::mpi {
 
@@ -72,7 +73,11 @@ class Runtime {
   sim::Cluster& cluster() { return *cluster_; }
   sim::Engine& engine() { return cluster_->engine(); }
   int nranks() const { return static_cast<int>(ranks_.size()); }
-  Rank& rank(RankId id) { return *ranks_[static_cast<std::size_t>(id)]; }
+  /// The rank with id `id` (GCR_CHECKed against the run's rank range).
+  Rank& rank(RankId id) {
+    GCR_CHECK_MSG(id >= 0 && id < nranks(), "rank id outside the run");
+    return *ranks_[static_cast<std::size_t>(id)];
+  }
 
   /// Node index reserved for the checkpoint driver (mpirun).
   int driver_node() const { return nranks(); }

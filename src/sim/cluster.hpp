@@ -64,8 +64,7 @@ class Cluster {
  public:
   explicit Cluster(const ClusterParams& params)
       : params_(params),
-        network_(engine_, params.num_nodes, params.net,
-                 mix_seed(params.seed, /*stream_id=*/0x726f757465)),
+        network_(engine_, params.num_nodes, params.net),
         jitter_(params.jitter) {
     GCR_CHECK(params.num_nodes > 0);
     GCR_CHECK_MSG(params.num_shards == 1,

@@ -34,20 +34,16 @@ struct RootTask {
 
 // Defined outside the anonymous namespace so it can be declared a friend if
 // ever needed; only used by Engine::spawn.
-static RootTask root_driver(Engine& eng, ProcPtr proc, Co<void> body,
-                            std::function<void(Proc&, ExitKind)> on_exit) {
-  ExitKind kind = ExitKind::kFinished;
+static RootTask root_driver(Engine& eng, ProcPtr proc, Co<void> body) {
+  // A process killed before its first instruction never runs its body.
   if (!proc->killed()) {
     try {
       co_await std::move(body);
     } catch (const ProcessKilled&) {
-      kind = ExitKind::kKilled;
+      // kill() unwound the chain; the Proc already reads killed().
     }
-  } else {
-    kind = ExitKind::kKilled;  // killed before the first instruction ran
   }
-  eng.note_root_exit(*proc, kind);
-  if (on_exit) on_exit(*proc, kind);
+  eng.note_root_exit(*proc);
 }
 
 // ---------------------------------------------------------- event queues
@@ -441,12 +437,10 @@ void Engine::fire_at(Time t, WaiterHandle w) {
 
 // ------------------------------------------------------- process lifecycle
 
-ProcPtr Engine::spawn(std::string name, Co<void> body,
-                      std::function<void(Proc&, ExitKind)> on_exit) {
-  auto proc = std::make_shared<Proc>(next_pid_++, std::move(name));
+ProcPtr Engine::spawn(std::string name, Co<void> body) {
+  auto proc = std::make_shared<Proc>(std::move(name));
   ++live_processes_;
-  RootTask root =
-      root_driver(*this, proc, std::move(body), std::move(on_exit));
+  RootTask root = root_driver(*this, proc, std::move(body));
   const WaiterHandle w = alloc_waiter(root.handle, proc.get());
   proc->active_wait_ = w;
   fire_at(now_, w);
@@ -464,8 +458,7 @@ void Engine::kill(Proc& proc) {
   fire(proc.active_wait_);
 }
 
-void Engine::note_root_exit(Proc& proc, ExitKind kind) {
-  (void)kind;
+void Engine::note_root_exit(Proc& proc) {
   proc.alive_ = false;
   proc.active_wait_ = WaiterHandle{};
   GCR_ASSERT(live_processes_ > 0);

@@ -34,7 +34,7 @@
 // marks the process and claims its currently-armed waiter for immediate
 // resumption; the awaitable's await_resume sees the flag (finish_wait) and
 // throws ProcessKilled, which unwinds the coroutine chain (RAII deregisters
-// everything) up to the root driver, which reports the exit. Stale handles
+// everything) up to the root driver, which marks the Proc dead. Stale handles
 // left behind in channels or semaphore queues are neutralized by the
 // generation counter instead of shared ownership. See DESIGN.md §2.1.
 #pragma once
@@ -69,21 +69,17 @@ struct WaiterHandle {
   friend bool operator==(const WaiterHandle&, const WaiterHandle&) = default;
 };
 
-enum class ExitKind { kFinished, kKilled };
-
 /// Execution context of one simulated process (one coroutine chain).
 class Proc {
  public:
-  Proc(std::uint64_t pid, std::string name) : pid_(pid), name_(std::move(name)) {}
+  explicit Proc(std::string name) : name_(std::move(name)) {}
 
-  std::uint64_t pid() const { return pid_; }
   const std::string& name() const { return name_; }
   bool killed() const { return killed_; }
   bool alive() const { return alive_; }
 
  private:
   friend class Engine;
-  std::uint64_t pid_;
   std::string name_;
   bool killed_ = false;
   bool alive_ = true;          // false once the root driver finishes/unwinds
@@ -113,10 +109,9 @@ class Engine {
   void post(SmallFn fn) { call_at(now_, std::move(fn)); }
 
   // --- process lifecycle ---
-  /// Spawns a process executing `body` starting at the current time.
-  /// `on_exit` (optional) runs when the body finishes or is killed.
-  ProcPtr spawn(std::string name, Co<void> body,
-                std::function<void(Proc&, ExitKind)> on_exit = {});
+  /// Spawns a process executing `body` starting at the current time. The
+  /// returned Proc's killed() and alive() tell how and whether it ended.
+  ProcPtr spawn(std::string name, Co<void> body);
 
   /// Marks the process killed and arranges for ProcessKilled to be thrown at
   /// its next (immediate) resumption. Idempotent. Must not be called by the
@@ -182,7 +177,7 @@ class Engine {
   Proc* current() const { return current_; }
 
   /// Internal: called by the root driver when a process body exits.
-  void note_root_exit(Proc& proc, ExitKind kind);
+  void note_root_exit(Proc& proc);
 
   // --- introspection (tests, stress harnesses) ---
   /// Total waiter slots ever created; stays flat once the pool recycles.
@@ -310,7 +305,6 @@ class Engine {
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t next_pid_ = 1;
   std::uint64_t events_processed_ = 0;
   std::size_t live_processes_ = 0;
   Proc* current_ = nullptr;

@@ -15,14 +15,14 @@
 namespace gcr::sim {
 
 struct JitterParams {
-  double spike_prob = 0.05;     ///< probability of a heavy straggler
-  bool enabled = true;          ///< false: draw() returns 0 without consuming RNG
+  bool enabled = true;  ///< false: draw() returns 0 without consuming RNG
 };
 
 class JitterModel {
  public:
   static constexpr double kMedianS = 2e-3;  ///< lognormal median
   static constexpr double kSigma = 0.8;     ///< lognormal shape
+  static constexpr double kSpikeProb = 0.05;  ///< heavy-straggler probability
   /// Uniform spike bounds (seconds).
   static constexpr double kSpikeMinS = 0.10;
   static constexpr double kSpikeMaxS = 6.00;
@@ -38,7 +38,7 @@ class JitterModel {
     // depend on the spike branch (keeps substreams comparable across runs).
     const double spike_roll = rng.next_double();
     const double body = rng.next_lognormal(std::log(kMedianS), kSigma);
-    if (spike_roll < params_.spike_prob) {
+    if (spike_roll < kSpikeProb) {
       const double spike =
           kSpikeMinS + (kSpikeMaxS - kSpikeMinS) * rng.next_double();
       return from_seconds(body + spike);

@@ -7,13 +7,10 @@
 
 namespace gcr::sim {
 
-Network::Network(Engine& engine, int num_nodes, const NetParams& params,
-                 std::uint64_t routing_seed)
+Network::Network(Engine& engine, int num_nodes, const NetParams& params)
     : engine_(&engine), params_(params), num_nodes_(num_nodes),
       topo_(make_topology(params.topology, num_nodes)),
-      routing_rng_(routing_seed),
       egress_free_(static_cast<std::size_t>(num_nodes), 0) {
-  GCR_CHECK(params_.topology.nic_concurrency >= 1);
   if (routed()) {
     const auto nlinks = static_cast<std::size_t>(topo_->num_links());
     link_head_.assign(nlinks, kNil);
@@ -53,13 +50,10 @@ Network::Egress Network::send(int src_node, int dst_node, std::int64_t bytes,
 
   const Time now = engine_->now();
   if (src_node == dst_node) {
-    // Same-node copy bypasses NIC and fabric alike. The 1-tick floor keeps
-    // a zero-byte copy from being instantaneous under degenerate (zero
-    // latency) configs; defaults are unaffected.
-    const Time copy = from_seconds(
-        params_.loopback_latency_s +
-        static_cast<double>(bytes) / params_.loopback_Bps);
-    const Time arrival = now + std::max<Time>(1, copy);
+    // Same-node copy bypasses NIC and fabric alike.
+    const Time arrival =
+        now + from_seconds(kLoopbackLatencyS +
+                           static_cast<double>(bytes) / kLoopbackBps);
     engine_->call_at(arrival, std::move(deliver));
     return Egress(this, arrival, 0);
   }
@@ -72,14 +66,13 @@ Network::Egress Network::send(int src_node, int dst_node, std::int64_t bytes,
 Network::Egress Network::send_flat(int src_node, std::int64_t bytes,
                                    SmallFn deliver, Time now) {
   const Time occupy = from_seconds(
-      params_.per_message_s + static_cast<double>(bytes) / params_.bandwidth_Bps);
+      kPerMessageS + static_cast<double>(bytes) / params_.bandwidth_Bps);
   Time& nic_free = egress_free_[static_cast<std::size_t>(src_node)];
   const Time depart = std::max(now, nic_free);
   const Time egress_done = depart + occupy;
   nic_free = egress_done;
-  const Time arrival = std::max(egress_done + from_seconds(params_.latency_s),
-                                now + 1);
-  engine_->call_at(arrival, std::move(deliver));
+  engine_->call_at(egress_done + from_seconds(params_.latency_s),
+                   std::move(deliver));
   return Egress(this, egress_done, 0);
 }
 
@@ -97,7 +90,7 @@ Network::Egress Network::send_routed(int src_node, int dst_node,
   t.next_queued = kNil;
 
   NodeState& ns = nodes_[static_cast<std::size_t>(src_node)];
-  if (ns.admitted < params_.topology.nic_concurrency) {
+  if (ns.admitted < kNicConcurrency) {
     admit(idx, now);
     arm_timer();
   } else {
@@ -294,7 +287,7 @@ void Network::admit(std::uint32_t idx, Time now) {
   ++nodes_[static_cast<std::size_t>(t.src)].admitted;
   // Routes resolve at admission (not enqueue) so adaptive policies see the
   // load that actually exists when the transfer enters the fabric.
-  topo_->resolve(t.src, t.dst, link_active_, routing_rng_, t.route);
+  topo_->resolve(t.src, t.dst, link_active_, t.route);
   GCR_ASSERT(t.route.nhops >= 1);
   for (int h = 0; h < t.route.nhops; ++h) {
     link_insert(t.route.links[static_cast<std::size_t>(h)], idx, h);
@@ -323,17 +316,15 @@ void Network::complete(std::uint32_t idx, Time now) {
 
   // The per-message cost plus every hop of the route, after the last byte.
   const Time tail = from_seconds(
-      params_.per_message_s +
-      static_cast<double>(route.nhops) * params_.topology.hop_latency_s);
-  engine_->call_at(now + std::max<Time>(1, tail), std::move(t.deliver));
+      kPerMessageS + static_cast<double>(route.nhops) * kHopLatencyS);
+  engine_->call_at(now + tail, std::move(t.deliver));
   // The sender's buffer is reusable now: wake its egress waiter, if any.
   if (t.egress) engine_->fire(t.egress);
   free_transfer(idx);
 
   NodeState& ns = nodes_[static_cast<std::size_t>(src)];
   --ns.admitted;
-  if (ns.q_head != kNil &&
-      ns.admitted < params_.topology.nic_concurrency) {
+  if (ns.q_head != kNil && ns.admitted < kNicConcurrency) {
     const std::uint32_t next = ns.q_head;
     ns.q_head = pool_[next].next_queued;
     if (ns.q_head == kNil) ns.q_tail = kNil;

@@ -7,6 +7,9 @@
 // the NIC is free, occupies it for `per_message + bytes/bandwidth`, and
 // arrives `latency` after the occupation ends. This path is bit-identical
 // to the pre-topology implementation: same arithmetic, same engine events.
+// The per-message, loopback and per-hop costs are fixed model constants
+// (Network::kPerMessageS and its neighbours); tests read them for closed
+// forms.
 //
 // Flat has no topology object. Routed topologies (fat-tree, dragonfly —
 // sim/topology.hpp) model every directed physical link as a fair-share
@@ -17,7 +20,7 @@
 // transfers' progress at the old rate and re-splits from now. Completion
 // estimates live in a lazy min-heap invalidated by per-transfer
 // generations; a single generation-guarded engine timer fires the earliest
-// one. Each sender NIC admits `nic_concurrency` transfers; later sends
+// one. Each sender NIC admits kNicConcurrency transfers; later sends
 // queue FIFO at the sender, which keeps the active set (and the per-event
 // resettle cost) bounded by nodes, not by outstanding messages. The steady
 // path allocates nothing: transfers recycle through a pooled free list,
@@ -56,20 +59,24 @@ namespace gcr::sim {
 struct NetParams {
   double latency_s = 70e-6;        ///< one-way wire+switch latency (flat)
   double bandwidth_Bps = 12.5e6;   ///< per-NIC egress bandwidth (100 Mb/s)
-  double per_message_s = 10e-6;    ///< fixed per-message wire/stack cost
-  double loopback_Bps = 400e6;     ///< same-node copy bandwidth (P4-era)
-  double loopback_latency_s = 2e-6;
-  /// Fabric shape + routing policy; kFlat selects the legacy model above.
-  /// Every routed link runs at `bandwidth_Bps`.
+  /// Fabric kind; kFlat selects the legacy model above. Every routed link
+  /// runs at `bandwidth_Bps`.
   TopologyParams topology;
 };
 
 class Network {
  public:
-  /// `routing_seed` feeds randomized routing policies (dragonfly Valiant);
-  /// deterministic policies never draw from it.
-  Network(Engine& engine, int num_nodes, const NetParams& params,
-          std::uint64_t routing_seed = 0x6e6574);
+  static constexpr double kPerMessageS = 10e-6;  ///< wire/stack cost
+  static constexpr double kLoopbackBps = 400e6;  ///< same-node copy (P4-era)
+  static constexpr double kLoopbackLatencyS = 2e-6;
+  /// Routed: per-link propagation latency, paid once per hop after the last
+  /// byte clears the bottleneck.
+  static constexpr double kHopLatencyS = 10e-6;
+  /// Routed: transfers a NIC injects at once; later sends queue FIFO at the
+  /// sender. 1 mirrors the flat model's serializing NIC.
+  static constexpr int kNicConcurrency = 1;
+
+  Network(Engine& engine, int num_nodes, const NetParams& params);
 
   /// Nodes with their own NIC (valid src/dst range for send()).
   int num_nodes() const { return num_nodes_; }
@@ -245,7 +252,6 @@ class Network {
   NetParams params_;
   int num_nodes_;
   std::unique_ptr<Topology> topo_;  ///< nullptr for flat
-  Rng routing_rng_;
   std::vector<Time> egress_free_;  ///< flat path: per-node NIC next-free
 
   // Fabric state (sized only under routing).

@@ -9,14 +9,12 @@
 // arithmetic for it. Two routed implementations:
 //
 //  - fat-tree:  k-ary Clos (Al-Fares layout): k pods of k/2 edge and k/2
-//               aggregation switches, (k/2)^2 cores, k^3/4 hosts. Up-path
-//               choice is the routing policy: deterministic (dst-hashed,
-//               ECMP-like) or adaptive (least-loaded uplink at each stage).
+//               aggregation switches, (k/2)^2 cores, k^3/4 hosts. Routing
+//               is adaptive: the least-loaded uplink at each stage.
 //  - dragonfly: g groups of `a` routers, `p` hosts per router, `h` global
 //               channels per router (g = a*h + 1, one channel per peer
-//               group). Minimal routing takes the single direct global
-//               channel; Valiant detours through a random intermediate
-//               group to spread adversarial traffic.
+//               group). Routing is minimal: the single direct global
+//               channel.
 //
 // Everything is flat arrays indexed by node/link id — no per-node heap
 // objects — so a 64k-host instance costs megabytes, not gigabytes.
@@ -29,36 +27,19 @@
 #include <string>
 
 #include "sim/time.hpp"
-#include "util/rng.hpp"
 
 namespace gcr::sim {
 
 enum class TopologyKind : std::uint8_t { kFlat, kFatTree, kDragonfly };
 
-enum class FatTreeRouting : std::uint8_t { kDeterministic, kAdaptive };
-enum class DragonflyRouting : std::uint8_t { kMinimal, kValiant };
+/// Fat-tree routing has one policy. The enum and TopologyParams'
+/// `fattree_routing` stay because perfbench/workloads.cpp names them; the
+/// next benchmark change removes both.
+enum class FatTreeRouting : std::uint8_t { kAdaptive };
 
 struct TopologyParams {
   TopologyKind kind = TopologyKind::kFlat;
-
-  /// Per-link propagation latency (paid once per hop, after the last byte
-  /// clears the bottleneck).
-  double hop_latency_s = 10e-6;
-  /// Messages a node's NIC injects concurrently; later sends queue FIFO at
-  /// the sender. 1 mirrors the flat model's serializing NIC.
-  int nic_concurrency = 1;
-
-  /// Fat-tree arity (even, >= 4); 0 derives the smallest k whose k^3/4
-  /// hosts cover the node count.
-  int fattree_k = 0;
-  FatTreeRouting fattree_routing = FatTreeRouting::kDeterministic;
-
-  /// Dragonfly shape; 0 derives a balanced instance (a = 2p, h = p) large
-  /// enough for the node count.
-  int df_routers_per_group = 0;  ///< a
-  int df_nodes_per_router = 0;   ///< p
-  int df_global_per_router = 0;  ///< h
-  DragonflyRouting df_routing = DragonflyRouting::kMinimal;
+  FatTreeRouting fattree_routing = FatTreeRouting::kAdaptive;
 };
 
 /// An ordered list of directed link ids; value type, never heap-allocated.
@@ -83,26 +64,20 @@ class Topology {
   virtual int num_links() const = 0;
 
   /// Resolves src -> dst (src != dst) into `out`. `load` is the per-link
-  /// admitted-transfer count (adaptive policies read it; others ignore it);
-  /// `rng` is drawn only by randomized policies (Valiant), so deterministic
-  /// policies leave the stream untouched.
+  /// admitted-transfer count (fat-tree's adaptive routing reads it).
   virtual void resolve(int src, int dst, std::span<const std::int32_t> load,
-                       Rng& rng, Route& out) const = 0;
-
-  /// Closed-form minimal hop count (conformance oracle for resolve()).
-  virtual int min_hops(int src, int dst) const = 0;
+                       Route& out) const = 0;
 };
 
 class FatTreeTopology final : public Topology {
  public:
   /// `k` even and >= 4; hosts = k^3/4 must cover `num_nodes`.
-  FatTreeTopology(int num_nodes, int k, FatTreeRouting routing);
+  FatTreeTopology(int num_nodes, int k);
 
   int num_nodes() const override { return hosts_; }
   int num_links() const override { return 6 * hosts_; }
-  void resolve(int src, int dst, std::span<const std::int32_t> load, Rng& rng,
+  void resolve(int src, int dst, std::span<const std::int32_t> load,
                Route& out) const override;
-  int min_hops(int src, int dst) const override;
 
   int k() const { return k_; }
   int hosts() const { return hosts_; }
@@ -133,23 +108,20 @@ class FatTreeTopology final : public Topology {
   int k_;
   int half_;  ///< k/2
   int hosts_;
-  FatTreeRouting routing_;
 };
 
 class DragonflyTopology final : public Topology {
  public:
   /// `a` routers/group, `p` hosts/router, `h` global channels/router;
   /// groups g = a*h + 1 (one direct channel per peer group).
-  DragonflyTopology(int num_nodes, int a, int p, int h,
-                    DragonflyRouting routing);
+  DragonflyTopology(int num_nodes, int a, int p, int h);
 
   int num_nodes() const override { return hosts_; }
   int num_links() const override {
     return 2 * hosts_ + groups_ * a_ * (a_ - 1) + groups_ * a_ * h_;
   }
-  void resolve(int src, int dst, std::span<const std::int32_t> load, Rng& rng,
+  void resolve(int src, int dst, std::span<const std::int32_t> load,
                Route& out) const override;
-  int min_hops(int src, int dst) const override;
 
   int groups() const { return groups_; }
   int group_of(int node) const { return node / (a_ * p_); }
@@ -178,20 +150,15 @@ class DragonflyTopology final : public Topology {
   }
 
  private:
-  /// Appends the global-channel segment `from_router`@`gsrc` -> landing
-  /// router in `gdst` (local hop to the gateway if needed, then the global
-  /// link); returns the landing router index within `gdst`.
-  int push_global_segment(int gsrc, int from_router, int gdst,
-                          Route& out) const;
-
   int a_, p_, h_;
   int groups_;
   int hosts_;
-  DragonflyRouting routing_;
 };
 
-/// Builds the configured routed topology sized for `num_nodes`; nullptr
-/// for kFlat, which has no topology object.
+/// Builds the configured routed topology, its shape derived from
+/// `num_nodes` (fat-tree: the smallest k whose k^3/4 hosts cover it;
+/// dragonfly: the smallest balanced a = 2p, h = p instance); nullptr for
+/// kFlat, which has no topology object.
 std::unique_ptr<Topology> make_topology(const TopologyParams& params,
                                         int num_nodes);
 

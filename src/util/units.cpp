@@ -5,12 +5,6 @@
 
 namespace gcr {
 
-std::string format_double(double value, int decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
-  return buf;
-}
-
 std::string format_bytes(std::int64_t bytes) {
   const double b = static_cast<double>(bytes);
   char buf[64];

@@ -19,7 +19,4 @@ std::string format_bytes(std::int64_t bytes);
 /// "1.234 s", "56.7 ms", "890 us", "12 ns".
 std::string format_duration_ns(std::int64_t ns);
 
-/// Fixed-point formatting without locale surprises.
-std::string format_double(double value, int decimals);
-
 }  // namespace gcr

@@ -39,8 +39,8 @@ TEST(HplApp, MemoryModelScalesInverselyWithRanks) {
   const std::int64_t m16 = s16.image_bytes(0);
   const std::int64_t m64 = s64.image_bytes(0);
   EXPECT_GT(m16, m64);
-  EXPECT_NEAR(static_cast<double>(m16 - p.base_mem_bytes) /
-                  static_cast<double>(m64 - p.base_mem_bytes),
+  EXPECT_NEAR(static_cast<double>(m16 - kHplBaseMemBytes) /
+                  static_cast<double>(m64 - kHplBaseMemBytes),
               4.0, 0.01);
 }
 

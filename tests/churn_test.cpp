@@ -39,7 +39,6 @@ ExperimentConfig service_config(std::uint64_t seed = 1) {
   cfg.schedule.round_spread_s = 0.1;
   cfg.recovery.detect_s = 0.2;
   cfg.recovery.relaunch_s = 0.2;
-  cfg.churn_options.poll_s = 0.05;
   cfg.max_sim_s = 300.0;
   return cfg;
 }
@@ -161,6 +160,26 @@ TEST(ChurnTest, JoinProducesALiveRankAdmittedIntoAGroup) {
   EXPECT_EQ(res.failures_injected, 0);
 }
 
+// Regression: the model drains node 3 again before its first drain-join
+// cycle resolves, and both joins arrive while a departure is still pending.
+// Each resolved departure admits one deferred join, so the second join is
+// not lost and the run finishes instead of stalling with rank 3 gone.
+TEST(ChurnTest, EveryDeferredJoinIsAdmitted) {
+  ExperimentConfig cfg = service_config();
+  cfg.churn.kind = sim::ChurnModelKind::kTrace;
+  cfg.churn.schedule = {
+      {2.0, 3, sim::NodeEventKind::kDrain, 0.0},
+      {2.15, 3, sim::NodeEventKind::kDrain, 0.0},
+      {2.9, 3, sim::NodeEventKind::kJoin, 0.0},
+      {3.1, 3, sim::NodeEventKind::kJoin, 0.0},
+  };
+  const ExperimentResult res = run_experiment(cfg);
+  ASSERT_TRUE(res.finished) << "joins=" << res.joins_completed;
+  EXPECT_EQ(res.drains_completed, 2);
+  EXPECT_EQ(res.joins_completed, 2);
+  EXPECT_EQ(res.failures_injected, 0);
+}
+
 TEST(ChurnTest, ChurnRunsAreDeterministic) {
   ExperimentConfig cfg = service_config();
   cfg.churn.kind = sim::ChurnModelKind::kSpot;
@@ -266,6 +285,25 @@ TEST(ElasticSchedule, RequestToAFollowerSendsNothing) {
   ASSERT_TRUE(rt.job_finished());
   EXPECT_EQ(to_follower, 0);
   EXPECT_EQ(to_leader, 1);
+}
+
+// The regroup entry points take rank ids from their caller; an id outside
+// the run dies in every build instead of indexing the per-rank state.
+TEST(ElasticScheduleDeathTest, RegroupCallsCheckRankIds) {
+  sim::ClusterParams cp;
+  cp.num_nodes = kRanks + 1;
+  sim::Cluster cluster(cp);
+  mpi::Runtime rt(cluster, kRanks);
+  const apps::AppSpec app = apps::make_ring(kRanks, apps::RingParams{});
+  ckpt::Checkpointer checkpointer(cluster);
+  ckpt::ImageRegistry registry;
+  core::Metrics metrics;
+  core::GroupProtocol protocol(rt, group::make_blocks(kRanks, 2), checkpointer,
+                               registry, app.image_bytes, metrics);
+  EXPECT_DEATH((void)protocol.quiescent_for_regroup({kRanks}),
+               "rank id outside the run");
+  EXPECT_DEATH(protocol.add_transitional_logging({kRanks}, {0}),
+               "rank id outside the run");
 }
 
 }  // namespace

@@ -34,29 +34,35 @@ sim::Co<void> timed_write(ckpt::Checkpointer& ck, int node, std::int64_t bytes,
 
 TEST(Checkpointer, LocalImageTimeIsSetupPlusBandwidth) {
   sim::Cluster cluster(small_cluster(2, 0));
-  ckpt::Checkpointer ck(cluster, {/*remote_storage=*/false, /*setup_s=*/0.05});
+  ckpt::Checkpointer ck(cluster);
   sim::Time done = 0;
   cluster.engine().spawn(
       "w", timed_write(ck, 0, 100'000'000, &done, cluster.engine()));
   cluster.engine().run();
-  EXPECT_NEAR(sim::to_seconds(done), 0.05 + 1.0, 1e-6);  // 100MB @ 100MB/s
+  // 100MB @ 100MB/s after the per-image setup.
+  EXPECT_NEAR(sim::to_seconds(done), ckpt::Checkpointer::kSetupS + 1.0, 1e-6);
 }
 
 TEST(Checkpointer, RemoteImagesContendOnSharedServers) {
   // 4 nodes, 2 servers: nodes 0,2 share server 0 and serialize; 1,3 share
-  // server 1. Each 12.5MB image takes 1s of server time.
+  // server 1. Each 12.5MB image takes 1s of server time, after the
+  // per-image setup every writer pays at once.
   sim::Cluster cluster(small_cluster(4, 2));
-  ckpt::Checkpointer ck(cluster, {/*remote_storage=*/true, /*setup_s=*/0.0});
+  ckpt::CheckpointerOptions opts;
+  opts.remote_storage = true;
+  ckpt::Checkpointer ck(cluster, opts);
   std::vector<sim::Time> done(4, 0);
   for (int node = 0; node < 4; ++node) {
     cluster.engine().spawn("w", timed_write(ck, node, 12'500'000, &done[node],
                                             cluster.engine()));
   }
   cluster.engine().run();
-  EXPECT_NEAR(sim::to_seconds(done[0]), 1.0, 1e-6);
-  EXPECT_NEAR(sim::to_seconds(done[1]), 1.0, 1e-6);
-  EXPECT_NEAR(sim::to_seconds(done[2]), 2.0, 1e-6);  // queued behind node 0
-  EXPECT_NEAR(sim::to_seconds(done[3]), 2.0, 1e-6);
+  const double setup = ckpt::Checkpointer::kSetupS;
+  EXPECT_NEAR(sim::to_seconds(done[0]), setup + 1.0, 1e-6);
+  EXPECT_NEAR(sim::to_seconds(done[1]), setup + 1.0, 1e-6);
+  // Queued behind node 0.
+  EXPECT_NEAR(sim::to_seconds(done[2]), setup + 2.0, 1e-6);
+  EXPECT_NEAR(sim::to_seconds(done[3]), setup + 2.0, 1e-6);
 }
 
 ckpt::StoredCheckpoint image(mpi::RankId rank, std::uint64_t epoch) {

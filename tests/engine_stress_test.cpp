@@ -98,21 +98,24 @@ TEST(EngineStress, KillWhileQueuedRecyclesCleanly) {
   // Waves of processes sleeping on armed timers; every other one is killed
   // while its timer event is still queued. Survivors must be unaffected and
   // the cancelled waiter slots must be reused, not abandoned.
-  int finished = 0;
-  int killed = 0;
+  std::vector<ProcPtr> all;
   for (int wave = 0; wave < 100; ++wave) {
     eng.call_at(wave * 1_ms, [&] {
       std::vector<ProcPtr> procs;
       for (int i = 0; i < 20; ++i) {
-        procs.push_back(eng.spawn(
-            "v", periodic(eng, 10_us, 5, nullptr), [&](Proc&, ExitKind k) {
-              (k == ExitKind::kKilled ? killed : finished) += 1;
-            }));
+        procs.push_back(eng.spawn("v", periodic(eng, 10_us, 5, nullptr)));
       }
       for (std::size_t i = 0; i < procs.size(); i += 2) eng.kill(*procs[i]);
+      all.insert(all.end(), procs.begin(), procs.end());
     });
   }
   eng.run();
+  int finished = 0;
+  int killed = 0;
+  for (const ProcPtr& p : all) {
+    EXPECT_FALSE(p->alive());
+    (p->killed() ? killed : finished) += 1;
+  }
   EXPECT_EQ(finished, 1000);
   EXPECT_EQ(killed, 1000);
   EXPECT_EQ(eng.live_process_count(), 0u);

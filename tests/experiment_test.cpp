@@ -167,7 +167,6 @@ TEST(Experiment, FaultedRoutedTieredRunIsDeterministic) {
     cfg.schedule.interval_s = 0.3;
     cfg.failures = {{0, 0.25}, {2, 0.8}};
     cfg.topology.kind = sim::TopologyKind::kFatTree;
-    cfg.topology.fattree_routing = sim::FatTreeRouting::kAdaptive;
     cfg.storage.mode = ckpt::StorageMode::kDrain;
     cfg.collect_trace = true;
     return run_experiment(cfg);

@@ -315,5 +315,20 @@ TEST(RuntimeDeathTest, SendrecvChecksDestinationAndSize) {
   EXPECT_DEATH(exchange(1, -1), "bytes >= 0");
 }
 
+// Rank ids handed in by callers are checked in every build, not used to
+// index the rank table unchecked.
+TEST(RuntimeDeathTest, RankLookupChecksTheId) {
+  Fixture f(2);
+  EXPECT_DEATH((void)f.rt.rank(-1), "rank id outside the run");
+  EXPECT_DEATH((void)f.rt.rank(2), "rank id outside the run");
+}
+
+TEST(RuntimeDeathTest, SendCtrlChecksTheDestination) {
+  Fixture f(2);
+  Message m;
+  m.ctrl = CtrlKind::kBookmark;
+  EXPECT_DEATH(f.rt.send_ctrl(0, 2, m), "rank id outside the run");
+}
+
 }  // namespace
 }  // namespace gcr::mpi

@@ -212,31 +212,7 @@ TEST(ConcurrentRecovery, SimultaneousTwoGroupFailure) {
   EXPECT_EQ(res.metrics.restarts.size(), 8u);
   const Window g0 = restore_window(res, 0, 3);
   const Window g1 = restore_window(res, 4, 7);
-  EXPECT_GE(g1.begin, g0.end - 1e-9);  // one restore slot, failure order
-}
-
-// With two restore slots, simultaneous failures restore CONCURRENTLY:
-// both groups' windows overlap, both exchanges defer against each other,
-// and the run still converges.
-TEST(ConcurrentRecovery, TwoRestoreSlotsOverlapWindows) {
-  ExperimentConfig cfg;
-  cfg.app = big_image_ring_app();
-  cfg.nranks = 8;
-  cfg.groups = group::make_blocks(8, 4);
-  cfg.checkpoints = true;
-  cfg.schedule.first_at_s = 0.1;  // one-shot, committed by ~4.8 s
-  cfg.recovery.detect_s = 0.2;
-  cfg.recovery.relaunch_s = 0.2;
-  cfg.recovery.max_concurrent_restores = 2;
-  cfg.failures = {{0, 5.5}, {1, 5.5}};
-  ExperimentResult res = run_experiment(cfg);
-  ASSERT_TRUE(res.finished);
-  EXPECT_EQ(res.failures_injected, 2);
-  EXPECT_EQ(res.recoveries_completed, 2);
-  const Window g0 = restore_window(res, 0, 3);
-  const Window g1 = restore_window(res, 4, 7);
-  EXPECT_LT(g1.begin, g0.end);  // windows genuinely overlap
-  EXPECT_LT(g0.begin, g1.end);
+  EXPECT_GE(g1.begin, g0.end - 1e-9);  // one restore at a time, in order
 }
 
 // A fault-model event at or past the end of the tick range (~9.2e9 s) ends

@@ -89,14 +89,13 @@ Co<void> delayer(Engine& eng, Time dt, int* out) {
 TEST(Engine, SpawnedProcessRunsAndFinishes) {
   Engine eng;
   int done = 0;
-  bool exit_seen = false;
-  eng.spawn("p", delayer(eng, 5_ms, &done), [&](Proc&, ExitKind k) {
-    exit_seen = k == ExitKind::kFinished;
-  });
+  ProcPtr p = eng.spawn("p", delayer(eng, 5_ms, &done));
   EXPECT_EQ(eng.live_process_count(), 1u);
+  EXPECT_TRUE(p->alive());
   eng.run();
   EXPECT_EQ(done, 1);
-  EXPECT_TRUE(exit_seen);
+  EXPECT_FALSE(p->alive());
+  EXPECT_FALSE(p->killed());
   EXPECT_EQ(eng.live_process_count(), 0u);
   EXPECT_EQ(eng.now(), 5_ms);
 }
@@ -139,44 +138,39 @@ Co<void> sleeper_with_raii(Engine& eng, bool* destroyed) {
 TEST(Engine, KillUnwindsRaiiAndReportsKilled) {
   Engine eng;
   bool destroyed = false;
-  bool killed_seen = false;
-  auto p = eng.spawn("victim", sleeper_with_raii(eng, &destroyed),
-                     [&](Proc&, ExitKind k) {
-                       killed_seen = k == ExitKind::kKilled;
-                     });
+  auto p = eng.spawn("victim", sleeper_with_raii(eng, &destroyed));
   eng.call_at(3_ms, [&] { eng.kill(*p); });
   eng.run(10_ms);
   EXPECT_TRUE(destroyed);
-  EXPECT_TRUE(killed_seen);
+  EXPECT_TRUE(p->killed());
+  EXPECT_FALSE(p->alive());
   EXPECT_EQ(eng.live_process_count(), 0u);
 }
 
 TEST(Engine, KillBeforeStartNeverRunsBody) {
   Engine eng;
   int ran = 0;
-  bool killed_seen = false;
   auto body = [](Engine& e, int* r) -> Co<void> {
     *r = 1;
     co_await delay(e, 1_ms);
   };
   // Spawn and kill within the same callback, before the start event runs.
+  ProcPtr p;
   eng.call_at(1_ms, [&] {
-    auto p = eng.spawn("never", body(eng, &ran), [&](Proc&, ExitKind k) {
-      killed_seen = k == ExitKind::kKilled;
-    });
+    p = eng.spawn("never", body(eng, &ran));
     eng.kill(*p);
   });
   eng.run();
   EXPECT_EQ(ran, 0);
-  EXPECT_TRUE(killed_seen);
+  EXPECT_TRUE(p->killed());
+  EXPECT_FALSE(p->alive());
+  EXPECT_EQ(eng.live_process_count(), 0u);
 }
 
 TEST(Engine, KillIsIdempotent) {
   Engine eng;
   bool destroyed = false;
-  int exits = 0;
-  auto p = eng.spawn("victim", sleeper_with_raii(eng, &destroyed),
-                     [&](Proc&, ExitKind) { ++exits; });
+  auto p = eng.spawn("victim", sleeper_with_raii(eng, &destroyed));
   eng.call_at(1_ms, [&] {
     eng.kill(*p);
     eng.kill(*p);
@@ -184,7 +178,9 @@ TEST(Engine, KillIsIdempotent) {
   eng.call_at(2_ms, [&] { eng.kill(*p); });
   eng.run(10_ms);
   EXPECT_TRUE(destroyed);
-  EXPECT_EQ(exits, 1);
+  EXPECT_TRUE(p->killed());
+  // The root driver exited once: a second exit would underflow the count.
+  EXPECT_EQ(eng.live_process_count(), 0u);
 }
 
 Co<void> chan_consumer(Engine& eng, Channel<int>& ch, std::vector<int>* got,
@@ -296,20 +292,18 @@ TEST(TimingWheel, CancelAfterCascade) {
   // dispatch as a no-op instead of resuming the dead coroutine.
   Engine eng;
   bool resumed_normally = false;
-  ExitKind exit = ExitKind::kFinished;
   auto body = [](Engine& e, bool* flag) -> Co<void> {
     co_await delay(e, 70'000);
     *flag = true;
   };
-  ProcPtr proc = eng.spawn("sleeper", body(eng, &resumed_normally),
-                           [&exit](Proc&, ExitKind k) { exit = k; });
+  ProcPtr proc = eng.spawn("sleeper", body(eng, &resumed_normally));
   // 69'700 shares the timer's level-2 slot: reaching it cascades the slot,
   // dragging the cursor (and the 70'000 timer) down a level before the
   // kill lands.
   eng.call_at(69'700, [&eng, proc] { eng.kill(*proc); });
   eng.run();
   EXPECT_FALSE(resumed_normally);
-  EXPECT_EQ(exit, ExitKind::kKilled);
+  EXPECT_TRUE(proc->killed());
   EXPECT_FALSE(proc->alive());
   EXPECT_TRUE(eng.idle());
   EXPECT_GT(eng.wheel_relinks(), 0u);

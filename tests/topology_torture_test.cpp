@@ -46,32 +46,22 @@ struct FabricLog {
   bool operator==(const FabricLog&) const = default;
 };
 
+/// A random fabric kind and node count. Each count sits below its derived
+/// shape's host capacity (k=4: 16, k=6: 54, dragonfly a=4 p=2 h=2: 72) so
+/// surplus hosts are exercised as permanently idle endpoints. The discarded
+/// draws keep the seed -> traffic map stable.
 NetParams random_fabric(gcr::Rng& rng, int* nodes_out) {
   NetParams p;
   p.bandwidth_Bps = 10e6;
-  p.per_message_s = 5e-6;
-  p.topology.hop_latency_s = 10e-6;
-  p.topology.nic_concurrency = 1 + static_cast<int>(rng.next_below(3));
+  (void)rng.next_below(3);
   if (rng.next_below(2) == 0) {
     p.topology.kind = TopologyKind::kFatTree;
-    p.topology.fattree_k = 4 + 2 * static_cast<int>(rng.next_below(2));
-    p.topology.fattree_routing = rng.next_below(2) == 0
-                                     ? FatTreeRouting::kDeterministic
-                                     : FatTreeRouting::kAdaptive;
+    *nodes_out = rng.next_below(2) == 0 ? 14 : 50;
   } else {
     p.topology.kind = TopologyKind::kDragonfly;
-    p.topology.df_routers_per_group = 4;
-    p.topology.df_nodes_per_router = 2;
-    p.topology.df_global_per_router = 2;
-    p.topology.df_routing = rng.next_below(2) == 0
-                                ? DragonflyRouting::kMinimal
-                                : DragonflyRouting::kValiant;
+    *nodes_out = 70;
   }
-  // Use a node count below the fabric's host capacity so surplus hosts are
-  // exercised as permanently idle endpoints.
-  *nodes_out = p.topology.kind == TopologyKind::kFatTree
-                   ? (p.topology.fattree_k == 4 ? 14 : 50)
-                   : 70;
+  (void)rng.next_below(2);
   return p;
 }
 
@@ -147,8 +137,8 @@ TEST_P(TopologyTortureTest, ConservationLifetimeAndDeterminism) {
   // within the fixed delivery delay (per-message + at most kMaxHops hop
   // latencies) of the abort. Sends issued *after* the abort are ordinary
   // traffic (abort drops state, it does not disable the NIC).
-  const Time max_delivery =
-      from_seconds(5e-6 + Route::kMaxHops * 10e-6) + 1;
+  const Time max_delivery = from_seconds(
+      Network::kPerMessageS + Route::kMaxHops * Network::kHopLatencyS);
   for (const Delivery& d : log.deliveries) {
     const auto it = log.aborted_at.find(d.src);
     // >= : a same-tick send may be ordered after the abort callback.
@@ -189,7 +179,6 @@ ExperimentConfig e2e_config(std::uint64_t seed, sim::TopologyKind kind) {
   cfg.app = [p](int n) { return apps::make_stencil1d(n, p); };
   cfg.groups = group::make_blocks(16, 4);
   cfg.topology.kind = kind;
-  cfg.topology.fattree_routing = sim::FatTreeRouting::kAdaptive;
   cfg.checkpoints = true;
   cfg.schedule.first_at_s = 0.03;
   cfg.schedule.interval_s = 0.1;
