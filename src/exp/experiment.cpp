@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "group/formation.hpp"
-#include "group/strategies.hpp"
 #include "mpi/runtime.hpp"
 #include "trace/tracer.hpp"
 #include "util/assert.hpp"
@@ -183,17 +182,30 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 
 trace::Trace profile_app(const AppFactory& app, int nranks,
                          std::uint64_t seed) {
+  GCR_CHECK(app != nullptr);
+  GCR_CHECK(nranks > 0);
+  // Only the application runs, with the send-only tracer as its one
+  // observer: no protocol, daemons, checkpointer or recovery. A NORM
+  // protocol without checkpoints never delays, suppresses or adds a send,
+  // and the events its daemons would add never reorder the application's
+  // (equal-time events run in scheduling order), so the sends are those of
+  // the same app under run_experiment with the default cluster.
   ExperimentConfig config;
-  config.app = app;
   config.nranks = nranks;
   config.seed = seed;
-  config.collect_trace = true;
-  config.protocol = ProtocolKind::kGroup;
-  config.groups = group::make_norm(nranks);
-  config.checkpoints = false;
-  ExperimentResult result = run_experiment(config);
-  GCR_CHECK_MSG(result.finished, "profiling run did not finish");
-  return std::move(result.trace);
+  sim::Cluster cluster(make_cluster_params(config));
+  mpi::Runtime runtime(cluster, nranks);
+  const apps::AppSpec spec = app(nranks);
+  trace::Tracer tracer(/*record_deliveries=*/false);
+  runtime.add_observer(&tracer);
+  runtime.start_app(spec.body);
+
+  const sim::Time deadline = sim::from_seconds(config.max_sim_s);
+  sim::Engine& engine = cluster.engine();
+  engine.run_while(
+      [&] { return !runtime.job_finished() && engine.now() < deadline; });
+  GCR_CHECK_MSG(runtime.job_finished(), "profiling run did not finish");
+  return tracer.take();
 }
 
 group::GroupSet derive_groups(const AppFactory& app, int nranks,

@@ -2,7 +2,8 @@
 //
 // Wires cluster + runtime + protocol + checkpointer + scheduler + recovery
 // together the same way for every bench/test, so figures differ only in the
-// parameters the paper varies.
+// parameters the paper varies. The profiling run that feeds Algorithm 2
+// (profile_app) wires only cluster + runtime + a send-only tracer.
 #pragma once
 
 #include <cstdint>
@@ -118,7 +119,8 @@ struct ExperimentConfig {
   // whole application from the stored images and measure restart prep.
   bool restart_after_finish = false;
 
-  // Collect a full communication trace (profiling mode).
+  // Collect a communication trace of sends and deliveries (timelines, gap
+  // fractions); profile_app collects the sends alone without this harness.
   bool collect_trace = false;
 
   // Watchdog: abort the run if simulated time exceeds this.
@@ -171,8 +173,11 @@ struct ExperimentResult {
 
 ExperimentResult run_experiment(const ExperimentConfig& config);
 
-/// Profiling helper: runs the app once with the tracer linked in (no
-/// checkpoints) and returns the trace — the paper's group-formation input.
+/// Profiling helper: runs the app once on the default cluster with only a
+/// send-only tracer attached (no protocol, checkpointer or recovery) and
+/// returns its send records — the paper's group-formation input. They equal
+/// the send records of a collect_trace run_experiment under NORM groups
+/// without checkpoints.
 trace::Trace profile_app(const AppFactory& app, int nranks,
                          std::uint64_t seed = 1);
 

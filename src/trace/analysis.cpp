@@ -1,21 +1,27 @@
 #include "trace/analysis.hpp"
 
 #include <algorithm>
-#include <map>
-#include <utility>
+#include <cstdint>
+#include <unordered_map>
 
 #include "util/assert.hpp"
 
 namespace gcr::trace {
 
 std::vector<PairVolume> aggregate_pairs(const Trace& trace) {
-  std::map<std::pair<mpi::RankId, mpi::RankId>, PairVolume> acc;
+  // Hashed by the packed pair: the sort below is a total order, so the
+  // accumulation order never shows in the output.
+  std::unordered_map<std::uint64_t, PairVolume> acc;
   for (const TraceRecord& rec : trace) {
     if (rec.kind != EventKind::kSend) continue;
     const mpi::RankId a = std::min(rec.rank, rec.peer);
     const mpi::RankId b = std::max(rec.rank, rec.peer);
     if (a == b) continue;  // self-sends are irrelevant for grouping
-    PairVolume& pv = acc[{a, b}];
+    const std::uint64_t key = (static_cast<std::uint64_t>(
+                                   static_cast<std::uint32_t>(a))
+                               << 32) |
+                              static_cast<std::uint32_t>(b);
+    PairVolume& pv = acc[key];
     pv.a = a;
     pv.b = b;
     pv.count += 1;
@@ -23,7 +29,7 @@ std::vector<PairVolume> aggregate_pairs(const Trace& trace) {
   }
   std::vector<PairVolume> out;
   out.reserve(acc.size());
-  for (auto& [key, pv] : acc) out.push_back(pv);
+  for (const auto& [key, pv] : acc) out.push_back(pv);
   std::sort(out.begin(), out.end(), [](const PairVolume& x, const PairVolume& y) {
     if (x.bytes != y.bytes) return x.bytes > y.bytes;    // size desc
     if (x.count != y.count) return x.count > y.count;    // then count desc

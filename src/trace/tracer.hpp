@@ -2,9 +2,12 @@
 //
 // Attaches to the MiniMPI runtime as a passive Observer — the analogue of
 // linking the tracer library into the application for a profiling run. It
-// records every transmitted send and every delivery: the send records feed
-// Algorithm 2 (group formation); sends and deliveries feed the timeline
-// renderer. Consumes are not recorded (nothing reads them).
+// records every transmitted send and, unless built send-only, every
+// delivery. The send records feed Algorithm 2 (group formation), which is
+// all a profiling run (exp::profile_app) needs, so its tracer is send-only;
+// the timeline renderer and the gap-fraction analysis also read deliveries,
+// so run_experiment's collect_trace tracer keeps them. Consumes are not
+// recorded (nothing reads them).
 //
 // Records land in one buffer in dispatch order; records() and take()
 // return them in (time, rank) order, so each rank's own records keep their
@@ -25,6 +28,10 @@ namespace gcr::trace {
 
 class Tracer : public mpi::Observer {
  public:
+  /// `record_deliveries` false makes a send-only tracer.
+  explicit Tracer(bool record_deliveries = true)
+      : record_deliveries_(record_deliveries) {}
+
   void on_send(const mpi::Rank& rank, const mpi::Message& msg,
                bool transmitted) override {
     // Suppressed re-sends never reach the wire; profiling runs are
@@ -35,6 +42,7 @@ class Tracer : public mpi::Observer {
   }
 
   void on_deliver(const mpi::Rank& rank, const mpi::Message& msg) override {
+    if (!record_deliveries_) return;
     records_.push_back(TraceRecord{rank.engine().now(), EventKind::kDeliver,
                                     rank.id(), msg.src, msg.tag, msg.bytes});
   }
@@ -70,6 +78,7 @@ class Tracer : public mpi::Observer {
     return t;
   }
 
+  bool record_deliveries_;
   Trace records_;
 };
 

@@ -2,8 +2,11 @@
 // determinism, failure recovery, and the paper's restart experiment.
 #include <gtest/gtest.h>
 
+#include "apps/cg.hpp"
 #include "apps/hpl.hpp"
+#include "apps/service.hpp"
 #include "apps/simple.hpp"
+#include "apps/sp.hpp"
 #include "exp/experiment.hpp"
 #include "group/strategies.hpp"
 
@@ -261,6 +264,59 @@ TEST(Experiment, ProfileProducesTraceAndGroups) {
   EXPECT_EQ(groups.num_groups(), 2);
   EXPECT_TRUE(groups.same_group(0, 2));
   EXPECT_FALSE(groups.same_group(2, 3));
+}
+
+// The profiling run builds no protocol stack; its trace must still be,
+// record for record, the sends of the same app run through the full harness
+// under NORM without checkpoints (a NORM protocol never delays, suppresses
+// or adds a send). The harness trace also holds deliveries; the profile
+// holds none.
+TEST(Experiment, ProfileIsTheSendsOfANormRun) {
+  apps::ServiceParams service;
+  service.requests = 60;
+  service.arrival_rate_hz = 20.0;
+  service.service_s = 0.005;
+  service.cluster_width = 4;
+  struct Case {
+    const char* name;
+    AppFactory app;
+    int nranks;
+  };
+  const Case cases[] = {
+      {"cg", [](int n) { return apps::make_cg(n); }, 16},
+      {"hpl", [](int n) { return apps::make_hpl(n); }, 16},
+      {"sp", [](int n) { return apps::make_sp(n); }, 16},
+      {"ring", ring_app(), 8},
+      {"service", [service](int n) { return apps::make_service(n, service); },
+       16},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ExperimentConfig cfg;
+    cfg.app = c.app;
+    cfg.nranks = c.nranks;
+    cfg.groups = group::make_norm(c.nranks);
+    cfg.checkpoints = false;
+    cfg.collect_trace = true;
+    const ExperimentResult res = run_experiment(cfg);
+    ASSERT_TRUE(res.finished);
+    trace::Trace sends;
+    for (const trace::TraceRecord& r : res.trace) {
+      if (r.kind == trace::EventKind::kSend) sends.push_back(r);
+    }
+    ASSERT_LT(sends.size(), res.trace.size());  // deliveries were recorded
+
+    const trace::Trace profile = profile_app(c.app, c.nranks);
+    ASSERT_EQ(profile.size(), sends.size());
+    for (std::size_t i = 0; i < sends.size(); ++i) {
+      ASSERT_EQ(profile[i].time, sends[i].time) << "record " << i;
+      ASSERT_EQ(profile[i].kind, trace::EventKind::kSend) << "record " << i;
+      ASSERT_EQ(profile[i].rank, sends[i].rank) << "record " << i;
+      ASSERT_EQ(profile[i].peer, sends[i].peer) << "record " << i;
+      ASSERT_EQ(profile[i].tag, sends[i].tag) << "record " << i;
+      ASSERT_EQ(profile[i].bytes, sends[i].bytes) << "record " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -28,7 +28,9 @@ TEST(Tracer, CapturesSendsFromLiveRun) {
   sim::Cluster cluster(cp);
   mpi::Runtime rt(cluster, 2);
   Tracer tracer;
+  Tracer sends_only(/*record_deliveries=*/false);
   rt.add_observer(&tracer);
+  rt.add_observer(&sends_only);
   rt.start_app([](mpi::AppHandle h) -> sim::Co<void> {
     co_await h.safepoint(0);
     if (h.id() == 0) {
@@ -47,6 +49,13 @@ TEST(Tracer, CapturesSendsFromLiveRun) {
   EXPECT_EQ(sends, 1);
   EXPECT_EQ(delivers, 1);
   EXPECT_EQ(tracer.records().size(), 2u);  // the receive records nothing
+  // The send-only tracer keeps the same send record and no delivery.
+  const Trace s = sends_only.records();
+  ASSERT_EQ(s.size(), 1u);
+  EXPECT_EQ(s[0].kind, EventKind::kSend);
+  EXPECT_EQ(s[0].time, tracer.records()[0].time);
+  EXPECT_EQ(s[0].peer, 1);
+  EXPECT_EQ(s[0].bytes, 4096);
 }
 
 TEST(Tracer, RecordsComeBackInTimeRankAppendOrder) {
