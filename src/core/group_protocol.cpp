@@ -797,7 +797,11 @@ sim::Co<void> GroupProtocol::serve_exchange(mpi::Rank& rank,
   co_await replay_to(rank, msg.src, peer_r_from_me);
   mpi::Message reply;
   reply.ctrl = mpi::CtrlKind::kExchangeReply;
-  reply.ctrl_data = {rank.recvd_from(msg.src).bytes};
+  // The gap-free prefix, like the request's R: a message the requester's
+  // previous incarnation sent past its restored cut may sit buffered here
+  // beyond a gap, and counting it would make the requester skip a
+  // re-executed send this rank never received (DESIGN.md §9.1).
+  reply.ctrl_data = {rank.recvd_prefix_bytes(msg.src)};
   rt_->send_ctrl(rank.id(), msg.src, reply);
 }
 

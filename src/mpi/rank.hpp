@@ -69,6 +69,35 @@ class Rank {
     return recvd_[static_cast<std::size_t>(peer)];
   }
 
+  /// Bytes of the gap-free prefix of `peer`'s stream held here: what was
+  /// consumed, then the buffered messages that follow it in sequence.
+  /// recvd_from() also counts a message buffered past a gap — an orphan
+  /// from a sender incarnation that has since rolled back to an earlier
+  /// cut — which the sender's re-execution must still send.
+  std::int64_t recvd_prefix_bytes(RankId peer) const {
+    // Messages leave the buffer only in sequence, so the delivered volume
+    // minus the buffered one is the consumed prefix.
+    const PeerVolume& r = recvd_from(peer);
+    std::int64_t bytes = r.bytes;
+    std::uint64_t next = r.count + 1;
+    for (const Message& m : pending_) {
+      if (m.src != peer) continue;
+      bytes -= m.bytes;
+      --next;
+    }
+    for (bool advanced = true; advanced;) {
+      advanced = false;
+      for (const Message& m : pending_) {
+        if (m.src == peer && m.seq == next) {
+          bytes = m.cum_bytes;
+          ++next;
+          advanced = true;
+        }
+      }
+    }
+    return bytes;
+  }
+
   /// Control-plane delivery queue, served by the protocol daemon.
   sim::Channel<Message>& ctrl_in() { return ctrl_in_; }
 

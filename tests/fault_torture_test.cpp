@@ -374,6 +374,11 @@ TEST_P(ChurnTortureTest, InvariantsHoldAndRerunsAreIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChurnTortureTest, ::testing::Range(1, 9));
+// Seeds that hung when an exchange reply counted an orphan: a message the
+// requester's previous incarnation sent past its restored cut, buffered at
+// the replier beyond a gap, made the requester skip a re-executed send.
+INSTANTIATE_TEST_SUITE_P(OrphanSeeds, ChurnTortureTest,
+                         ::testing::Values(260, 422, 898, 2190));
 
 }  // namespace
 }  // namespace gcr::exp
