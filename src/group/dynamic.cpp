@@ -23,6 +23,9 @@ int DynamicGrouper::find(int r) const {
 }
 
 void DynamicGrouper::on_message(mpi::RankId src, mpi::RankId dst) {
+  const int n = static_cast<int>(parent_.size());
+  GCR_CHECK_MSG(src >= 0 && src < n && dst >= 0 && dst < n,
+                "dynamic grouping: rank id outside [0, nranks)");
   const int a = find(src);
   const int b = find(dst);
   if (a == b) return;

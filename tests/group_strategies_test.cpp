@@ -158,5 +158,16 @@ TEST(Dynamic, DisjointTrafficNeverCollapses) {
   EXPECT_EQ(result.messages_until_collapse, -1);
 }
 
+// Trace files are external input: a rank id outside [0, nranks) must stop
+// the replay instead of indexing the union-find out of bounds.
+TEST(DynamicDeathTest, RejectsRankIdsOutsideTheRun) {
+  DynamicGrouper d(4);
+  EXPECT_DEATH(d.on_message(4, 0), "outside \\[0, nranks\\)");
+  EXPECT_DEATH(d.on_message(0, -1), "outside \\[0, nranks\\)");
+  trace::Trace t;
+  t.push_back(trace::TraceRecord{0, trace::EventKind::kSend, 4, -1, 0, 1});
+  EXPECT_DEATH((void)replay_dynamic(4, t), "outside \\[0, nranks\\)");
+}
+
 }  // namespace
 }  // namespace gcr::group
