@@ -527,19 +527,4 @@ std::uint64_t Engine::run(Time until) {
   return processed;
 }
 
-std::uint64_t Engine::run_while(const std::function<bool()>& keep_going) {
-  std::uint64_t processed = 0;
-  Event ev;
-  // Same predicate order as run(): emptiness first, keep_going second, so
-  // the predicate is never consulted once the queue has drained.
-  while (!idle() && keep_going() && pop_next(kTimeMax, ev)) {
-    GCR_ASSERT(ev.at >= now_);
-    now_ = ev.at;
-    dispatch(ev);
-    ++processed;
-    ++events_processed_;
-  }
-  return processed;
-}
-
 }  // namespace gcr::sim

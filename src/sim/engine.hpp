@@ -42,7 +42,6 @@
 #include <array>
 #include <coroutine>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -50,6 +49,7 @@
 #include "sim/co.hpp"
 #include "sim/smallfn.hpp"
 #include "sim/time.hpp"
+#include "util/assert.hpp"
 
 namespace gcr::sim {
 
@@ -134,8 +134,23 @@ class Engine {
 
   /// Runs events while `keep_going()` is true (checked before each event)
   /// and the queue is non-empty. Used to stop at job completion without
-  /// draining long-lived daemons' future events.
-  std::uint64_t run_while(const std::function<bool()>& keep_going);
+  /// draining long-lived daemons' future events. The predicate is a
+  /// template parameter so the caller's lambda inlines into the loop.
+  template <class KeepGoing>
+  std::uint64_t run_while(KeepGoing&& keep_going) {
+    std::uint64_t processed = 0;
+    Event ev;
+    // Same predicate order as run(): emptiness first, keep_going second, so
+    // the predicate is never consulted once the queue has drained.
+    while (!idle() && keep_going() && pop_next(kTimeMax, ev)) {
+      GCR_ASSERT(ev.at >= now_);
+      now_ = ev.at;
+      dispatch(ev);
+      ++processed;
+      ++events_processed_;
+    }
+    return processed;
+  }
 
   /// True if no events remain.
   bool idle() const {
