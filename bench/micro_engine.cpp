@@ -22,8 +22,10 @@
 //                       of far-future timers parked in the wheel's upper
 //                       levels; O(1) insert/dispatch means the rate stays
 //                       flat as the resident count grows
-//   * far_future_cascade — events log-spread across the wheel's full 2^48 ns
-//                       span, so dispatch pays worst-case level cascades
+//   * far_future_cascade — events spread up to 2^47 ns, so dispatch pays
+//                       worst-case level cascades
+//   * far_future_overflow — the same shape up to 2^52 ns, starting in level
+//                       8 of the wheel
 //
 // Output is one JSON object per line (events = Engine::events_processed()
 // delta; rate = events / wall second), plus a trailing summary object.
@@ -96,7 +98,7 @@ void emit(const std::string& name, const Result& r) {
 
 std::uint64_t callback_storm(int outstanding, int rounds) {
   // The daemon pattern: a bounded set of periodic callbacks, each
-  // rescheduling itself with a staggered period (so the heap reorders, not
+  // rescheduling itself with a staggered period (so the queue reorders, not
   // just FIFO-pops). Queue depth stays at `outstanding`, like the recovery
   // timers and scheduler ticks of a real campaign job.
   Engine eng;
@@ -127,7 +129,7 @@ Co<void> sleeper(Engine& eng, Time dt, int rounds) {
 std::uint64_t timer_storm(int procs, int rounds) {
   Engine eng;
   for (int p = 0; p < procs; ++p) {
-    // Staggered periods force heap reordering, not just FIFO pops.
+    // Staggered periods force queue reordering, not just FIFO pops.
     eng.spawn("t", sleeper(eng, 1 + p % 7, rounds));
   }
   eng.run();
@@ -146,7 +148,7 @@ std::uint64_t lockstep_timers(int procs, int rounds) {
 std::uint64_t timer_cancel(int rounds) {
   // A daemon alternates trigger waits with short sleeps while callbacks fire
   // the trigger each round; every round arms and then recycles a waiter, so
-  // the pool's free list (not just heap push/pop) is on the clock.
+  // the pool's free list (not just queue push/pop) is on the clock.
   Engine eng;
   sim::Trigger t(eng);
   auto racer = [](Engine& e, sim::Trigger& tr, int n) -> Co<void> {
@@ -286,9 +288,8 @@ std::uint64_t wheel_churn(int pending, int outstanding, int rounds) {
 }
 
 std::uint64_t far_future_cascade(int count) {
-  // Events log-spread across (almost) the wheel's whole 2^48 ns span:
-  // popping them drags chains down through every level, the worst case for
-  // the lazy cascade.
+  // Events spread uniformly up to 2^47 ns: popping them drags chains down
+  // through every level from 7, the worst case for the lazy cascade.
   Engine eng;
   std::uint64_t x = 0x9e3779b97f4a7c15ull;
   for (int i = 0; i < count; ++i) {
@@ -302,11 +303,11 @@ std::uint64_t far_future_cascade(int count) {
 }
 
 std::uint64_t far_future_overflow(int count) {
-  // Events log-spread beyond the wheel's 2^48 ns span park in the overflow
-  // heap; the cursor's march through top-level windows promotes them into
-  // the wheel in batches (one drain per window entered), not one span test
-  // per dispatched event. Pairs with far_future_cascade: that row is the
-  // in-span worst case, this one guards the beyond-span population.
+  // Events spread uniformly up to 2^52 ns: they start in level 8 and
+  // cascade down through every level below it. Pairs with
+  // far_future_cascade; the two are the only rows that reach the wheel's
+  // upper levels. The name is from the overflow heap that once held these
+  // events; it stays so BENCH_engine.json keeps its rows.
   Engine eng;
   std::uint64_t x = 0x2545F4914F6CDD1Dull;
   for (int i = 0; i < count; ++i) {

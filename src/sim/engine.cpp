@@ -48,69 +48,6 @@ static RootTask root_driver(Engine& eng, ProcPtr proc, Co<void> body) {
 
 // ---------------------------------------------------------- event queues
 
-// 4-ary heap: half the depth of a binary heap and all four children on one
-// or two cache lines (24-byte PODs), which wins on the pop-heavy dispatch
-// loop even though each level compares up to four children.
-namespace {
-constexpr std::size_t kHeapArity = 4;
-}
-
-void Engine::heap_push(const Event& e) {
-  heap_.push_back(e);
-  std::size_t i = heap_.size() - 1;
-  // Hole-based sift-up: shift parents down, write the new event once.
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / kHeapArity;
-    if (!event_before(e, heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = e;
-}
-
-void Engine::heap_pop_top() {
-  const Event last = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n == 0) return;
-  // Floyd's bottom-up deletion: walk the hole down along min-children to a
-  // leaf comparing only siblings, then sift the displaced last element up
-  // from there. `last` came off the bottom, so it almost never rises —
-  // this skips the compare-against-last at every level of the plain
-  // sift-down, the hottest loop in the engine.
-  std::size_t hole = 0;
-  while (true) {
-    const std::size_t first = kHeapArity * hole + 1;
-    if (first + kHeapArity <= n) {
-      // All four children present: pairwise tree reduction keeps the
-      // dependency chain at two compares instead of a three-long scan.
-      const std::size_t a =
-          first + (event_before(heap_[first + 1], heap_[first]) ? 1 : 0);
-      const std::size_t b =
-          first + 2 + (event_before(heap_[first + 3], heap_[first + 2]) ? 1 : 0);
-      const std::size_t child = event_before(heap_[b], heap_[a]) ? b : a;
-      heap_[hole] = heap_[child];
-      hole = child;
-    } else if (first < n) {
-      std::size_t child = first;
-      for (std::size_t c = first + 1; c < n; ++c) {
-        if (event_before(heap_[c], heap_[child])) child = c;
-      }
-      heap_[hole] = heap_[child];
-      hole = child;
-    } else {
-      break;
-    }
-  }
-  while (hole > 0) {
-    const std::size_t parent = (hole - 1) / kHeapArity;
-    if (!event_before(last, heap_[parent])) break;
-    heap_[hole] = heap_[parent];
-    hole = parent;
-  }
-  heap_[hole] = last;
-}
-
 void Engine::grow_due(std::size_t capacity_pow2) {
   if (capacity_pow2 <= due_.size()) return;
   // Unwrap the ring into the bigger buffer in order.
@@ -133,17 +70,16 @@ auto Engine::due_append() -> Event& {
 
 void Engine::schedule(Time t, EventKind kind, std::uint32_t slot,
                       std::uint32_t gen) {
-  const std::uint64_t key = next_key(kind);
   if (t == now_) {
     // Written field by field: an Event built on the stack and copied in
     // whole is re-read with a wide load that misses store forwarding.
     Event& e = due_append();
     e.at = t;
-    e.key = key;
+    e.kind = kind;
     e.slot = slot;
     e.gen = gen;
   } else {
-    wheel_insert(t, key, slot, gen);
+    wheel_insert(t, kind, slot, gen);
   }
 }
 
@@ -181,17 +117,9 @@ void Engine::wheel_place(std::uint32_t b) {
   slot.tail_last = first.last;
 }
 
-void Engine::wheel_insert(Time t, std::uint64_t key, std::uint32_t slot,
+void Engine::wheel_insert(Time t, EventKind kind, std::uint32_t slot,
                           std::uint32_t gen) {
-  const std::uint64_t d = static_cast<std::uint64_t>(t) ^
-                          static_cast<std::uint64_t>(wheel_cur_);
-  if (t < wheel_cur_ || (d >> (kWheelBits * kWheelLevels)) != 0) {
-    // Behind the lazily-advanced cursor (still > now_; only possible in the
-    // gap a cascade opened past now_), where the placement rule would wrap,
-    // or beyond the wheel span: the heap absorbs it.
-    heap_push(Event{t, key, slot, gen});
-    return;
-  }
+  GCR_ASSERT(t >= wheel_cur_);  // the clock rule keeps the cursor <= now_
   std::uint32_t n = wheel_free_;
   if (n != kNilNode) {
     wheel_free_ = wheel_pool_[n].next;
@@ -201,7 +129,7 @@ void Engine::wheel_insert(Time t, std::uint64_t key, std::uint32_t slot,
   }
   WheelNode& node = wheel_pool_[n];
   node.ev.at = t;
-  node.ev.key = key;
+  node.ev.kind = kind;
   node.ev.slot = slot;
   node.ev.gen = gen;
   node.last = n;
@@ -214,8 +142,7 @@ void Engine::wheel_advance(Time t) {
                              static_cast<std::uint64_t>(t);
   wheel_cur_ = t;
   if ((diff >> kWheelBits) == 0) return;  // same level-0 window
-  int top = (63 - std::countl_zero(diff)) / kWheelBits;
-  if (top > kWheelLevels - 1) top = kWheelLevels - 1;
+  const int top = (63 - std::countl_zero(diff)) / kWheelBits;
   // Cascade-on-entry, highest level first: a level's entered slot is
   // re-scattered one or more levels down before that lower level's own
   // entered slot is processed, so every event lands (in seq order) before
@@ -245,38 +172,14 @@ void Engine::wheel_advance(Time t) {
       if (first.last != b) next = wheel_pool_[first.last].next;
       // The target is strictly below lvl (the entered slot's digit now
       // matches the cursor at lvl), so re-placement never revisits this
-      // list and never overflows to the heap. Lower levels were empty when
-      // the cursor entered this slot, so two buckets of one time can only
-      // meet in list order, and merging keeps seq order.
+      // list. Lower levels were empty when the cursor entered this slot, so
+      // two buckets of one time can only meet in list order, and merging
+      // keeps seq order.
       wheel_place(b);
       ++wheel_relinks_;
       if (b == final_bucket) break;
       b = next;
     }
-  }
-  if ((diff >> (kWheelBits * (kWheelLevels - 1))) != 0) {
-    // The cursor entered a new top-level window, so overflow events parked
-    // beyond the old span may now fit: drain them in one batch here rather
-    // than testing span membership per entry on the dispatch path.
-    promote_overflow();
-  }
-}
-
-void Engine::promote_overflow() {
-  // Same-timestamp safety: an event can only reach the wheel while a
-  // same-time sibling sits in the heap if the sibling entered the heap
-  // beyond-span and the wheel insert happened within-span — but the cursor
-  // advance that changed the span boundary ran this promotion first, so the
-  // heap (popped in (at, seq) order) always lands before later inserts and
-  // every bucket stays seq-ordered.
-  while (!heap_.empty()) {
-    const Event top = heap_.front();
-    if (top.at < wheel_cur_) break;  // behind-cursor overflow stays heaped
-    const std::uint64_t d = static_cast<std::uint64_t>(top.at) ^
-                            static_cast<std::uint64_t>(wheel_cur_);
-    if ((d >> (kWheelBits * kWheelLevels)) != 0) break;  // still beyond span
-    heap_pop_top();
-    wheel_insert(top.at, top.key, top.slot, top.gen);
   }
 }
 
@@ -299,13 +202,12 @@ void Engine::wheel_take(Time bound) {
         wheel_slots_[lvl * kWheelSlots + static_cast<std::size_t>(s)];
     if (slot.head != slot.tail) {
       // Several buckets: cascade the slot, unless even its start is late.
+      // Every time in the slot shares its digits from lvl up, so the start
+      // is any of them with the lower digits cleared (a shift of at most
+      // 60 bits, even for a top-level slot).
       GCR_ASSERT(lvl != 0);  // a level-0 slot is one ns, hence one bucket
-      const int shift = kWheelBits * static_cast<int>(lvl + 1);
-      const std::uint64_t base = static_cast<std::uint64_t>(wheel_cur_) >>
-                                 shift << shift;
-      const Time slot_start = static_cast<Time>(
-          base | (static_cast<std::uint64_t>(s)
-                  << (kWheelBits * static_cast<int>(lvl))));
+      const int shift = kWheelBits * static_cast<int>(lvl);
+      const Time slot_start = slot.tail_at >> shift << shift;
       if (slot_start > bound) return;  // the earliest is certainly later
       wheel_advance(slot_start);
       continue;
@@ -332,35 +234,21 @@ void Engine::wheel_take(Time bound) {
 
 bool Engine::pop_next(Time until, Event& out) {
   // The wheel is consulted only when the due ring has drained, i.e. once
-  // per instant: its earliest bucket moves into the ring whole, unless the
-  // heap top or `until` comes first. Bounding the take by the heap top
-  // keeps cascades from running past the next dispatch, so the cursor
-  // never overtakes an event we are about to execute.
-  if (due_count_ == 0 && wheel_count_ != 0) {
-    Time bound = until;
-    if (!heap_.empty() && heap_.front().at < bound) bound = heap_.front().at;
-    wheel_take(bound);
-  }
-  const bool heap_first =
-      !heap_.empty() &&
-      (due_count_ == 0 || event_before(heap_.front(), due_[due_head_]));
-  if (!heap_first) {
-    // Due events are all at one instant <= until: now_, or a bucket just
-    // taken under the bound.
+  // per instant: its earliest bucket moves into the ring whole, unless
+  // `until` comes first. Due events are all at one instant <= until: now_,
+  // or a bucket just taken under the bound.
+  if (due_count_ == 0) {
+    if (wheel_count_ == 0) return false;
+    wheel_take(until);
     if (due_count_ == 0) return false;
-    out = due_[due_head_];
-    due_head_ = (due_head_ + 1) & (due_.size() - 1);
-    --due_count_;
-    return true;
   }
-  if (heap_.front().at > until) return false;
-  out = heap_.front();
-  heap_pop_top();
+  out = due_[due_head_];
+  due_head_ = (due_head_ + 1) & (due_.size() - 1);
+  --due_count_;
   return true;
 }
 
 void Engine::reserve(std::size_t events, std::size_t waiters) {
-  heap_.reserve(events);
   // The due ring must also cover `events`: a same-timestamp burst (e.g. a
   // Trigger broadcast fanout) routes every resume through it.
   grow_due(std::bit_ceil(std::max<std::size_t>(events, 64)));
@@ -403,7 +291,9 @@ void Engine::release_waiter(std::uint32_t slot) {
 // -------------------------------------------------------------- scheduling
 
 void Engine::call_at(Time t, SmallFn fn) {
-  GCR_ASSERT(t >= now_);
+  // Checked in every build: a past-time insert would land behind the
+  // wheel's cursor and break dispatch order.
+  GCR_CHECK(t >= now_);
   std::uint32_t slot;
   if (!callback_free_.empty()) {
     slot = callback_free_.back();
@@ -430,7 +320,7 @@ bool Engine::fire(WaiterHandle w) {
 }
 
 void Engine::fire_at(Time t, WaiterHandle w) {
-  GCR_ASSERT(t >= now_);
+  GCR_CHECK(t >= now_);  // as in call_at
   GCR_ASSERT(w.slot < waiter_pool_.size());
   schedule(t, kTimer, w.slot, w.gen);
 }
@@ -486,7 +376,7 @@ void Engine::resume_slot(std::uint32_t slot) {
 }
 
 void Engine::dispatch(const Event& ev) {
-  switch (static_cast<EventKind>(ev.key & 3)) {
+  switch (ev.kind) {
     case kCallback: {
       // Move out and free the slot first: the callback may re-enter
       // call_at and grow or reuse the pool.
@@ -513,17 +403,11 @@ void Engine::dispatch(const Event& ev) {
 }
 
 std::uint64_t Engine::run(Time until) {
-  GCR_ASSERT(until >= now_);  // the clock never moves backwards
-  std::uint64_t processed = 0;
-  Event ev;
-  while (pop_next(until, ev)) {
-    GCR_ASSERT(ev.at >= now_);
-    now_ = ev.at;
-    dispatch(ev);
-    ++processed;
-    ++events_processed_;
-  }
-  if (idle() && now_ < until && until != kTimeMax) now_ = until;
+  GCR_CHECK(until >= now_);  // the clock never moves backwards
+  const std::uint64_t processed = dispatch_loop(until, [] { return true; });
+  // Every pending event is later than `until`, and wheel_take never moved
+  // the cursor past it, so the clock can land there.
+  if (until != kTimeMax) now_ = until;
   return processed;
 }
 

@@ -1,27 +1,28 @@
 // Discrete-event engine driving coroutine processes.
 //
 // Single-threaded. Events are totally ordered by (time, insertion sequence),
-// so one seed gives bit-identical runs. The queue is three structures
-// sharing one sequence space: events scheduled at the current timestamp
-// (claimed resumes, post(), zero-delay timers — the bulk of channel/protocol
-// traffic) go through an O(1) FIFO due ring; future events land in a
-// hierarchical timing wheel (8 levels x 64 slots, 6 bits of nanoseconds per
-// level, lazily cascaded toward level 0 as the cursor advances; see
-// DESIGN.md §15.1); and events beyond the wheel's ~78-hour span — or behind
-// its lazily-advanced cursor — overflow into a flat, reserve()-able 4-ary
-// min-heap. The wheel groups the events of one exact time into a bucket: an
+// so one seed gives bit-identical runs. The queue is two structures: events
+// scheduled at the current timestamp (claimed resumes, post(), zero-delay
+// timers — the bulk of channel/protocol traffic) go through an O(1) FIFO
+// due ring, and future events land in a hierarchical timing wheel that
+// spans all of Time (11 levels x 64 slots, 6 bits of nanoseconds per level,
+// lazily cascaded toward level 0 as the cursor advances; see DESIGN.md
+// §15.1). The wheel groups the events of one exact time into a bucket: an
 // insert joins its slot's tail bucket when the times match, a cascade
 // relinks whole buckets, and once the due ring drains the earliest bucket
 // moves into it in one piece. So the wheel is consulted once per distinct
 // instant, not once per event — bulk-synchronous ranks that compute in
 // lockstep put many events on one instant. Every wheel event is later than
-// now(). All three structures hold 24-byte typed Event records — a tagged
-// union of {waiter resume, armed timer, small callback}. Dispatch always
-// takes the globally smallest (time, seq), so the split is invisible to
-// ordering. Steady-state traffic never touches the allocator: waiters live
-// in an engine-owned slot pool recycled through a free list, callback
-// captures sit in SmallFn small-buffer storage pooled the same way, and
-// wheel nodes come from one pooled arena.
+// now(), and the wheel's cursor never passes now() (run(until) leaves the
+// clock on `until`), so every insert lands at or after the cursor; an
+// insert into the past is a GCR_CHECK failure in every build. Both
+// structures hold 24-byte typed Event records — a tagged union of {waiter
+// resume, armed timer, small callback} — and keep the events of one time in
+// insertion order, so dispatch follows (time, seq) without storing a
+// sequence number. Steady-state traffic never touches the allocator:
+// waiters live in an engine-owned slot pool recycled through a free list,
+// callback captures sit in SmallFn small-buffer storage pooled the same
+// way, and wheel nodes come from one pooled arena.
 //
 // Waiter protocol: a suspended coroutine registers exactly one pooled waiter
 // slot and gets back a generation-counted WaiterHandle. Exactly one
@@ -99,8 +100,9 @@ class Engine {
   /// Events dispatched so far (monotone; perf harness metric).
   std::uint64_t events_processed() const { return events_processed_; }
 
-  /// Pre-sizes the event heap and the waiter/callback pools so a workload
-  /// of known scale runs allocation-free from the first event.
+  /// Pre-sizes the due ring, the wheel's node arena and the waiter and
+  /// callback pools so a workload of known scale runs allocation-free from
+  /// the first event.
   void reserve(std::size_t events, std::size_t waiters);
 
   // --- plain callbacks ---
@@ -125,11 +127,11 @@ class Engine {
   /// Runs events until the queue empties or `until` is passed. Events at
   /// exactly `until` are executed. Returns the number of events processed.
   ///
-  /// Clock-advance rule: `until` must not be in the past (asserted). On
-  /// return, now() is `until` if the queue drained and `until` is finite;
-  /// if events beyond `until` remain, now() stays at the last executed
-  /// event's timestamp (or its entry value if nothing ran). A bare run()
-  /// (until == kTimeMax) never advances past the last event.
+  /// Clock rule: `until` must not be in the past (checked in every build).
+  /// A finite `until` always leaves now() == `until`, whether the queue
+  /// drained or events beyond `until` remain; nothing pending is earlier,
+  /// and the wheel's cursor never passes `until`. A bare run() (until ==
+  /// kTimeMax) stops on the last event's timestamp.
   std::uint64_t run(Time until = kTimeMax);
 
   /// Runs events while `keep_going()` is true (checked before each event)
@@ -138,24 +140,11 @@ class Engine {
   /// template parameter so the caller's lambda inlines into the loop.
   template <class KeepGoing>
   std::uint64_t run_while(KeepGoing&& keep_going) {
-    std::uint64_t processed = 0;
-    Event ev;
-    // Same predicate order as run(): emptiness first, keep_going second, so
-    // the predicate is never consulted once the queue has drained.
-    while (!idle() && keep_going() && pop_next(kTimeMax, ev)) {
-      GCR_ASSERT(ev.at >= now_);
-      now_ = ev.at;
-      dispatch(ev);
-      ++processed;
-      ++events_processed_;
-    }
-    return processed;
+    return dispatch_loop(kTimeMax, keep_going);
   }
 
   /// True if no events remain.
-  bool idle() const {
-    return heap_.empty() && due_count_ == 0 && wheel_count_ == 0;
-  }
+  bool idle() const { return due_count_ == 0 && wheel_count_ == 0; }
 
   // --- awaitable support (used by awaitables.hpp / channel.hpp etc.) ---
   /// Registers the currently-running process's suspension in the waiter
@@ -197,28 +186,24 @@ class Engine {
   // --- introspection (tests, stress harnesses) ---
   /// Total waiter slots ever created; stays flat once the pool recycles.
   std::size_t waiter_pool_size() const { return waiter_pool_.size(); }
-  std::size_t event_queue_depth() const {
-    return heap_.size() + due_count_ + wheel_count_;
-  }
-  /// Events currently parked in wheel slots (excludes due ring and the
-  /// overflow heap).
+  std::size_t event_queue_depth() const { return due_count_ + wheel_count_; }
+  /// Events currently parked in wheel slots (excludes the due ring).
   std::size_t timer_wheel_depth() const { return wheel_count_; }
   /// Buckets moved one or more levels down by wheel cascades so far.
   std::uint64_t wheel_relinks() const { return wheel_relinks_; }
 
  private:
-  enum EventKind : std::uint64_t {
+  enum EventKind : std::uint32_t {
     kCallback = 0,  ///< slot indexes callback_pool_
     kTimer = 1,     ///< armed fire_at: claim waiter at dispatch, else no-op
     kResume = 2,    ///< claimed resume: waiter generation must still match
   };
 
-  /// 24-byte POD queue record; sift operations are plain copies. The kind
-  /// tag lives in the low bits of `key` so (at, key) compares exactly like
-  /// (at, seq) — the sequence occupies the high bits and is monotone.
+  /// 24-byte POD queue record. Both structures keep the events of one
+  /// time in insertion order, so no sequence number is stored.
   struct Event {
     Time at;
-    std::uint64_t key;  ///< (seq << 2) | EventKind
+    EventKind kind;
     std::uint32_t slot;
     std::uint32_t gen;
   };
@@ -231,15 +216,22 @@ class Engine {
     std::uint32_t next_free = WaiterHandle::kNullSlot;
   };
 
-  /// (at, key) lexicographic order, written as branch-free boolean algebra:
-  /// the min-of-children scans in the heap sift are data-dependent and
-  /// mispredict badly as jumps, but compile to setcc/cmov in this form.
-  static bool event_before(const Event& a, const Event& b) {
-    return (a.at < b.at) | ((a.at == b.at) & (a.key < b.key));
+  /// The one dispatch loop behind run() and run_while(): emptiness first,
+  /// keep_going second, so the predicate is never consulted once the queue
+  /// has drained.
+  template <class KeepGoing>
+  std::uint64_t dispatch_loop(Time until, KeepGoing&& keep_going) {
+    const std::uint64_t start = events_processed_;
+    Event ev;
+    while (!idle() && keep_going() && pop_next(until, ev)) {
+      GCR_ASSERT(ev.at >= now_);
+      now_ = ev.at;
+      dispatch(ev);
+      ++events_processed_;
+    }
+    return events_processed_ - start;
   }
-  std::uint64_t next_key(EventKind kind) {
-    return (next_seq_++ << 2) | static_cast<std::uint64_t>(kind);
-  }
+
   // --- hierarchical timing wheel (DESIGN.md §15.1) ---
   // Level L sorts nanoseconds by bits [6L, 6L+6). A slot holds one linked
   // list of pooled nodes in which the events of one exact time form a
@@ -251,15 +243,17 @@ class Engine {
   // bucket. All of it is O(1) per bucket and allocation-free once the one
   // shared node arena is warm. The cursor trails dispatch: it only moves
   // (lazily, while looking for the earliest bucket) to the start of the
-  // lowest occupied slot, cascading that slot's buckets down. Invariants:
-  // every wheel event's time is >= wheel_cur_ (late arrivals — only
-  // possible behind an advanced cursor — divert to the heap) and > now_;
-  // all pending events of one time sit in one slot, in seq order along its
+  // lowest occupied slot, cascading that slot's buckets down, and never
+  // past the bound of the search (run() then moves the clock onto that
+  // bound), so wheel_cur_ <= now_ whenever an insert can happen.
+  // Invariants: every wheel event's time is >= wheel_cur_ and > now_; all
+  // pending events of one time sit in one slot, in seq order along its
   // list; a level-0 slot holds one absolute nanosecond and therefore one
-  // bucket.
+  // bucket. The top level sorts bits 60-62, so the wheel spans all of Time.
   static constexpr int kWheelBits = 6;
   static constexpr int kWheelSlots = 1 << kWheelBits;
-  static constexpr int kWheelLevels = 8;
+  static constexpr int kWheelLevels = 11;
+  static_assert(kWheelBits * kWheelLevels >= 63, "spans all of Time");
   static constexpr std::uint32_t kNilNode = 0xffffffffu;
 
   struct WheelNode {
@@ -280,37 +274,27 @@ class Engine {
     Time tail_at = 0;                    ///< tail bucket's time
   };
 
-  /// Routes to the due ring (t == now), a wheel slot, or the heap.
+  /// Routes to the due ring (t == now) or a wheel slot.
   void schedule(Time t, EventKind kind, std::uint32_t slot, std::uint32_t gen);
-  void heap_push(const Event& e);
-  void heap_pop_top();
   void grow_due(std::size_t capacity_pow2);
   /// Claims the ring entry after the last due event; the caller fills it.
   Event& due_append();
   /// O(1): places the event by the highest bit-group where t differs from
-  /// the cursor; beyond level 7 (or behind the cursor) overflows to the
-  /// heap. The node is written in place, field by field.
-  void wheel_insert(Time t, std::uint64_t key, std::uint32_t slot,
+  /// the cursor. The node is written in place, field by field.
+  void wheel_insert(Time t, EventKind kind, std::uint32_t slot,
                     std::uint32_t gen);
   /// Appends bucket b (its first node, with `last` set) to the slot its
   /// time selects against the current cursor, merging it into that slot's
-  /// tail bucket when the times match (caller has ruled out the heap
-  /// cases).
+  /// tail bucket when the times match.
   void wheel_place(std::uint32_t b);
   /// Moves the cursor to t (<= every pending wheel event), cascading the
   /// entered slot at each level the jump crosses, highest level first.
-  /// Entering a new top-level window also drains every overflow-heap event
-  /// that now fits the wheel span — one batched promotion per cascade tick
-  /// instead of a per-entry check on the dispatch path.
   void wheel_advance(Time t);
-  /// Batched far-future promotion: pops heap events in (at, seq) order into
-  /// the wheel while the top lies inside the span ahead of the cursor.
-  void promote_overflow();
   /// Moves the wheel's earliest bucket, whole, into the (empty) due ring if
   /// its time is <= bound. Cascades only until that bucket is alone in its
   /// slot and never advances the cursor past `bound`.
   void wheel_take(Time bound);
-  /// Pops the globally smallest event if its time is <= until.
+  /// Pops the earliest event if its time is <= until.
   bool pop_next(Time until, Event& out);
   void dispatch(const Event& ev);
   void resume_slot(std::uint32_t slot);
@@ -319,12 +303,9 @@ class Engine {
   void release_waiter(std::uint32_t slot);
 
   Time now_ = 0;
-  std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
   std::size_t live_processes_ = 0;
   Proc* current_ = nullptr;
-
-  std::vector<Event> heap_;  ///< 4-ary min-heap: overflow/far-future events
 
   /// Timing-wheel storage: slot (level, idx) lives at [level*64 + idx];
   /// nodes are pooled and recycled through an intrusive free list.
@@ -338,8 +319,7 @@ class Engine {
 
   /// Power-of-two ring of the events of one instant: those scheduled at
   /// now_, behind the wheel bucket handed over when the ring last drained.
-  /// Drained in seq order (interleaved with same-time heap entries) before
-  /// the clock advances.
+  /// Drained in seq order before the clock advances.
   std::vector<Event> due_;
   std::size_t due_head_ = 0;
   std::size_t due_count_ = 0;

@@ -237,11 +237,13 @@ TEST(EngineStress, RunUntilABucketsTimeRunsTheWholeBucket) {
 
 // Differential test of dispatch order. Seeded callbacks schedule children
 // at offsets that pile events onto shared instants (lockstep, near-lockstep
-// and an absolute cluster) or spread them across every wheel level and past
-// the wheel's span; the run proceeds in run(until) slices with outside
-// inserts in between, which can land behind a cursor advanced past now().
-// A std::set of (time, seq), fed the same decisions, must agree with every
-// dispatch.
+// and an absolute cluster) or spread them across every wheel level up to
+// the top one, which sorts bits 60-62; the run proceeds in run(until)
+// slices with outside inserts in between. A slice leaves now() on its
+// `until`, where a bounded search may also have left the wheel's cursor,
+// so small outside offsets land at or just past the cursor, never behind
+// it. A std::set of (time, seq), fed the same decisions, must agree with
+// every dispatch.
 class DispatchOrderModel {
  public:
   explicit DispatchOrderModel(std::uint64_t seed)
@@ -250,18 +252,20 @@ class DispatchOrderModel {
 
   /// Returns an empty string on agreement, else the first disagreement.
   std::string run() {
-    for (int i = 0; i < 32; ++i) schedule(eng_.now() + offset());
+    for (int i = 0; i < 32; ++i) schedule(offset());
     while (budget_ > 0 && failure_.empty()) {
-      const Time until = eng_.now() + slice();
+      // Slices stay below kTimeMax, where run(until) would not move the
+      // clock to `until`.
+      const Time until = later(slice(), kTimeMax - 1);
       eng_.run(until);
       check_slice(until);
       const int outside = static_cast<int>(rng_.next_below(4));
       for (int i = 0; i < outside && budget_ > 0; ++i) {
-        // Small offsets reach into the gap between now() and the cursor.
+        // Small offsets land at or just past the cursor.
         const Time dt = rng_.next_below(2) == 0
                             ? static_cast<Time>(rng_.next_below(4096))
                             : offset();
-        schedule(eng_.now() + dt);
+        schedule(dt);
       }
     }
     eng_.run();
@@ -276,7 +280,14 @@ class DispatchOrderModel {
   static constexpr Time kCluster = 42'000'000;  // 42 ms
   static constexpr std::uint64_t kSpread = std::uint64_t{1} << 40;
 
-  void schedule(Time t) {
+  /// now() + dt, saturated at `limit`: far offsets would overflow Time
+  /// once the clock has crossed a few of them.
+  Time later(Time dt, Time limit) const {
+    return dt < limit - eng_.now() ? eng_.now() + dt : limit;
+  }
+
+  void schedule(Time dt) {
+    const Time t = later(dt, kTimeMax);
     --budget_;
     const std::uint64_t seq = next_seq_++;
     model_.insert({t, seq});
@@ -301,7 +312,7 @@ class DispatchOrderModel {
     model_.erase(model_.begin());
     const int children = static_cast<int>(rng_.next_below(3));
     for (int i = 0; i < children && budget_ > 0; ++i) {
-      schedule(eng_.now() + offset());
+      schedule(offset());
     }
   }
 
@@ -310,10 +321,13 @@ class DispatchOrderModel {
     if (pick < 10) return 0;
     if (pick < 45) return lockstep_;
     if (pick < 60) return lockstep_ + (rng_.next_below(2) == 0 ? -2 : 2);
-    if (pick < 70) return (eng_.now() / kCluster + 1) * kCluster - eng_.now();
+    if (pick < 70) return kCluster - eng_.now() % kCluster;
     if (pick < 90) return 1 + static_cast<Time>(rng_.next_below(5'000'000));
     if (pick < 97) return 1 + static_cast<Time>(rng_.next_below(kSpread));
-    return (Time{1} << 48) + static_cast<Time>(rng_.next_below(1 << 20));
+    if (pick < 99) {
+      return (Time{1} << 48) + static_cast<Time>(rng_.next_below(1 << 20));
+    }
+    return 1 + static_cast<Time>(rng_.next_below(std::uint64_t{1} << 62));
   }
 
   Time slice() {

@@ -1,6 +1,7 @@
 // Engine fundamentals: event ordering, coroutine scheduling, process
 // lifecycle, kill semantics, and the timing wheel's cascade boundaries
-// (level edges, beyond-span overflow, cancel after cascade, buckets).
+// (level edges, the top level up to kTimeMax, cancel after cascade,
+// buckets) and the clock rule.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,10 +47,11 @@ TEST(Engine, RunUntilStopsAtBoundary) {
   EXPECT_EQ(fired, 2);
 }
 
-// Clock-advance rule regression (see Engine::run): `until` landing exactly
-// on a queued event's timestamp executes every event at that timestamp and
-// leaves the clock there; a finite `until` past the last event advances the
-// clock to `until`; bare run() never advances past the last event.
+// Clock rule regression (see Engine::run): `until` landing exactly on a
+// queued event's timestamp executes every event at that timestamp and
+// leaves the clock there; a finite `until` always advances the clock to
+// `until`, whether or not events remain beyond it; bare run() never
+// advances past the last event.
 TEST(Engine, RunUntilLandsExactlyOnEventTimestamp) {
   Engine eng;
   std::vector<int> fired;
@@ -61,7 +63,7 @@ TEST(Engine, RunUntilLandsExactlyOnEventTimestamp) {
   EXPECT_EQ(eng.now(), 10_ms);                 // clock sits on the boundary
   EXPECT_FALSE(eng.idle());                    // the 20ms event remains
   eng.run(15_ms);                              // no events in (10, 15]
-  EXPECT_EQ(eng.now(), 10_ms);  // events remain -> clock does not advance
+  EXPECT_EQ(eng.now(), 15_ms);  // the clock lands on `until` regardless
   eng.run(20_ms);
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(eng.now(), 20_ms);
@@ -273,17 +275,35 @@ TEST(TimingWheel, CascadeRelinksOneBucketPerInstant) {
   EXPECT_EQ(eng.wheel_relinks(), 2u);
 }
 
-TEST(TimingWheel, FarFutureOverflowBeyondWheelSpan) {
-  // Anything past the wheel's 2^48 ns span lands in the overflow heap and
-  // still dispatches in exact (time, seq) order.
+TEST(TimingWheel, FarFutureUpToTimeMax) {
+  // The wheel spans all of Time: events past 2^48 ns sit in the upper
+  // levels, and the top level (bits 60-62) holds 2^61 and 2^61 + 5 in one
+  // slot, so taking them cascades a top-level slot. kTimeMax is the last
+  // slot of the top level. Everything dispatches in exact (time, seq)
+  // order.
   Engine eng;
   const Time beyond = (Time{1} << 48) + 12'345;
+  const Time top = Time{1} << 61;
   std::vector<Time> fired;
-  eng.call_at(beyond, [&eng, &fired] { fired.push_back(eng.now()); });
-  eng.call_at(500, [&eng, &fired] { fired.push_back(eng.now()); });
-  eng.call_at(beyond + 1, [&eng, &fired] { fired.push_back(eng.now()); });
+  auto record = [&eng, &fired] { fired.push_back(eng.now()); };
+  eng.call_at(kTimeMax, record);
+  eng.call_at(top + 5, record);
+  eng.call_at(beyond, record);
+  eng.call_at(500, record);
+  eng.call_at(top, record);
+  eng.call_at(beyond + 1, record);
   eng.run();
-  EXPECT_EQ(fired, (std::vector<Time>{500, beyond, beyond + 1}));
+  EXPECT_EQ(fired, (std::vector<Time>{500, beyond, beyond + 1, top, top + 5,
+                                      kTimeMax}));
+  EXPECT_EQ(eng.now(), kTimeMax);
+}
+
+TEST(TimingWheel, InsertIntoThePastIsFatal) {
+  // The wheel has no place behind its cursor, so the clock rule is checked
+  // in every build, not only under assertions.
+  Engine eng;
+  eng.run(10_ms);
+  EXPECT_DEATH(eng.call_at(5_ms, [] {}), "t >= now_");
 }
 
 TEST(TimingWheel, CancelAfterCascade) {
