@@ -234,13 +234,20 @@ void GroupProtocol::rank_finished(mpi::Rank& rank) {
     st.commit_pending = false;
     st.aborted.insert(epoch);
     wake(rank);
-    mpi::Message abort;
-    abort.ctrl = mpi::CtrlKind::kAbort;
-    abort.ctrl_data = {static_cast<std::int64_t>(epoch)};
-    const int g = groups_.group_of(rank.id());
-    for (mpi::RankId m : groups_.members(g)) {
-      if (m != rank.id()) rt_->send_ctrl(rank.id(), m, abort);
-    }
+    send_to_members(rank.id(), groups_.members(groups_.group_of(rank.id())),
+                    mpi::CtrlKind::kAbort,
+                    {static_cast<std::int64_t>(epoch)});
+  }
+}
+
+void GroupProtocol::send_to_members(mpi::RankId from,
+                                    const std::vector<mpi::RankId>& members,
+                                    mpi::CtrlKind kind, mpi::CtrlData data) {
+  mpi::Message msg;
+  msg.ctrl = kind;
+  msg.ctrl_data = data;
+  for (mpi::RankId m : members) {
+    if (m != from) rt_->send_ctrl(from, m, msg);
   }
 }
 
@@ -290,12 +297,8 @@ sim::Co<void> GroupProtocol::handle_ctrl(mpi::Rank& rank, mpi::Message msg) {
             rank.iteration() + 1 + draw_target_skew(st, /*coordinated=*/false);
         co_return;
       }
-      mpi::Message prep;
-      prep.ctrl = mpi::CtrlKind::kPrepare;
-      prep.ctrl_data = {static_cast<std::int64_t>(epoch)};
-      for (mpi::RankId m : members) {
-        if (m != rank.id()) rt_->send_ctrl(rank.id(), m, prep);
-      }
+      send_to_members(rank.id(), members, mpi::CtrlKind::kPrepare,
+                      {static_cast<std::int64_t>(epoch)});
       st.prepare_replies[epoch] = {};
       co_return;
     }
@@ -331,25 +334,17 @@ sim::Co<void> GroupProtocol::handle_ctrl(mpi::Rank& rank, mpi::Message msg) {
         ++metrics_->aborted_rounds;
         st.aborted.insert(epoch);
         st.round_open = false;
-        mpi::Message abort;
-        abort.ctrl = mpi::CtrlKind::kAbort;
-        abort.ctrl_data = {static_cast<std::int64_t>(epoch)};
-        for (mpi::RankId m : members) {
-          if (m != rank.id()) rt_->send_ctrl(rank.id(), m, abort);
-        }
+        send_to_members(rank.id(), members, mpi::CtrlKind::kAbort,
+                        {static_cast<std::int64_t>(epoch)});
         co_return;
       }
       const std::uint64_t target =
           static_cast<std::uint64_t>(max_iter) +
           static_cast<std::uint64_t>(options_.commit_margin) +
           draw_target_skew(st, /*coordinated=*/true);
-      mpi::Message commit;
-      commit.ctrl = mpi::CtrlKind::kCommit;
-      commit.ctrl_data = {static_cast<std::int64_t>(epoch),
-                          static_cast<std::int64_t>(target)};
-      for (mpi::RankId m : members) {
-        if (m != rank.id()) rt_->send_ctrl(rank.id(), m, commit);
-      }
+      send_to_members(rank.id(), members, mpi::CtrlKind::kCommit,
+                      {static_cast<std::int64_t>(epoch),
+                       static_cast<std::int64_t>(target)});
       st.commit_pending = true;
       st.commit_epoch = epoch;
       st.commit_iteration = target;
@@ -365,12 +360,8 @@ sim::Co<void> GroupProtocol::handle_ctrl(mpi::Rank& rank, mpi::Message msg) {
         // past it (a member that raced ahead of the prepare round's
         // estimate) — so abort the epoch group-wide.
         st.aborted.insert(epoch);
-        mpi::Message abort;
-        abort.ctrl = mpi::CtrlKind::kAbort;
-        abort.ctrl_data = {static_cast<std::int64_t>(epoch)};
-        for (mpi::RankId m : members) {
-          if (m != rank.id()) rt_->send_ctrl(rank.id(), m, abort);
-        }
+        send_to_members(rank.id(), members, mpi::CtrlKind::kAbort,
+                        {static_cast<std::int64_t>(epoch)});
         co_return;
       }
       st.commit_pending = true;
@@ -493,12 +484,8 @@ sim::Co<bool> GroupProtocol::group_barrier(
     });
     st.barrier_acks.erase(key);
     if (!ok) co_return false;
-    mpi::Message go;
-    go.ctrl = mpi::CtrlKind::kBarrierGo;
-    go.ctrl_data = {static_cast<std::int64_t>(epoch), phase};
-    for (mpi::RankId m : members) {
-      if (m != rank.id()) rt_->send_ctrl(rank.id(), m, go);
-    }
+    send_to_members(rank.id(), members, mpi::CtrlKind::kBarrierGo,
+                    {static_cast<std::int64_t>(epoch), phase});
     co_return true;
   }
   mpi::Message ack;

@@ -242,6 +242,11 @@ class GroupProtocol : public mpi::Interposer {
   sim::Co<bool> wait_event(mpi::Rank& rank, std::uint64_t epoch,
                            const std::function<bool()>& pred);
   void wake(mpi::Rank& rank);
+  /// Sends one control message of `kind` carrying `data` from `from` to
+  /// every other member, in member order.
+  void send_to_members(mpi::RankId from,
+                       const std::vector<mpi::RankId>& members,
+                       mpi::CtrlKind kind, mpi::CtrlData data);
   /// Reconciles member `m`'s entry in the incremental drain counter with the
   /// current bookmark/received state. No-op unless a wait is active.
   void note_bookmark_progress(RankState& st, const mpi::Rank& rank,
