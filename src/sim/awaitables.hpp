@@ -103,10 +103,10 @@ class Semaphore {
   /// next drain).
   std::int64_t available() const { return permits_; }
 
-  /// Returns n permits and hands them to queued live waiters FIFO.
+  /// Returns one permit and hands permits to queued live waiters FIFO.
   /// Never blocks; safe to call from non-coroutine code.
-  void release(std::int64_t n = 1) {
-    permits_ += n;
+  void release() {
+    ++permits_;
     drain();
   }
 
@@ -137,7 +137,7 @@ class Semaphore {
         try {
           sem->engine_->finish_wait(waiter);
         } catch (...) {
-          if (granted) sem->release(1);  // don't strand the resource
+          if (granted) sem->release();  // don't strand the resource
           throw;
         }
         GCR_ASSERT(granted);
@@ -168,15 +168,16 @@ class Semaphore {
   std::deque<Entry> waiters_;
 };
 
-/// RAII permit holder for Semaphore.
-/// Usage: co_await sem.acquire(); ... sem.release();  -- or use with_permit.
+/// RAII permit holder for Semaphore: releases the permit on scope exit,
+/// including a ProcessKilled unwind.
+/// Usage: co_await sem.acquire(); ScopedPermit permit(sem); ...
 class ScopedPermit {
  public:
   explicit ScopedPermit(Semaphore& sem) : sem_(&sem) {}
   ScopedPermit(const ScopedPermit&) = delete;
   ScopedPermit& operator=(const ScopedPermit&) = delete;
   ~ScopedPermit() {
-    if (sem_) sem_->release(1);
+    if (sem_) sem_->release();
   }
 
  private:

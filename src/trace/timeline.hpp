@@ -33,6 +33,6 @@ std::string render_timeline(const Trace& trace,
 /// message activity — the paper's "gap" measure. Computed over ALL ranks
 /// appearing in `windows`, at `bins_per_second` resolution.
 double gap_fraction(const Trace& trace, const std::vector<CkptWindow>& windows,
-                    double bins_per_second = 10.0);
+                    double bins_per_second);
 
 }  // namespace gcr::trace

@@ -201,7 +201,7 @@ TEST(Timeline, RendersActivityAndCkptGlyphs) {
 TEST(Timeline, GapFractionFullWhenIdle) {
   Trace trace;  // no activity at all
   std::vector<CkptWindow> windows{{0, 0, sim::from_seconds(1.0)}};
-  EXPECT_DOUBLE_EQ(gap_fraction(trace, windows), 1.0);
+  EXPECT_DOUBLE_EQ(gap_fraction(trace, windows, 10.0), 1.0);
 }
 
 TEST(Timeline, GapFractionZeroWhenBusyEveryBin) {
