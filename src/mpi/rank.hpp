@@ -109,6 +109,7 @@ class Rank {
 
  private:
   friend class Runtime;
+  friend class Recv;
 
   sim::Engine* engine_;
   RankId id_;
@@ -133,7 +134,8 @@ class Rank {
   std::vector<Message> pending_;
 
   // The single outstanding blocking receive (the app coroutine is
-  // sequential, so there is at most one).
+  // sequential, so there is at most one). The matching delivery writes the
+  // message through `slot` and clears this before the receive wakes.
   struct WaitingRecv {
     RankId src;
     int tag;

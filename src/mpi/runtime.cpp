@@ -25,8 +25,13 @@ constexpr std::int64_t kWireHeaderBytes = 64;
 
 // Per-send stack/syscall CPU cost.
 constexpr double kCpuSendOverheadS = 20e-6;
-// Per-recv matching/copy CPU cost.
+// Per-recv matching/copy CPU cost, paid between the match and the wake.
 constexpr double kCpuRecvOverheadS = 15e-6;
+
+// When a receive matched now wakes: once its overhead is paid.
+sim::Time recv_wake_at(const sim::Engine& eng) {
+  return eng.now() + sim::from_seconds(kCpuRecvOverheadS);
+}
 
 // Receives match the NEXT message in the per-pair sequence, not the first
 // tag match in arrival order: replayed (old-seq) messages may arrive after
@@ -57,7 +62,7 @@ std::uint64_t AppHandle::start_iteration() const {
 sim::Co<void> AppHandle::send(RankId dst, int tag, std::int64_t bytes) {
   return rt_->send(*rank_, dst, tag, bytes);
 }
-sim::Co<Message> AppHandle::recv(RankId src, int tag) {
+Recv AppHandle::recv(RankId src, int tag) {
   return rt_->recv(*rank_, src, tag);
 }
 sim::Co<Message> AppHandle::sendrecv(RankId dst, int stag, std::int64_t sbytes,
@@ -173,10 +178,9 @@ sim::Network::Egress Runtime::transmit(const Message& msg) {
                            ? driver_node()
                            : ranks_[static_cast<std::size_t>(msg.src)]->node();
   const int dst_node = ranks_[static_cast<std::size_t>(msg.dst)]->node();
-  Message copy = msg;
-  return cluster_->network().send(
-      src_node, dst_node, msg.bytes + kWireHeaderBytes,
-      [this, m = std::move(copy)]() mutable { deliver(std::move(m)); });
+  return cluster_->network().send(src_node, dst_node,
+                                  msg.bytes + kWireHeaderBytes,
+                                  [this, msg] { deliver(msg); });
 }
 
 sim::Co<void> Runtime::send(Rank& rank, RankId dst, int tag,
@@ -200,57 +204,41 @@ sim::Co<Message> Runtime::sendrecv(Rank& rank, RankId dst, int stag,
   co_return in;
 }
 
-struct Runtime::RecvAwaiter {
-  sim::Engine* eng;
-  Rank* rank;
-  RankId src;
-  int tag;
-  Message msg{};
-  sim::WaiterHandle waiter{};
-
-  bool await_ready() {
-    const std::uint64_t consumed =
-        rank->consumed_[static_cast<std::size_t>(src)];
-    auto& pending = rank->pending_;
-    for (auto it = pending.begin(); it != pending.end(); ++it) {
-      if (is_next_in_sequence(*it, src, consumed)) {
-        check_tag(*it, tag);
-        msg = std::move(*it);
-        pending.erase(it);
-        return true;
-      }
-    }
-    GCR_CHECK_MSG(!rank->waiting_.has_value(),
-                  "only one outstanding blocking recv per rank");
-    return false;
-  }
-  void await_suspend(std::coroutine_handle<> h) {
-    waiter = eng->suspend_current(h);
-    rank->waiting_ = Rank::WaitingRecv{src, tag, waiter, &msg};
-  }
-  Message await_resume() {
-    if (waiter) {
-      // On a kill-unwind the matcher never ran; clear our registration.
-      if (rank->waiting_ && rank->waiting_->waiter == waiter) {
-        rank->waiting_.reset();
-      }
-      eng->finish_wait(waiter);
-    }
-    return std::move(msg);
-  }
-};
-
-Runtime::RecvAwaiter Runtime::wait_match(Rank& rank, RankId src, int tag) {
-  return RecvAwaiter{&engine(), &rank, src, tag};
+Recv Runtime::recv(Rank& rank, RankId src, int tag) {
+  GCR_CHECK(src >= 0 && src < nranks());
+  return Recv(*this, rank, src, tag);
 }
 
-sim::Co<Message> Runtime::recv(Rank& rank, RankId src, int tag) {
-  GCR_CHECK(src >= 0 && src < nranks());
-  Message msg = co_await wait_match(rank, src, tag);
-  co_await compute(rank, kCpuRecvOverheadS);
-  verify_consume(rank, msg);
-  for (Observer* obs : observers_) obs->on_consume(rank, msg);
-  co_return msg;
+void Recv::await_suspend(std::coroutine_handle<> h) {
+  sim::Engine& eng = rt_->engine();
+  const std::uint64_t consumed =
+      rank_->consumed_[static_cast<std::size_t>(src_)];
+  auto& pending = rank_->pending_;
+  for (auto it = pending.begin(); it != pending.end(); ++it) {
+    if (is_next_in_sequence(*it, src_, consumed)) {
+      check_tag(*it, tag_);
+      msg_ = *it;
+      pending.erase(it);
+      waiter_ = eng.suspend_current(h);
+      eng.fire_at(recv_wake_at(eng), waiter_);
+      return;
+    }
+  }
+  GCR_CHECK_MSG(!rank_->waiting_.has_value(),
+                "only one outstanding blocking recv per rank");
+  waiter_ = eng.suspend_current(h);
+  rank_->waiting_ = Rank::WaitingRecv{src_, tag_, waiter_, &msg_};
+}
+
+Message Recv::await_resume() {
+  // On a kill-unwind before the match, clear our registration.
+  if (rank_->waiting_ && rank_->waiting_->waiter == waiter_) {
+    rank_->waiting_.reset();
+  }
+  rt_->engine().finish_wait(waiter_);
+  rt_->verify_consume(*rank_, msg_);
+  for (Observer* obs : rt_->observers_) obs->on_consume(*rank_, msg_);
+  return msg_;
 }
 
 void Runtime::verify_consume(Rank& rank, const Message& msg) {
@@ -262,7 +250,7 @@ void Runtime::verify_consume(Rank& rank, const Message& msg) {
                 "message checksum mismatch after replay");
 }
 
-void Runtime::deliver(Message msg) {
+void Runtime::deliver(const Message& msg) {
   Rank& dst = *ranks_[static_cast<std::size_t>(msg.dst)];
   // Stale incarnation or dead destination: the wire data is lost (connection
   // reset); sender-based logs cover re-delivery after restart.
@@ -272,7 +260,7 @@ void Runtime::deliver(Message msg) {
     return;
   }
   if (msg.is_ctrl()) {
-    dst.ctrl_in_.push(std::move(msg));
+    dst.ctrl_in_.push(msg);
     return;
   }
   // Exactly-once delivery across restarts: a live message that raced a
@@ -284,7 +272,7 @@ void Runtime::deliver(Message msg) {
   rv.count += 1;
   for (Observer* obs : observers_) obs->on_deliver(dst, msg);
   if (protocol_) protocol_->on_deliver(dst, msg);
-  match_or_buffer(dst, std::move(msg));
+  match_or_buffer(dst, msg);
 }
 
 bool Runtime::is_duplicate(const Rank& rank, const Message& msg) const {
@@ -297,30 +285,36 @@ bool Runtime::is_duplicate(const Rank& rank, const Message& msg) const {
   return false;
 }
 
-void Runtime::match_or_buffer(Rank& rank, Message msg) {
+void Runtime::match_or_buffer(Rank& rank, const Message& msg) {
   sim::Engine& eng = engine();
   if (rank.waiting_ && eng.waiter_live(rank.waiting_->waiter) &&
       is_next_in_sequence(
           msg, rank.waiting_->src,
           rank.consumed_[static_cast<std::size_t>(rank.waiting_->src)])) {
     check_tag(msg, rank.waiting_->tag);
-    auto waiting = *rank.waiting_;
+    // The receive is complete but for its overhead: hand the message over
+    // and arm the one wake, instead of resuming now to wait again.
+    *rank.waiting_->slot = msg;
+    eng.fire_at(recv_wake_at(eng), rank.waiting_->waiter);
     rank.waiting_.reset();
-    *waiting.slot = std::move(msg);
-    const bool claimed = eng.fire(waiting.waiter);
-    GCR_CHECK(claimed);
     return;
   }
-  rank.pending_.push_back(std::move(msg));
+  rank.pending_.push_back(msg);
 }
 
 sim::Delay Runtime::compute(Rank& rank, double seconds) {
   return sim::delay(rank.engine(), sim::from_seconds(seconds));
 }
 
+namespace {
+
+sim::Co<void> no_protocol_safepoint() { co_return; }
+
+}  // namespace
+
 sim::Co<void> Runtime::safepoint(Rank& rank, std::uint64_t iteration) {
   rank.iteration_ = iteration;
-  if (protocol_) co_await protocol_->at_safepoint(rank);
+  return protocol_ ? protocol_->at_safepoint(rank) : no_protocol_safepoint();
 }
 
 // -------------------------------------------------------------- collectives

@@ -8,6 +8,7 @@
 // cluster node is reserved for the checkpoint driver ("mpirun").
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -25,6 +26,34 @@ namespace gcr::mpi {
 
 class Runtime;
 
+/// The matched receive: a plain awaitable, not a coroutine, that suspends
+/// exactly once. If the next in-sequence message from `src` is already
+/// buffered it takes it and wakes after the receive overhead; otherwise it
+/// registers as the rank's single outstanding receive, and the delivery
+/// that matches it hands the message over and arms that same wake
+/// (DESIGN.md §3). Resuming verifies the consume, tells the observers and
+/// returns the message. A kill before the wake unwinds with nothing
+/// consumed; the armed wake then finds its waiter recycled and resumes
+/// nothing (DESIGN.md §2.1).
+class [[nodiscard]] Recv {
+ public:
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h);
+  Message await_resume();
+
+ private:
+  friend class Runtime;
+  Recv(Runtime& rt, Rank& rank, RankId src, int tag)
+      : rt_(&rt), rank_(&rank), src_(src), tag_(tag) {}
+
+  Runtime* rt_;
+  Rank* rank_;
+  RankId src_;
+  int tag_;
+  sim::WaiterHandle waiter_{};
+  Message msg_{};  ///< the matched message, filled before the wake
+};
+
 /// What an application body receives: its rank plus the MPI-like call
 /// surface. Thin value wrapper so app code reads naturally.
 class AppHandle {
@@ -39,7 +68,7 @@ class AppHandle {
   /// Blocking send of `bytes` to dst (returns when the buffer is reusable).
   sim::Co<void> send(RankId dst, int tag, std::int64_t bytes);
   /// Blocking matched receive.
-  sim::Co<Message> recv(RankId src, int tag);
+  Recv recv(RankId src, int tag);
   /// Simultaneous exchange (isend + recv + wait) — deadlock-free pairwise.
   sim::Co<Message> sendrecv(RankId dst, int stag, std::int64_t sbytes,
                             RankId src, int rtag);
@@ -94,10 +123,12 @@ class Runtime {
 
   // ---- p2p / compute (called via AppHandle) ----
   sim::Co<void> send(Rank& rank, RankId dst, int tag, std::int64_t bytes);
-  sim::Co<Message> recv(Rank& rank, RankId src, int tag);
+  Recv recv(Rank& rank, RankId src, int tag);
   sim::Co<Message> sendrecv(Rank& rank, RankId dst, int stag,
                             std::int64_t sbytes, RankId src, int rtag);
   sim::Delay compute(Rank& rank, double seconds);
+  /// Records the iteration and returns the protocol's at_safepoint
+  /// coroutine itself (a ready one without a protocol).
   sim::Co<void> safepoint(Rank& rank, std::uint64_t iteration);
 
   // ---- collectives ----
@@ -159,15 +190,14 @@ class Runtime {
 
  private:
   friend class AppHandle;
+  friend class Recv;
 
-  void deliver(Message msg);
+  void deliver(const Message& msg);
   bool is_duplicate(const Rank& rank, const Message& msg) const;
-  void match_or_buffer(Rank& rank, Message msg);
-  /// Awaitable matched receive (runtime.cpp): takes the next in-sequence
-  /// message from `src` if it is already buffered, else suspends as the
-  /// rank's single outstanding receive until match_or_buffer fills it.
-  struct RecvAwaiter;
-  RecvAwaiter wait_match(Rank& rank, RankId src, int tag);
+  /// Hands `msg` to the rank's outstanding receive when it is the next in
+  /// sequence from the awaited source, arming the receive's wake; else
+  /// buffers it.
+  void match_or_buffer(Rank& rank, const Message& msg);
   void verify_consume(Rank& rank, const Message& msg);
   void spawn_app_coroutine(Rank& rank);
   /// Builds the app message rank -> dst (checking dst and bytes), assigns

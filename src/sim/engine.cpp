@@ -290,7 +290,7 @@ void Engine::release_waiter(std::uint32_t slot) {
 
 // -------------------------------------------------------------- scheduling
 
-void Engine::call_at(Time t, SmallFn fn) {
+void Engine::call_at(Time t, SmallFn&& fn) {
   // Checked in every build: a past-time insert would land behind the
   // wheel's cursor and break dispatch order.
   GCR_CHECK(t >= now_);

@@ -106,9 +106,13 @@ class Engine {
   void reserve(std::size_t events, std::size_t waiters);
 
   // --- plain callbacks ---
-  void call_at(Time t, SmallFn fn);
-  void call_after(Time dt, SmallFn fn) { call_at(now_ + dt, std::move(fn)); }
-  void post(SmallFn fn) { call_at(now_, std::move(fn)); }
+  /// `fn` is relocated once, into its callback-pool slot (a lambda argument
+  /// binds as a SmallFn temporary).
+  void call_at(Time t, SmallFn&& fn);
+  void call_after(Time dt, SmallFn&& fn) {
+    call_at(now_ + dt, std::move(fn));
+  }
+  void post(SmallFn&& fn) { call_at(now_, std::move(fn)); }
 
   // --- process lifecycle ---
   /// Spawns a process executing `body` starting at the current time. The

@@ -1,6 +1,6 @@
 // Coroutine frame pool: per-thread size-class free lists behind every
 // sim::Co frame (sim/co.hpp), so a warm MiniMPI message path — a chain of
-// short-lived Co calls per send/recv — costs no heap traffic.
+// short-lived Co calls per send or sendrecv — costs no heap traffic.
 //
 // Frames are rounded up to 64-byte classes (64 B … 2 KiB). A freed block
 // goes on the calling thread's list for its class and the next frame of

@@ -41,7 +41,7 @@ void Network::Egress::await_suspend(std::coroutine_handle<> h) {
 }
 
 Network::Egress Network::send(int src_node, int dst_node, std::int64_t bytes,
-                              SmallFn deliver) {
+                              SmallFn&& deliver) {
   GCR_CHECK(src_node >= 0 && src_node < num_nodes());
   GCR_CHECK(dst_node >= 0 && dst_node < num_nodes());
   GCR_CHECK(bytes >= 0);
@@ -64,7 +64,7 @@ Network::Egress Network::send(int src_node, int dst_node, std::int64_t bytes,
 }
 
 Network::Egress Network::send_flat(int src_node, std::int64_t bytes,
-                                   SmallFn deliver, Time now) {
+                                   SmallFn&& deliver, Time now) {
   const Time occupy = from_seconds(
       kPerMessageS + static_cast<double>(bytes) / params_.bandwidth_Bps);
   Time& nic_free = egress_free_[static_cast<std::size_t>(src_node)];
@@ -77,7 +77,7 @@ Network::Egress Network::send_flat(int src_node, std::int64_t bytes,
 }
 
 Network::Egress Network::send_routed(int src_node, int dst_node,
-                                     std::int64_t bytes, SmallFn deliver,
+                                     std::int64_t bytes, SmallFn&& deliver,
                                      Time now) {
   fabric_offered_ += bytes;
   const std::uint32_t idx = alloc_transfer();

@@ -113,9 +113,11 @@ class Network {
     WaiterHandle waiter_;
   };
 
-  /// Schedules an asynchronous transfer; `deliver` runs at arrival time.
+  /// Schedules an asynchronous transfer; `deliver` runs at arrival time. It
+  /// is passed by reference down to the engine's callback pool (flat,
+  /// loopback) or the transfer's slot (routed), so it is relocated once.
   Egress send(int src_node, int dst_node, std::int64_t bytes,
-              SmallFn deliver);
+              SmallFn&& deliver);
 
   /// Drops every queued and in-flight transfer originating at `src_node`:
   /// callbacks are destroyed (never fire), survivors sharing links speed
@@ -193,10 +195,10 @@ class Network {
     }
   };
 
-  Egress send_flat(int src_node, std::int64_t bytes, SmallFn deliver,
+  Egress send_flat(int src_node, std::int64_t bytes, SmallFn&& deliver,
                    Time now);
   Egress send_routed(int src_node, int dst_node, std::int64_t bytes,
-                     SmallFn deliver, Time now);
+                     SmallFn&& deliver, Time now);
   /// A routed Egress names its transfer by (slot + 1, epoch); free_transfer
   /// bumps the epoch, so the ticket stops resolving once the transfer
   /// completes or is aborted, even after the slot is reused.

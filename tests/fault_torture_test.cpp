@@ -190,7 +190,10 @@ TEST_P(FaultTortureTest, InvariantsHoldAndRerunsAreIdentical) {
       << res.failures_injected << " vs " << res2.failures_injected;
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, FaultTortureTest, ::testing::Range(1, 9));
+// Seeds 1-256 per suite. With the orphan seeds that is 516 runs in one
+// ctest target: about 1.6 s in RelWithDebInfo and 12 s under Debug
+// ASan+UBSan -O1 on a 4-core x86-64 container.
+INSTANTIATE_TEST_SUITE_P(Seeds, FaultTortureTest, ::testing::Range(1, 257));
 
 // ---------------------------------------------------------------------------
 // Churn torture (ISSUE 10): the same randomized-invariant harness, but with
@@ -373,7 +376,7 @@ TEST_P(ChurnTortureTest, InvariantsHoldAndRerunsAreIdentical) {
       << " vs " << res2.availability;
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ChurnTortureTest, ::testing::Range(1, 9));
+INSTANTIATE_TEST_SUITE_P(Seeds, ChurnTortureTest, ::testing::Range(1, 257));
 // Seeds that hung when an exchange reply counted an orphan: a message the
 // requester's previous incarnation sent past its restored cut, buffered at
 // the replier beyond a gap, made the requester skip a re-executed send.

@@ -175,6 +175,108 @@ TEST(Runtime, KillDuringRecvUnblocksCleanly) {
   EXPECT_FALSE(f.rt.job_finished());
 }
 
+// A 1000-byte message from rank 0 to a receive posted at t = 0 arrives at
+// 185.12 us: 20 us send overhead, then 10 us per message plus 1064 wire
+// bytes at 12.5 MB/s on the NIC, then 70 us latency. The receive returns
+// 15 us later, its receive overhead.
+constexpr sim::Time kArrival = 185'120;
+constexpr sim::Time kRecvReturn = kArrival + 15'000;
+
+TEST(Runtime, BlockedRecvWakesOnceAfterTheOverhead) {
+  Fixture f(2);
+  sim::Time returned = -1;
+  f.rt.start_app([&](AppHandle h) -> sim::Co<void> {
+    if (h.id() == 0) {
+      co_await h.send(1, 1, 1000);
+    } else {
+      (void)co_await h.recv(0, 1);
+      returned = f.cluster.engine().now();
+    }
+  });
+  // Two process starts, the send overhead, the sender's egress wait, the
+  // delivery and one wake: the delivery arms the wake itself, with no
+  // resume at the arrival instant in between.
+  EXPECT_EQ(f.cluster.engine().run(), 6u);
+  EXPECT_EQ(returned, kRecvReturn);
+}
+
+TEST(Runtime, BufferedRecvPaysTheOverheadOnce) {
+  Fixture f(2);
+  sim::Time returned = -1;
+  f.rt.start_app([&](AppHandle h) -> sim::Co<void> {
+    if (h.id() == 0) {
+      co_await h.send(1, 1, 1000);
+    } else {
+      co_await h.compute(1.0);  // the message is buffered by then
+      EXPECT_EQ(h.rank().pending_count(), 1u);
+      (void)co_await h.recv(0, 1);
+      returned = f.cluster.engine().now();
+    }
+  });
+  // Two process starts, the send overhead, the egress wait, the delivery,
+  // the compute and the receive's wake.
+  EXPECT_EQ(f.cluster.engine().run(), 7u);
+  EXPECT_EQ(returned, 1'000'015'000);
+  EXPECT_EQ(f.rt.rank(1).pending_count(), 0u);
+}
+
+struct ConsumeCounter final : Observer {
+  void on_consume(const Rank& rank, const Message& msg) override {
+    (void)rank;
+    (void)msg;
+    ++consumes;
+  }
+  int consumes = 0;
+};
+
+// Between the match and the wake the message belongs to the receive alone:
+// it has left the buffer, and nothing is consumed yet. A kill in that
+// window unwinds the rank with nothing consumed, and the armed wake,
+// dispatched later, resumes nothing, not even the respawned incarnation.
+TEST(Runtime, KillBetweenMatchAndWakeUnwinds) {
+  Fixture f(2);
+  ConsumeCounter counter;
+  f.rt.add_observer(&counter);
+  int rank1_starts = 0;
+  int rank1_returns = 0;
+  f.rt.start_app([&](AppHandle h) -> sim::Co<void> {
+    if (h.id() == 0) {
+      co_await h.send(1, 1, 1000);
+    } else {
+      ++rank1_starts;
+      (void)co_await h.recv(0, 1);  // the respawned one is never satisfied
+      ++rank1_returns;
+    }
+  });
+  sim::Engine& eng = f.cluster.engine();
+  Rank& r1 = f.rt.rank(1);
+  eng.call_at(kArrival + 5'000, [&] {
+    EXPECT_EQ(r1.recvd_from(0).count, 1u);  // delivered and matched,
+    EXPECT_EQ(r1.pending_count(), 0u);      // not buffered
+    f.rt.kill_rank(r1);
+  });
+  RankSnapshot snap;
+  std::size_t live_after_kill = 99;
+  eng.call_at(kArrival + 10'000, [&] {
+    live_after_kill = eng.live_process_count();
+    snap = f.rt.snapshot_rank(r1);
+    f.rt.begin_restart(r1);
+    f.rt.respawn_rank(r1);
+    r1.resume_gate().fire();
+  });
+  eng.run();
+  EXPECT_EQ(live_after_kill, 0u);  // rank 0 finished, rank 1 unwound
+  EXPECT_EQ(snap.consumed[0], 0u);
+  EXPECT_EQ(counter.consumes, 0);
+  EXPECT_EQ(rank1_starts, 2);
+  EXPECT_EQ(rank1_returns, 0);
+  // The stale wake was the last event, and the respawned receive is still
+  // blocked.
+  EXPECT_EQ(eng.now(), kRecvReturn);
+  EXPECT_EQ(eng.live_process_count(), 1u);
+  EXPECT_EQ(r1.incarnation(), 1u);
+}
+
 TEST(Runtime, StaleIncarnationTrafficDropped) {
   // A message sent to incarnation 0 must not reach incarnation 1.
   Fixture f(2);
