@@ -22,9 +22,9 @@ constexpr double kLogCopyBps = 800e6;
 constexpr double kLogPerMsgS = 3e-6;
 /// Entering the checkpoint path.
 constexpr double kSignalHandlingS = 2e-3;
-/// Daemon cost per replayed message.
+/// Exchange server's cost per replayed message.
 constexpr double kReplayPerMsgS = 40e-6;
-/// Daemon cost per exchange.
+/// Exchange server's cost per exchange request.
 constexpr double kExchangeHandlingS = 150e-6;
 
 /// Single-process (uncoordinated) checkpoints are taken wherever the
@@ -119,6 +119,10 @@ sim::Co<bool> GroupProtocol::before_send(mpi::Rank& rank, mpi::Message& msg) {
 }
 
 void GroupProtocol::on_deliver(mpi::Rank& rank, const mpi::Message& msg) {
+  if (msg.is_ctrl()) {
+    handle_ctrl(rank, msg);
+    return;
+  }
   RankState& st = state(rank);
   if (msg.piggyback_rr >= 0) {
     st.log.gc(msg.src, msg.piggyback_rr);
@@ -145,17 +149,13 @@ void GroupProtocol::note_bookmark_progress(RankState& st,
   }
 }
 
-// ------------------------------------------------------------ daemon / ctrl
+// --------------------------------------------------------- lifecycle / ctrl
 
 void GroupProtocol::rank_started(mpi::Rank& rank) {
-  sim::Engine& eng = rt_->engine();
-  auto proc = eng.spawn("crdaemon" + std::to_string(rank.id()),
-                        daemon_loop(rank));
-  rt_->set_daemon_proc(rank, std::move(proc));
   RankState& st = state(rank);
   if (st.restoring) {
-    st.restore_proc = eng.spawn("restore" + std::to_string(rank.id()),
-                                run_restore(rank));
+    st.restore_proc = rt_->engine().spawn(
+        "restore" + std::to_string(rank.id()), run_restore(rank));
   }
   // Deferred exchanges: any peer that restarted while this rank was down
   // re-issues its volume-exchange request now that we are back, so the
@@ -251,41 +251,17 @@ void GroupProtocol::send_to_members(mpi::RankId from,
   }
 }
 
-sim::Co<void> GroupProtocol::daemon_loop(mpi::Rank& rank) {
-  // A ctrl backlog drains synchronously: pop() completes without suspending
-  // while messages are queued, and symmetric transfer resumes this loop from
-  // inside handle_ctrl's final suspend, so every synchronously handled
-  // message nests two more native frames. A 4k-rank bookmark storm queues
-  // thousands at once — enough to overflow the stack — so bounce through the
-  // event queue (delay 0 is a real suspension) every kMaxSyncDrain messages.
-  // The bound sits far above any backlog a paper-scale (<= 32 rank) run
-  // produces, so their event sequences — and the flat-equivalence goldens —
-  // are untouched.
-  constexpr int kMaxSyncDrain = 64;
-  int burst = 0;
-  for (;;) {
-    if (rank.ctrl_in().empty()) {
-      burst = 0;  // pop() will suspend; resumption starts from a fresh stack
-    } else if (++burst >= kMaxSyncDrain) {
-      burst = 0;
-      co_await sim::delay(rt_->engine(), sim::Time{0});
-    }
-    mpi::Message msg = co_await rank.ctrl_in().pop();
-    co_await handle_ctrl(rank, std::move(msg));
-  }
-}
-
-sim::Co<void> GroupProtocol::handle_ctrl(mpi::Rank& rank, mpi::Message msg) {
+void GroupProtocol::handle_ctrl(mpi::Rank& rank, const mpi::Message& msg) {
   RankState& st = state(rank);
   const int g = groups_.group_of(rank.id());
   const auto& members = groups_.members(g);
 
   switch (msg.ctrl) {
     case mpi::CtrlKind::kCkptRequest: {
-      if (!is_leader(rank) || st.round_open) co_return;
+      if (!is_leader(rank) || st.round_open) return;
       if (rank.finished()) {
         ++metrics_->aborted_rounds;
-        co_return;
+        return;
       }
       st.round_open = true;
       st.signal_at = rt_->engine().now();
@@ -295,12 +271,12 @@ sim::Co<void> GroupProtocol::handle_ctrl(mpi::Rank& rank, mpi::Message msg) {
         st.commit_epoch = epoch;
         st.commit_iteration =
             rank.iteration() + 1 + draw_target_skew(st, /*coordinated=*/false);
-        co_return;
+        return;
       }
       send_to_members(rank.id(), members, mpi::CtrlKind::kPrepare,
                       {static_cast<std::int64_t>(epoch)});
       st.prepare_replies[epoch] = {};
-      co_return;
+      return;
     }
 
     case mpi::CtrlKind::kPrepare: {
@@ -313,15 +289,15 @@ sim::Co<void> GroupProtocol::handle_ctrl(mpi::Rank& rank, mpi::Message msg) {
           rank.finished() ? -1
                           : static_cast<std::int64_t>(rank.iteration())};
       rt_->send_ctrl(rank.id(), msg.src, reply);
-      co_return;
+      return;
     }
 
     case mpi::CtrlKind::kPrepareReply: {
       const auto epoch = static_cast<std::uint64_t>(msg.ctrl_data.at(0));
       auto it = st.prepare_replies.find(epoch);
-      if (it == st.prepare_replies.end()) co_return;  // stale
+      if (it == st.prepare_replies.end()) return;  // stale
       it->second.push_back(msg.ctrl_data.at(1));
-      if (it->second.size() + 1 < members.size()) co_return;
+      if (it->second.size() + 1 < members.size()) return;
       // All replies in: decide.
       bool anyone_finished = rank.finished();
       std::int64_t max_iter = static_cast<std::int64_t>(rank.iteration());
@@ -336,7 +312,7 @@ sim::Co<void> GroupProtocol::handle_ctrl(mpi::Rank& rank, mpi::Message msg) {
         st.round_open = false;
         send_to_members(rank.id(), members, mpi::CtrlKind::kAbort,
                         {static_cast<std::int64_t>(epoch)});
-        co_return;
+        return;
       }
       const std::uint64_t target =
           static_cast<std::uint64_t>(max_iter) +
@@ -348,13 +324,13 @@ sim::Co<void> GroupProtocol::handle_ctrl(mpi::Rank& rank, mpi::Message msg) {
       st.commit_pending = true;
       st.commit_epoch = epoch;
       st.commit_iteration = target;
-      co_return;
+      return;
     }
 
     case mpi::CtrlKind::kCommit: {
       const auto epoch = static_cast<std::uint64_t>(msg.ctrl_data.at(0));
       const auto target = static_cast<std::uint64_t>(msg.ctrl_data.at(1));
-      if (st.aborted.count(epoch)) co_return;
+      if (st.aborted.count(epoch)) return;
       if (rank.finished() || rank.iteration() >= target) {
         // Can no longer checkpoint at the target — finished, or already
         // past it (a member that raced ahead of the prepare round's
@@ -362,12 +338,12 @@ sim::Co<void> GroupProtocol::handle_ctrl(mpi::Rank& rank, mpi::Message msg) {
         st.aborted.insert(epoch);
         send_to_members(rank.id(), members, mpi::CtrlKind::kAbort,
                         {static_cast<std::int64_t>(epoch)});
-        co_return;
+        return;
       }
       st.commit_pending = true;
       st.commit_epoch = epoch;
       st.commit_iteration = target;
-      co_return;
+      return;
     }
 
     case mpi::CtrlKind::kAbort: {
@@ -381,7 +357,7 @@ sim::Co<void> GroupProtocol::handle_ctrl(mpi::Rank& rank, mpi::Message msg) {
         st.round_open = false;
       }
       wake(rank);
-      co_return;
+      return;
     }
 
     case mpi::CtrlKind::kBookmark: {
@@ -392,7 +368,7 @@ sim::Co<void> GroupProtocol::handle_ctrl(mpi::Rank& rank, mpi::Message msg) {
       st.bookmarks[static_cast<std::size_t>(msg.src)] = mark;
       if (st.bookmark_wait_active) note_bookmark_progress(st, rank, msg.src);
       wake(rank);
-      co_return;
+      return;
     }
 
     case mpi::CtrlKind::kBarrierAck: {
@@ -401,7 +377,7 @@ sim::Co<void> GroupProtocol::handle_ctrl(mpi::Rank& rank, mpi::Message msg) {
                       static_cast<int>(msg.ctrl_data.at(1)));
       ++st.barrier_acks[key];
       wake(rank);
-      co_return;
+      return;
     }
 
     case mpi::CtrlKind::kBarrierGo: {
@@ -410,7 +386,7 @@ sim::Co<void> GroupProtocol::handle_ctrl(mpi::Rank& rank, mpi::Message msg) {
                       static_cast<int>(msg.ctrl_data.at(1)));
       st.barrier_go.insert(key);
       wake(rank);
-      co_return;
+      return;
     }
 
     case mpi::CtrlKind::kExchangeRequest: {
@@ -422,20 +398,20 @@ sim::Co<void> GroupProtocol::handle_ctrl(mpi::Rank& rank, mpi::Message msg) {
       const std::int64_t peer_r = msg.ctrl_data.at(0);
       st.skip_bytes[static_cast<std::size_t>(msg.src)] =
           std::max<std::int64_t>(0, peer_r - rank.sent_to(msg.src).bytes);
-      // Served in its own coroutine so the daemon keeps answering other
-      // peers; the reply is sent AFTER the replay so the peer's
-      // restart-preparation time includes the message resend (paper: GP1
-      // restarts are slow and variable because of "resending variable
-      // amounts of messages to all other processes"). Recoveries may
-      // overlap, so the server handle is tracked and killed with the rank
-      // (rank_killed) — a server outliving its incarnation would replay
-      // from a rolled-back log.
+      // Served in its own coroutine because the replay takes simulated
+      // time, which a delivery callback cannot spend. The reply is sent
+      // AFTER the replay so the peer's restart-preparation time includes
+      // the message resend (paper: GP1 restarts are slow and variable
+      // because of "resending variable amounts of messages to all other
+      // processes"). Recoveries may overlap, so the server handle is
+      // tracked and killed with the rank (rank_killed) — a server
+      // outliving its incarnation would replay from a rolled-back log.
       std::erase_if(st.serve_procs,
                     [](const sim::ProcPtr& p) { return !p || !p->alive(); });
       st.serve_procs.push_back(
           rt_->engine().spawn("exchsrv" + std::to_string(rank.id()),
-                                     serve_exchange(rank, std::move(msg))));
-      co_return;
+                              serve_exchange(rank, msg)));
+      return;
     }
 
     case mpi::CtrlKind::kExchangeReply: {
@@ -449,11 +425,11 @@ sim::Co<void> GroupProtocol::handle_ctrl(mpi::Rank& rank, mpi::Message msg) {
       // will re-run the pair's exchange from its side.
       st.exchange_deferred.erase(msg.src);
       wake(rank);
-      co_return;
+      return;
     }
 
     default:
-      co_return;  // other protocols' traffic
+      return;  // other protocols' traffic
   }
 }
 
@@ -722,9 +698,10 @@ sim::Co<void> GroupProtocol::run_restore(mpi::Rank& rank) {
   // waiting for them would deadlock queued recoveries against each other.
   // Their exchange is deferred: restart preparation completes against live
   // peers only, and the request is re-issued when the dead peer respawns
-  // (rank_started), completing on the daemon path. Nothing is lost in the
-  // meantime — the dead peer cannot send to us anyway, and our re-executed
-  // sends toward it are logged for its eventual replay.
+  // (rank_started), completing when its reply is delivered (handle_ctrl).
+  // Nothing is lost in the meantime — the dead peer cannot send to us
+  // anyway, and our re-executed sends toward it are logged for its
+  // eventual replay.
   mpi::Message req;
   req.ctrl = mpi::CtrlKind::kExchangeRequest;
   for (int q = 0; q < rt_->nranks(); ++q) {

@@ -197,8 +197,8 @@ class GroupProtocol : public mpi::Interposer {
     std::set<mpi::RankId> exchange_pending;
     /// Out-of-group peers that were dead when we restarted (overlapping
     /// recoveries): the request is re-sent when the peer respawns and the
-    /// exchange completes on the daemon path; restart preparation does not
-    /// wait for them (deadlock freedom across queued recoveries).
+    /// exchange completes in handle_ctrl; restart preparation does not wait
+    /// for them (deadlock freedom across queued recoveries).
     std::set<mpi::RankId> exchange_deferred;
     /// Auxiliary coroutines acting for this incarnation; killed with the
     /// rank so they never outlive it into a rolled-back state.
@@ -226,8 +226,9 @@ class GroupProtocol : public mpi::Interposer {
   /// True while the group is restarting (exchange phase).
   bool group_restarting(int group) const;
 
-  sim::Co<void> daemon_loop(mpi::Rank& rank);
-  sim::Co<void> handle_ctrl(mpi::Rank& rank, mpi::Message msg);
+  /// A control message, handled inside its delivery callback (on_deliver):
+  /// it never suspends, and spawns a coroutine for work that takes time.
+  void handle_ctrl(mpi::Rank& rank, const mpi::Message& msg);
   sim::Co<void> run_group_checkpoint(mpi::Rank& rank);
   sim::Co<void> run_restore(mpi::Rank& rank);
   sim::Co<void> serve_exchange(mpi::Rank& rank, mpi::Message msg);

@@ -259,8 +259,9 @@ void RecoveryManager::restore_ranks(const std::vector<mpi::RankId>& ranks) {
   // once elastic merges put ranks with different kill histories in one
   // group.)
   const std::uint64_t token = ++restore_tokens_;
-  // Two passes: install every rank's state first, then respawn, so daemons
-  // never see a peer in a half-reset state.
+  // Two passes: install every rank's state first, then respawn, so no
+  // rank_started call (restore launch, deferred exchanges) sees a peer of
+  // this restore in a half-reset state.
   for (mpi::RankId r : ranks) {
     mpi::Rank& rank = rt_->rank(r);
     rt_->begin_restart(rank);

@@ -40,6 +40,10 @@ sim::Co<bool> VclProtocol::before_send(mpi::Rank& rank, mpi::Message& msg) {
 }
 
 void VclProtocol::on_deliver(mpi::Rank& rank, const mpi::Message& msg) {
+  if (msg.is_ctrl()) {
+    handle_ctrl(rank, msg);
+    return;
+  }
   RankState& st = state(rank);
   // Channel recording: messages arriving during the snapshot from peers
   // whose marker for this round has not yet been seen belong to the
@@ -58,44 +62,33 @@ sim::Co<void> VclProtocol::at_safepoint(mpi::Rank& rank) {
 }
 
 void VclProtocol::rank_started(mpi::Rank& rank) {
-  auto proc = rt_->engine().spawn("vcldaemon" + std::to_string(rank.id()),
-                                  daemon_loop(rank));
-  rt_->set_daemon_proc(rank, std::move(proc));
   // VCL restart is unsupported; ranks always start fresh.
   GCR_CHECK(!rank.resume_gate().fired() || rank.incarnation() == 0);
 }
 
-sim::Co<void> VclProtocol::daemon_loop(mpi::Rank& rank) {
-  for (;;) {
-    mpi::Message msg = co_await rank.ctrl_in().pop();
-    RankState& st = state(rank);
-    switch (msg.ctrl) {
-      case mpi::CtrlKind::kVclRequest:
-      case mpi::CtrlKind::kVclMarker: {
-        const auto round = static_cast<std::uint64_t>(msg.ctrl_data.at(0));
-        if (msg.ctrl == mpi::CtrlKind::kVclMarker) {
-          auto& latest = st.marker_round[msg.src];
-          if (round > latest) latest = round;
-          st.event->fire();
-        }
-        // Chandy-Lamport initiation rule: a request OR the first marker of a
-        // newer round triggers the local snapshot. A round arriving while a
-        // snapshot is still in progress (interval shorter than the upload
-        // wave) is deferred and executed right after — never concurrently.
-        if (round > st.epoch) {
-          if (st.in_checkpoint) {
-            if (round > st.pending_round) st.pending_round = round;
-          } else {
-            st.epoch = round;
-            rt_->engine().spawn("vclckpt" + std::to_string(rank.id()),
-                                run_checkpoint(rank));
-          }
-        }
-        break;
-      }
-      default:
-        break;  // other protocols' traffic
-    }
+void VclProtocol::handle_ctrl(mpi::Rank& rank, const mpi::Message& msg) {
+  if (msg.ctrl != mpi::CtrlKind::kVclRequest &&
+      msg.ctrl != mpi::CtrlKind::kVclMarker) {
+    return;  // other protocols' traffic
+  }
+  RankState& st = state(rank);
+  const auto round = static_cast<std::uint64_t>(msg.ctrl_data.at(0));
+  if (msg.ctrl == mpi::CtrlKind::kVclMarker) {
+    auto& latest = st.marker_round[msg.src];
+    if (round > latest) latest = round;
+    st.event->fire();
+  }
+  // Chandy-Lamport initiation rule: a request OR the first marker of a
+  // newer round triggers the local snapshot. A round arriving while a
+  // snapshot is still in progress (interval shorter than the upload wave)
+  // is deferred and executed right after — never concurrently.
+  if (round <= st.epoch) return;
+  if (st.in_checkpoint) {
+    if (round > st.pending_round) st.pending_round = round;
+  } else {
+    st.epoch = round;
+    rt_->engine().spawn("vclckpt" + std::to_string(rank.id()),
+                        run_checkpoint(rank));
   }
 }
 

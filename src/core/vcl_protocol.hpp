@@ -65,7 +65,9 @@ class VclProtocol : public mpi::Interposer {
     return *states_[static_cast<std::size_t>(rank.id())];
   }
 
-  sim::Co<void> daemon_loop(mpi::Rank& rank);
+  /// A request or marker, handled inside its delivery callback
+  /// (on_deliver); the snapshot itself runs in its own coroutine.
+  void handle_ctrl(mpi::Rank& rank, const mpi::Message& msg);
   sim::Co<void> run_checkpoint(mpi::Rank& rank);
 
   mpi::Runtime* rt_;

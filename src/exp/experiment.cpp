@@ -185,11 +185,10 @@ trace::Trace profile_app(const AppFactory& app, int nranks,
   GCR_CHECK(app != nullptr);
   GCR_CHECK(nranks > 0);
   // Only the application runs, with the send-only tracer as its one
-  // observer: no protocol, daemons, checkpointer or recovery. A NORM
-  // protocol without checkpoints never delays, suppresses or adds a send,
-  // and the events its daemons would add never reorder the application's
-  // (equal-time events run in scheduling order), so the sends are those of
-  // the same app under run_experiment with the default cluster.
+  // observer: no protocol, checkpointer or recovery. A NORM protocol
+  // without checkpoints never delays, suppresses or adds a send, and sends
+  // no control message, so the sends are those of the same app under
+  // run_experiment with the default cluster.
   ExperimentConfig config;
   config.nranks = nranks;
   config.seed = seed;

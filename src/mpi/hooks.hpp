@@ -41,26 +41,29 @@ class Interposer {
   /// return false to suppress the physical send (skip during re-execution).
   virtual sim::Co<bool> before_send(Rank& rank, Message& msg) = 0;
 
-  /// Called at delivery of every app-plane message (after R counters).
-  /// Non-blocking (runs inside the network delivery callback).
+  /// Called at delivery of every message that passes the alive and
+  /// incarnation checks, on both planes: an app-plane message after the
+  /// duplicate check and the R counters, a control message (msg.is_ctrl())
+  /// with neither. Non-blocking (runs inside the network delivery
+  /// callback); work that takes simulated time goes to a spawned coroutine.
   virtual void on_deliver(Rank& rank, const Message& msg) = 0;
 
   /// Called when the app reaches a safe point (top of an iteration). The
   /// protocol may run a whole checkpoint here before returning.
   virtual sim::Co<void> at_safepoint(Rank& rank) = 0;
 
-  /// Called when a rank (re)starts, before the app coroutine runs; the
-  /// protocol spawns its per-rank daemon here.
+  /// Called when a rank (re)starts, before the app coroutine is spawned;
+  /// the protocol launches its restore work here.
   virtual void rank_started(Rank& rank) = 0;
 
   /// Called when the app coroutine of a rank finishes normally.
   virtual void rank_finished(Rank& rank) { (void)rank; }
 
-  /// Called after a rank is killed (failure injection), once its app and
-  /// daemon coroutines are down. The protocol must stop any auxiliary
-  /// coroutines still acting for the dead incarnation (restore drivers,
-  /// exchange servers), roll back uncommitted checkpoint state, and unblock
-  /// peers waiting on the dead rank. Non-blocking.
+  /// Called after a rank is killed (failure injection), once its app
+  /// coroutine is down. The protocol must stop any auxiliary coroutines
+  /// still acting for the dead incarnation (restore drivers, exchange
+  /// servers), roll back uncommitted checkpoint state, and unblock peers
+  /// waiting on the dead rank. Non-blocking.
   virtual void rank_killed(Rank& rank) { (void)rank; }
 };
 

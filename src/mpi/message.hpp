@@ -26,7 +26,8 @@ inline constexpr RankId kExternalSource = -1;
 
 inline constexpr int kAnyTag = -1;
 
-/// Control-plane message kinds (daemon-to-daemon / driver-to-daemon).
+/// Control-plane message kinds (rank-to-rank / driver-to-rank), handled by
+/// the protocol inside the delivery callback.
 enum class CtrlKind : std::uint8_t {
   kNone = 0,
   // Group protocol checkpoint coordination:
@@ -97,7 +98,7 @@ struct Message {
   bool is_ctrl() const { return ctrl != CtrlKind::kNone; }
 };
 
-// Every copy of a Message (into the delivery thunk, the channels, the
+// Every copy of a Message (into the delivery thunk, the pending buffer, the
 // message log) is a flat memcpy: nothing a message carries owns heap memory.
 static_assert(std::is_trivially_copyable_v<Message>,
               "mpi::Message must stay trivially copyable; keep payloads inline");

@@ -4,8 +4,9 @@
 // volume counters (the paper's R_X / S_X tables), the delivered-but-
 // unconsumed message queue (snapshotted into checkpoint images, like the
 // in-kernel socket buffers BLCR captures), the single outstanding blocking
-// receive, the control-plane channel served by the protocol daemon, and
-// incarnation/lifecycle flags used across failures and restarts.
+// receive, and incarnation/lifecycle flags used across failures and
+// restarts. Control messages are not queued here: the runtime hands them
+// to the protocol at arrival.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +16,6 @@
 
 #include "mpi/message.hpp"
 #include "sim/awaitables.hpp"
-#include "sim/channel.hpp"
 #include "sim/engine.hpp"
 
 namespace gcr::mpi {
@@ -40,8 +40,8 @@ struct RankSnapshot {
 class Rank {
  public:
   Rank(sim::Engine& engine, RankId id, int node, int nranks)
-      : engine_(&engine), id_(id), node_(node), ctrl_in_(engine),
-        resume_gate_(engine), sent_(static_cast<std::size_t>(nranks)),
+      : engine_(&engine), id_(id), node_(node), resume_gate_(engine),
+        sent_(static_cast<std::size_t>(nranks)),
         recvd_(static_cast<std::size_t>(nranks)),
         consumed_(static_cast<std::size_t>(nranks), 0) {}
 
@@ -98,9 +98,6 @@ class Rank {
     return bytes;
   }
 
-  /// Control-plane delivery queue, served by the protocol daemon.
-  sim::Channel<Message>& ctrl_in() { return ctrl_in_; }
-
   /// Closed while a restart is being prepared; the app coroutine waits on it
   /// before (re)executing.
   sim::Trigger& resume_gate() { return resume_gate_; }
@@ -120,7 +117,6 @@ class Rank {
   std::uint64_t iteration_ = 0;
   std::uint64_t start_iteration_ = 0;
 
-  sim::Channel<Message> ctrl_in_;
   sim::Trigger resume_gate_;
 
   // Volume tables, dense by peer rank.
@@ -144,9 +140,8 @@ class Rank {
   };
   std::optional<WaitingRecv> waiting_;
 
-  // Live coroutine handles for kill().
+  // The app coroutine's handle, for kill().
   sim::ProcPtr app_proc_;
-  sim::ProcPtr daemon_proc_;
 };
 
 }  // namespace gcr::mpi

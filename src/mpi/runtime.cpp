@@ -259,8 +259,10 @@ void Runtime::deliver(const Message& msg) {
       msg.src_inc != ranks_[static_cast<std::size_t>(msg.src)]->incarnation_) {
     return;
   }
+  // Control messages go straight to the protocol: they carry no sequence
+  // number and move no R counter, and observers see the app plane only.
   if (msg.is_ctrl()) {
-    dst.ctrl_in_.push(msg);
+    if (protocol_) protocol_->on_deliver(dst, msg);
     return;
   }
   // Exactly-once delivery across restarts: a live message that raced a
@@ -464,9 +466,6 @@ void Runtime::kill_rank(Rank& rank) {
   if (rank.app_proc_ && rank.app_proc_->alive()) {
     engine().kill(*rank.app_proc_);
   }
-  if (rank.daemon_proc_ && rank.daemon_proc_->alive()) {
-    engine().kill(*rank.daemon_proc_);
-  }
   if (protocol_) protocol_->rank_killed(rank);
 }
 
@@ -475,7 +474,6 @@ void Runtime::begin_restart(Rank& rank) {
   ++rank.incarnation_;
   rank.pending_.clear();
   rank.waiting_.reset();
-  rank.ctrl_in_.clear();
   rank.resume_gate_.reset();
   for (auto& v : rank.sent_) v = PeerVolume{};
   for (auto& v : rank.recvd_) v = PeerVolume{};
@@ -503,10 +501,6 @@ void Runtime::respawn_rank(Rank& rank) {
   rank.alive_ = true;
   if (protocol_) protocol_->rank_started(rank);
   spawn_app_coroutine(rank);
-}
-
-void Runtime::set_daemon_proc(Rank& rank, sim::ProcPtr proc) {
-  rank.daemon_proc_ = std::move(proc);
 }
 
 void Runtime::debug_dump(std::ostream& os) const {

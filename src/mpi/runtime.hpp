@@ -140,8 +140,9 @@ class Runtime {
   sim::Co<void> alltoall(Rank& rank, std::int64_t bytes_per_pair);
 
   // ---- control plane (used by protocols and the checkpoint driver) ----
-  /// Sends a control message from one rank's daemon to another rank's
-  /// daemon. Pays normal network costs; never logged or counted.
+  /// Sends a control message from one rank to another, for the protocol.
+  /// Pays normal network costs; never logged or counted. At arrival the
+  /// protocol's on_deliver handles it inside the delivery callback.
   void send_ctrl(RankId src_rank, RankId dst, Message msg);
   /// Control message from the driver node (mpirun).
   void send_ctrl_from_driver(RankId dst, Message msg);
@@ -157,7 +158,7 @@ class Runtime {
   /// Captures the runtime-visible state of a rank (at a safe point).
   RankSnapshot snapshot_rank(const Rank& rank) const;
 
-  /// Kills the app and daemon coroutines; the rank stops receiving.
+  /// Kills the app coroutine; the rank stops receiving.
   void kill_rank(Rank& rank);
 
   /// Prepares a new incarnation: bumps the incarnation, clears all volatile
@@ -168,13 +169,10 @@ class Runtime {
   /// Installs snapshot state into the (reset) rank.
   void restore_rank(Rank& rank, const RankSnapshot& snap);
 
-  /// Spawns the daemon (via protocol->rank_started) and the app coroutine;
-  /// the app waits on the resume gate, which the protocol fires when the
-  /// restart preparation (exchange/replay setup) is complete.
+  /// Calls protocol->rank_started and spawns the app coroutine; the app
+  /// waits on the resume gate, which the protocol fires when the restart
+  /// preparation (exchange/replay setup) is complete.
   void respawn_rank(Rank& rank);
-
-  /// Registers the daemon coroutine handle so kill_rank can reach it.
-  void set_daemon_proc(Rank& rank, sim::ProcPtr proc);
 
   /// Internal: invoked by the app wrapper coroutine.
   sim::Co<void> run_app_body(Rank& rank);

@@ -1,10 +1,11 @@
 // Channel<T>: unbounded FIFO with awaitable pop.
 //
-// The MiniMPI runtime uses channels for per-rank delivery queues and the
-// protocol daemons use them for control traffic. Values pushed while a
-// receiver waits are handed over directly; a receiver killed while waiting
-// leaves a stale handle (claimed or generation-bumped) that later pushes
-// skip over via Engine::waiter_live.
+// A general engine primitive. No library code uses it (control messages
+// reach the protocol inside the delivery callback); the engine tests and
+// bench/micro_engine's ping_pong row do. Values pushed while a receiver
+// waits are handed over directly; a receiver killed while waiting leaves a
+// stale handle (claimed or generation-bumped) that later pushes skip over
+// via Engine::waiter_live.
 //
 // A channel binds one Engine; producer and consumer must use it.
 #pragma once

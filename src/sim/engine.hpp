@@ -140,7 +140,8 @@ class Engine {
 
   /// Runs events while `keep_going()` is true (checked before each event)
   /// and the queue is non-empty. Used to stop at job completion without
-  /// draining long-lived daemons' future events. The predicate is a
+  /// draining the future events of work that outlives the app (checkpoint
+  /// timers, storage drains, node-event pumps). The predicate is a
   /// template parameter so the caller's lambda inlines into the loop.
   template <class KeepGoing>
   std::uint64_t run_while(KeepGoing&& keep_going) {
