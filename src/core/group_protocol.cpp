@@ -772,10 +772,13 @@ sim::Co<void> GroupProtocol::serve_exchange(mpi::Rank& rank,
 sim::Co<void> GroupProtocol::replay_to(mpi::Rank& rank, mpi::RankId peer,
                                        std::int64_t after) {
   RankState& st = state(rank);
-  const auto entries = st.log.entries_after(peer, after);
+  // A copy, taken before the first suspension: this rank's app keeps
+  // appending to and GC'ing the live log while the replay runs.
+  const MessageLog::Replay entries = st.log.entries_after(peer, after);
   if (entries.empty()) co_return;
   ++metrics_->resend_ops;
-  for (const mpi::Message& m : entries) {
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const mpi::Message m = entries[i];
     co_await sim::delay(rt_->engine(), sim::from_seconds(kReplayPerMsgS));
     ++metrics_->resend_messages;
     metrics_->resend_bytes += m.bytes;

@@ -3,7 +3,8 @@
 // operator new calls — with no protocol, and under GroupProtocol in NORM
 // (one group, nothing logged) — as does a storm of control sends, and a
 // freed coroutine frame's block is handed to the next frame of its size
-// class.
+// class. Under GP1, where every message is logged, the sender logs grow by
+// at most 48 heap bytes per message.
 //
 // This TU replaces the global allocator with a counting shim
 // (counting_allocator.hpp).
@@ -105,6 +106,35 @@ TEST(MpiAlloc, WarmMessagePathUnderNormIsAllocationFree) {
   cluster.engine().run_while([&rt] { return !rt.job_finished(); });
   EXPECT_TRUE(rt.job_finished());
   EXPECT_EQ(metrics.logged_messages, 0);
+}
+
+TEST(MpiAlloc, WarmLoggedMessageTakesAtMost48HeapBytes) {
+  // GP1 (one group per rank) logs every message, and nothing checkpoints,
+  // so nothing is GC'd: once warm, the heap grows only by the sender logs,
+  // which keep 40 bytes per message instead of a 104-byte mpi::Message
+  // (DESIGN.md §4).
+  sim::Cluster cluster(cluster_params());
+  Runtime rt(cluster, kRanks);
+  ckpt::Checkpointer checkpointer(cluster);
+  ckpt::ImageRegistry registry;
+  core::Metrics metrics;
+  core::GroupProtocol protocol(
+      rt, group::make_gp1(kRanks), checkpointer, registry,
+      [](RankId) { return std::int64_t{1} << 20; }, metrics);
+  rt.set_protocol(&protocol);
+  rt.start_app(chatter);
+  sim::Engine& eng = cluster.engine();
+  eng.run(50_ms);
+  const std::size_t bytes_before = g_alloc_bytes;
+  const std::int64_t logged_before = metrics.logged_messages;
+  eng.run(150_ms);
+  const std::size_t bytes = g_alloc_bytes - bytes_before;
+  const std::int64_t logged = metrics.logged_messages - logged_before;
+  EXPECT_GT(logged, 1000);
+  EXPECT_LE(bytes, 48 * static_cast<std::size_t>(logged))
+      << bytes << " heap bytes for " << logged << " logged messages";
+  eng.run_while([&rt] { return !rt.job_finished(); });
+  EXPECT_TRUE(rt.job_finished());
 }
 
 /// Counts the control messages each rank's protocol hook receives; never
