@@ -13,7 +13,7 @@
 //                       events, which the wheel moves as one bucket
 //   * timer_cancel    — timers armed and claimed by a competing Trigger, so
 //                       every round recycles a cancelled waiter slot
-//   * ping_pong       — channel handoff pairs (the per-rank delivery idiom)
+//   * ping_pong       — token handoff pairs through two triggers
 //   * spawn_kill      — process churn: spawn, let run, kill half while queued
 //   * link_contention — routed fat-tree transfers fair-sharing uplinks: the
 //                       settle/re-rate/heap cycle every membership change
@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "sim/awaitables.hpp"
-#include "sim/channel.hpp"
 #include "sim/engine.hpp"
 #include "sim/network.hpp"
 #include "util/cli.hpp"
@@ -130,7 +129,7 @@ std::uint64_t timer_storm(int procs, int rounds) {
   Engine eng;
   for (int p = 0; p < procs; ++p) {
     // Staggered periods force queue reordering, not just FIFO pops.
-    eng.spawn("t", sleeper(eng, 1 + p % 7, rounds));
+    eng.spawn(sleeper(eng, 1 + p % 7, rounds));
   }
   eng.run();
   return eng.events_processed();
@@ -139,7 +138,7 @@ std::uint64_t timer_storm(int procs, int rounds) {
 std::uint64_t lockstep_timers(int procs, int rounds) {
   Engine eng;
   for (int p = 0; p < procs; ++p) {
-    eng.spawn("r", sleeper(eng, 10'000, rounds));
+    eng.spawn(sleeper(eng, 10'000, rounds));
   }
   eng.run();
   return eng.events_processed();
@@ -158,7 +157,7 @@ std::uint64_t timer_cancel(int rounds) {
       co_await sim::delay(e, 1);
     }
   };
-  eng.spawn("racer", racer(eng, t, rounds));
+  eng.spawn(racer(eng, t, rounds));
   for (int i = 0; i < rounds; ++i) {
     eng.call_at(2 * i, [&t] { t.fire(); });
   }
@@ -166,27 +165,34 @@ std::uint64_t timer_cancel(int rounds) {
   return eng.events_processed();
 }
 
-Co<void> echo(sim::Channel<int>& in, sim::Channel<int>& out, int rounds) {
-  for (int i = 0; i < rounds; ++i) out.push(co_await in.pop());
+Co<void> echo(sim::Trigger& ping, sim::Trigger& pong, int rounds) {
+  for (int i = 0; i < rounds; ++i) {
+    co_await ping.wait();
+    ping.reset();
+    pong.fire();
+  }
 }
 
-Co<void> drive(sim::Channel<int>& out, sim::Channel<int>& in, int rounds) {
+Co<void> drive(sim::Trigger& ping, sim::Trigger& pong, int rounds) {
   for (int i = 0; i < rounds; ++i) {
-    out.push(i);
-    (void)co_await in.pop();
+    ping.fire();
+    co_await pong.wait();
+    pong.reset();
   }
 }
 
 std::uint64_t ping_pong(int pairs, int rounds) {
+  // Each pair hands one token back and forth through two triggers: every
+  // handoff wakes the blocked partner through the due ring.
   Engine eng;
-  std::vector<std::unique_ptr<sim::Channel<int>>> chans;
+  std::vector<std::unique_ptr<sim::Trigger>> triggers;
   for (int p = 0; p < pairs; ++p) {
-    chans.push_back(std::make_unique<sim::Channel<int>>(eng));
-    chans.push_back(std::make_unique<sim::Channel<int>>(eng));
-    auto& a = *chans[chans.size() - 2];
-    auto& b = *chans[chans.size() - 1];
-    eng.spawn("echo", echo(a, b, rounds));
-    eng.spawn("drive", drive(a, b, rounds));
+    triggers.push_back(std::make_unique<sim::Trigger>(eng));
+    triggers.push_back(std::make_unique<sim::Trigger>(eng));
+    auto& ping = *triggers[triggers.size() - 2];
+    auto& pong = *triggers[triggers.size() - 1];
+    eng.spawn(echo(ping, pong, rounds));
+    eng.spawn(drive(ping, pong, rounds));
   }
   eng.run();
   return eng.events_processed();
@@ -201,7 +207,7 @@ std::uint64_t spawn_kill(int waves, int procs_per_wave) {
       std::vector<sim::ProcPtr> wave;
       wave.reserve(static_cast<std::size_t>(procs_per_wave));
       for (int i = 0; i < procs_per_wave; ++i) {
-        wave.push_back(eng.spawn("w", sleeper(eng, 10, 3)));
+        wave.push_back(eng.spawn(sleeper(eng, 10, 3)));
       }
       // Kill every other process while its first timer is still queued.
       for (int i = 0; i < procs_per_wave; i += 2) {

@@ -1,5 +1,13 @@
 // Application specification: what the experiment harness needs to run a
 // workload under any checkpoint protocol.
+//
+// Application contract (required by the checkpoint protocols; the safe-point
+// trigger these feed is DESIGN.md §5):
+//  * call `co_await h.safepoint(k)` at the TOP of iteration k, before any
+//    communication of that iteration, and once more after the last
+//    iteration;
+//  * per peer, receive messages in the order the peer sends them (standard
+//    non-overtaking discipline) — the runtime asserts this.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +41,6 @@ struct AppSpec {
   std::string name;
   mpi::AppBody body;                                 ///< per-rank coroutine
   std::function<std::int64_t(mpi::RankId)> image_bytes;  ///< memory model
-  std::uint64_t iterations = 0;  ///< safe points per rank (informational)
   /// Set only by service workloads: snapshots request-level stats from the
   /// app's recorded arrival/completion times. Called by the experiment
   /// harness after the run; null for batch apps.

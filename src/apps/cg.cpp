@@ -91,8 +91,6 @@ AppSpec make_cg(int nranks, const CgParams& params) {
 
   AppSpec spec;
   spec.name = "cg";
-  spec.iterations = static_cast<std::uint64_t>(params.outer_iters) *
-                    static_cast<std::uint64_t>(params.inner_steps);
   const std::int64_t matrix_bytes =
       static_cast<std::int64_t>(nnz) * 12;  // values + indices
   const std::int64_t vectors_bytes = 10 * 8 * params.na;

@@ -4,7 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "apps/patterns.hpp"
 #include "util/assert.hpp"
 
 namespace gcr::apps {
@@ -22,7 +21,8 @@ struct HplShared {
   HplParams params;
   HplGrid grid;
   std::uint64_t iters;
-  // Precomputed member lists per grid row / column.
+  // Precomputed member lists per grid row / column: a rank's index is its
+  // column in its row's list and its row in its column's.
   std::vector<std::vector<mpi::RankId>> row_members;
   std::vector<std::vector<mpi::RankId>> col_members;
 };
@@ -60,19 +60,19 @@ sim::Co<void> hpl_body(std::shared_ptr<HplShared> sh, mpi::AppHandle h) {
         if (mycol == panel_col) {
           co_await h.compute(static_cast<double>(kNb) * kNb *
                              static_cast<double>(rows_loc) / kFlopsPerS);
-          co_await bcast_subset(h, my_col, pivot_row, rows_loc * kNb * 8,
-                                kTagPanelFact);
+          co_await h.bcast(my_col, myrow, pivot_row, rows_loc * kNb * 8,
+                           kTagPanelFact);
         }
         break;
       case 1:
         // Panel broadcast along every process row.
-        co_await bcast_subset(h, my_row, panel_col, rows_loc * kNb * 8,
-                              kTagPanelBcast);
+        co_await h.bcast(my_row, mycol, panel_col, rows_loc * kNb * 8,
+                         kTagPanelBcast);
         break;
       case 2:
         // U broadcast (row swaps) along every process column.
-        co_await bcast_subset(h, my_col, pivot_row, cols_loc * kNb * 8,
-                              kTagUBcast);
+        co_await h.bcast(my_col, myrow, pivot_row, cols_loc * kNb * 8,
+                         kTagUBcast);
         break;
       case 3:
         // Trailing update: 2·NB·rows·cols flops per process.
@@ -108,7 +108,6 @@ AppSpec make_hpl(int nranks, const HplParams& params) {
 
   AppSpec spec;
   spec.name = "hpl";
-  spec.iterations = sh->iters * 4;
   const std::int64_t mem =
       8 * params.n * params.n / nranks + kHplBaseMemBytes;
   spec.image_bytes = [mem](mpi::RankId) { return mem; };

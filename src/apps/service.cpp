@@ -134,7 +134,6 @@ AppSpec make_service(int nranks, const ServiceParams& params) {
   }
   AppSpec spec;
   spec.name = "service";
-  spec.iterations = params.requests;
   const std::int64_t mem = params.mem_bytes;
   spec.image_bytes = [mem](mpi::RankId) { return mem; };
   spec.body = [state, nranks](mpi::AppHandle h) {

@@ -89,7 +89,6 @@ AppSpec make_ring(int nranks, const RingParams& params) {
   auto p = std::make_shared<RingParams>(params);
   AppSpec spec;
   spec.name = "ring";
-  spec.iterations = params.iterations;
   const std::int64_t mem = params.mem_bytes;
   spec.image_bytes = [mem](mpi::RankId) { return mem; };
   spec.body = [p, nranks](mpi::AppHandle h) { return ring_body(p, nranks, h); };
@@ -100,7 +99,6 @@ AppSpec make_stencil1d(int nranks, const Stencil1dParams& params) {
   auto p = std::make_shared<Stencil1dParams>(params);
   AppSpec spec;
   spec.name = "stencil1d";
-  spec.iterations = params.iterations;
   const std::int64_t mem = params.mem_bytes;
   spec.image_bytes = [mem](mpi::RankId) { return mem; };
   spec.body = [p, nranks](mpi::AppHandle h) {
@@ -113,7 +111,6 @@ AppSpec make_random_pairs(int nranks, const RandomPairsParams& params) {
   auto p = std::make_shared<RandomPairsParams>(params);
   AppSpec spec;
   spec.name = "random_pairs";
-  spec.iterations = params.iterations;
   const std::int64_t mem = params.mem_bytes;
   spec.image_bytes = [mem](mpi::RankId) { return mem; };
   spec.body = [p, nranks](mpi::AppHandle h) {

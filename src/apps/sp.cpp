@@ -96,7 +96,6 @@ AppSpec make_sp(int nranks, const SpParams& params) {
 
   AppSpec spec;
   spec.name = "sp";
-  spec.iterations = sh->iters * 3;
   const std::int64_t mem =
       static_cast<std::int64_t>(gp * gp * gp) * 15 * 8 / nranks + kBaseMemBytes;
   spec.image_bytes = [mem](mpi::RankId) { return mem; };

@@ -41,24 +41,20 @@ class Checkpointer {
 
   /// `cluster` must outlive the checkpointer. Asserts that the cluster has
   /// the devices the configured mode needs.
-  Checkpointer(sim::Cluster& cluster, CheckpointerOptions options = {})
-      : cluster_(&cluster), options_(options) {
-    if (options_.mode == StorageMode::kDirect) {
-      if (options_.remote_storage) {
+  Checkpointer(sim::Cluster& cluster, const CheckpointerOptions& options = {})
+      : cluster_(&cluster), remote_storage_(options.remote_storage) {
+    if (options.mode == StorageMode::kDirect) {
+      if (remote_storage_) {
         GCR_CHECK_MSG(cluster.has_remote_storage(),
                       "remote_storage requires cluster remote servers");
       }
     } else {
-      GCR_CHECK_MSG(!options_.remote_storage,
+      GCR_CHECK_MSG(!remote_storage_,
                     "remote_storage is a direct-mode path; tiered modes "
                     "write through the burst buffer");
-      tiers_.emplace(cluster,
-                     TierStoreOptions{options_.mode,
-                                      options_.bb_capacity_bytes});
+      tiers_.emplace(cluster, options.mode, options.bb_capacity_bytes);
     }
   }
-
-  const CheckpointerOptions& options() const { return options_; }
 
   /// Dumps an image of `bytes` from the process on `node` for `rank` at
   /// checkpoint `epoch`. Blocks the caller until the image is durable at
@@ -124,12 +120,12 @@ class Checkpointer {
  private:
   /// The direct-mode device a given node writes images to.
   sim::StorageDevice& device_for(int node) {
-    return options_.remote_storage ? cluster_->remote_server_for(node)
-                                   : cluster_->local_disk(node);
+    return remote_storage_ ? cluster_->remote_server_for(node)
+                           : cluster_->local_disk(node);
   }
 
   sim::Cluster* cluster_;
-  CheckpointerOptions options_;
+  bool remote_storage_;
   std::optional<TierStore> tiers_;
 };
 

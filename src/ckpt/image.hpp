@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "mpi/rank.hpp"
-#include "sim/time.hpp"
 #include "util/assert.hpp"
 
 namespace gcr::ckpt {
@@ -23,7 +22,6 @@ struct ImageMeta {
   mpi::RankId rank = 0;
   std::uint64_t epoch = 0;       ///< per-group checkpoint counter
   std::int64_t bytes = 0;        ///< modeled image size (drives IO timing)
-  sim::Time written_at = 0;
   /// Registry-global commit identity: every commit_group call stamps one
   /// fresh cut id on the images it promotes. Two images share a cut_seq iff
   /// they were committed by the same group commit — i.e. they belong to one

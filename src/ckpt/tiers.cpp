@@ -1,7 +1,6 @@
 #include "ckpt/tiers.hpp"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
 #include "sim/awaitables.hpp"
@@ -18,13 +17,17 @@ const char* storage_mode_name(StorageMode mode) {
   return "?";
 }
 
-TierStore::TierStore(sim::Cluster& cluster, const TierStoreOptions& options)
-    : cluster_(&cluster), options_(options), space_freed_(cluster.engine()) {
+TierStore::TierStore(sim::Cluster& cluster, StorageMode mode,
+                     std::int64_t bb_capacity_bytes)
+    : cluster_(&cluster),
+      mode_(mode),
+      bb_capacity_bytes_(bb_capacity_bytes),
+      space_freed_(cluster.engine()) {
   GCR_CHECK_MSG(cluster.has_tiered_storage(),
                 "TierStore requires cluster burst buffers (num_burst_buffers)");
-  GCR_CHECK_MSG(options_.mode != StorageMode::kDirect,
+  GCR_CHECK_MSG(mode_ != StorageMode::kDirect,
                 "direct mode bypasses the tier store");
-  GCR_CHECK(options_.bb_capacity_bytes > 0);
+  GCR_CHECK(bb_capacity_bytes_ > 0);
 }
 
 // ------------------------------------------------------- capacity arbiter
@@ -36,7 +39,7 @@ void TierStore::release_bb(std::int64_t bytes) {
 }
 
 bool TierStore::evict_for(std::int64_t bytes) {
-  while (stats_.bb_bytes_used + bytes > options_.bb_capacity_bytes) {
+  while (stats_.bb_bytes_used + bytes > bb_capacity_bytes_) {
     // Oldest-commit-first over images that already drained to the PFS —
     // the only residents whose eviction keeps `committed => resident`.
     RankImages* victim = nullptr;
@@ -55,10 +58,10 @@ bool TierStore::evict_for(std::int64_t bytes) {
 }
 
 sim::Co<void> TierStore::reserve_bb(std::int64_t bytes) {
-  GCR_CHECK_MSG(bytes <= options_.bb_capacity_bytes,
+  GCR_CHECK_MSG(bytes <= bb_capacity_bytes_,
                 "one image exceeds the whole burst-buffer capacity");
   for (;;) {
-    if (stats_.bb_bytes_used + bytes <= options_.bb_capacity_bytes) break;
+    if (stats_.bb_bytes_used + bytes <= bb_capacity_bytes_) break;
     if (evict_for(bytes)) break;
     // Pool exhausted and nothing evictable. In kDrain mode progress is
     // guaranteed — every committed image eventually drains and becomes
@@ -68,7 +71,7 @@ sim::Co<void> TierStore::reserve_bb(std::int64_t bytes) {
     // waiting here can deadlock the job into a watchdog trip; fail fast
     // with the sizing rule instead.
     GCR_CHECK_MSG(
-        options_.mode == StorageMode::kDrain,
+        mode_ == StorageMode::kDrain,
         "burst-buffer capacity exhausted in kBurstBuffer mode (nothing "
         "drains, so nothing is evictable): size bb_capacity_bytes to at "
         "least the committed images plus one full group's stage");
@@ -135,10 +138,9 @@ void TierStore::commit_image(mpi::RankId rank) {
   ri.committed = std::move(ri.staged);
   ri.staged.reset();
   ri.commit_seq = next_commit_seq_++;
-  if (options_.mode == StorageMode::kDrain) {
+  if (mode_ == StorageMode::kDrain) {
     ++stats_.drains_started;
     ri.committed->drain = cluster_->engine().spawn(
-        "drain" + std::to_string(rank),
         drain_body(rank, ri.committed->epoch, ri.committed->bytes));
   }
 }

@@ -63,12 +63,6 @@ enum class StorageMode {
 /// Stable lowercase name (config parsing, table headers).
 const char* storage_mode_name(StorageMode mode);
 
-struct TierStoreOptions {
-  StorageMode mode = StorageMode::kBurstBuffer;
-  /// Aggregate burst-buffer capacity across all servers (logical pool).
-  std::int64_t bb_capacity_bytes = std::int64_t{8} << 30;
-};
-
 /// Counters exposed through ExperimentResult. All are monotone over a
 /// run except `bb_bytes_used`, a current-occupancy gauge.
 struct TierStats {
@@ -90,9 +84,11 @@ struct TierStats {
 /// Requires cluster.has_tiered_storage(); one instance per experiment.
 class TierStore {
  public:
-  TierStore(sim::Cluster& cluster, const TierStoreOptions& options);
+  /// `mode` is kBurstBuffer or kDrain; `bb_capacity_bytes` is the
+  /// aggregate burst-buffer capacity across all servers (one logical pool).
+  TierStore(sim::Cluster& cluster, StorageMode mode,
+            std::int64_t bb_capacity_bytes);
 
-  const TierStoreOptions& options() const { return options_; }
   const TierStats& stats() const { return stats_; }
 
   /// Stages `bytes` for `rank` (hosted on `node`) at checkpoint `epoch`:
@@ -152,7 +148,8 @@ class TierStore {
                            std::int64_t bytes);
 
   sim::Cluster* cluster_;
-  TierStoreOptions options_;
+  StorageMode mode_;
+  std::int64_t bb_capacity_bytes_;
   TierStats stats_;
   std::map<mpi::RankId, RankImages> ranks_;
   std::uint64_t next_commit_seq_ = 1;

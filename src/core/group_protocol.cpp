@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "util/assert.hpp"
-#include "util/log.hpp"
 
 namespace gcr::core {
 namespace {
@@ -34,6 +33,15 @@ constexpr double kExchangeHandlingS = 150e-6;
 /// what leaves inter-group traffic to be replayed on restart (Figs 7/8),
 /// and why GP1's resend volumes exceed GP's.
 constexpr int kTargetSkewSteps = 4;
+
+/// The re-execution skip toward a control message's source, which is
+/// checked against the run (a driver message has none).
+std::int64_t& skip_toward(std::vector<std::int64_t>& skip_bytes,
+                          mpi::RankId src) {
+  GCR_CHECK_MSG(src >= 0 && static_cast<std::size_t>(src) < skip_bytes.size(),
+                "control message source outside the run");
+  return skip_bytes[static_cast<std::size_t>(src)];
+}
 
 }  // namespace
 
@@ -154,8 +162,7 @@ void GroupProtocol::note_bookmark_progress(RankState& st,
 void GroupProtocol::rank_started(mpi::Rank& rank) {
   RankState& st = state(rank);
   if (st.restoring) {
-    st.restore_proc = rt_->engine().spawn(
-        "restore" + std::to_string(rank.id()), run_restore(rank));
+    st.restore_proc = rt_->engine().spawn(run_restore(rank));
   }
   // Deferred exchanges: any peer that restarted while this rank was down
   // re-issues its volume-exchange request now that we are back, so the
@@ -396,8 +403,8 @@ void GroupProtocol::handle_ctrl(mpi::Rank& rank, const mpi::Message& msg) {
       // exchange would suppress sends the rolled-back peer needs again,
       // and the replay below only covers what is already in our log.
       const std::int64_t peer_r = msg.ctrl_data.at(0);
-      st.skip_bytes[static_cast<std::size_t>(msg.src)] =
-          std::max<std::int64_t>(0, peer_r - rank.sent_to(msg.src).bytes);
+      std::int64_t& skip = skip_toward(st.skip_bytes, msg.src);
+      skip = std::max<std::int64_t>(0, peer_r - rank.sent_to(msg.src).bytes);
       // Served in its own coroutine because the replay takes simulated
       // time, which a delivery callback cannot spend. The reply is sent
       // AFTER the replay so the peer's restart-preparation time includes
@@ -409,16 +416,14 @@ void GroupProtocol::handle_ctrl(mpi::Rank& rank, const mpi::Message& msg) {
       std::erase_if(st.serve_procs,
                     [](const sim::ProcPtr& p) { return !p || !p->alive(); });
       st.serve_procs.push_back(
-          rt_->engine().spawn("exchsrv" + std::to_string(rank.id()),
-                              serve_exchange(rank, msg)));
+          rt_->engine().spawn(serve_exchange(rank, msg)));
       return;
     }
 
     case mpi::CtrlKind::kExchangeReply: {
       const std::int64_t peer_r = msg.ctrl_data.at(0);
-      const std::int64_t my_s = rank.sent_to(msg.src).bytes;
-      st.skip_bytes[static_cast<std::size_t>(msg.src)] =
-          std::max<std::int64_t>(0, peer_r - my_s);
+      std::int64_t& skip = skip_toward(st.skip_bytes, msg.src);
+      skip = std::max<std::int64_t>(0, peer_r - rank.sent_to(msg.src).bytes);
       st.exchange_pending.erase(msg.src);
       // A reply that raced the peer's death still completes the exchange:
       // the replay data preceded it on the wire, and the peer's own restart
@@ -569,7 +574,6 @@ sim::Co<void> GroupProtocol::run_group_checkpoint(mpi::Rank& rank) {
     image.meta.rank = rank.id();
     image.meta.epoch = epoch;
     image.meta.bytes = image_bytes_(rank.id());
-    image.meta.written_at = eng.now();
     image.runtime_state = rt_->snapshot_rank(rank);
     image.protocol_state = StateSnapshot{st.rr, st.first_send, st.log};
     // Staged, not yet visible: a failure during the write (or any member's

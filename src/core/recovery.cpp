@@ -1,12 +1,10 @@
 #include "core/recovery.hpp"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
 #include "group/strategies.hpp"
 #include "sim/awaitables.hpp"
-#include "util/log.hpp"
 
 namespace gcr::core {
 namespace {
@@ -50,9 +48,6 @@ void RecoveryManager::set_state(const std::vector<mpi::RankId>& members,
 }
 
 void RecoveryManager::kill_members(const std::vector<mpi::RankId>& members) {
-  GCR_INFO("injecting failure of the group of rank %d (%zu ranks) at t=%.3fs",
-           members.front(), members.size(),
-           sim::to_seconds(rt_->engine().now()));
   for (mpi::RankId r : members) {
     rt_->kill_rank(rt_->rank(r));
     // A FAULT takes the node's staging buffer with it; the member's next
@@ -164,8 +159,6 @@ void RecoveryManager::on_restore_done(mpi::RankId rank) {
   restore_in_flight_ = false;
   if (std::exchange(b.rejoining, false)) {
     ++joins_completed_;
-    GCR_INFO("churn: rank %d rejoined at t=%.3fs", rank,
-             sim::to_seconds(rt_->engine().now()));
     if (planner_ != nullptr) {
       enqueue_churn_op({ChurnOp::Kind::kMerge, rank, 0});
     }
@@ -335,15 +328,13 @@ void RecoveryManager::pump_churn_ops() {
   sim::Engine& eng = rt_->engine();
   switch (op.kind) {
     case ChurnOp::Kind::kDrain:
-      eng.spawn("drain" + std::to_string(op.rank),
-                run_drain_op(op.rank, true, 0));
+      eng.spawn(run_drain_op(op.rank, true, 0));
       return;
     case ChurnOp::Kind::kReclaim:
-      eng.spawn("reclaim" + std::to_string(op.rank),
-                run_drain_op(op.rank, false, op.token));
+      eng.spawn(run_drain_op(op.rank, false, op.token));
       return;
     case ChurnOp::Kind::kMerge:
-      eng.spawn("merge" + std::to_string(op.rank), run_merge_op(op.rank));
+      eng.spawn(run_merge_op(op.rank));
       return;
   }
 }
@@ -439,9 +430,6 @@ sim::Co<void> RecoveryManager::run_drain_op(mpi::RankId rank, bool voluntary,
     }
     GCR_CHECK(members_of(rank).size() == 1);
     books(rank).state = GroupState::kDeparted;
-    GCR_INFO("churn: %s departs rank %d at t=%.3fs",
-             voluntary ? "drain" : "reclaim", rank,
-             sim::to_seconds(eng.now()));
     rt_->kill_rank(rt_->rank(rank));
     if (voluntary) {
       ++drains_completed_;
@@ -471,9 +459,6 @@ void RecoveryManager::reclaim_deadline(mpi::RankId rank, std::uint64_t token) {
   if (reclaim_pending_.erase(token) == 0) return;  // the clean drain won
   if (rt_->job_finished()) return;
   ++reclaims_forced_;
-  GCR_INFO("churn: reclaim warning for rank %d expired at t=%.3fs; forcing "
-           "failure",
-           rank, sim::to_seconds(rt_->engine().now()));
   fail_group_of(rank);
 }
 
@@ -498,8 +483,6 @@ void RecoveryManager::start_join(mpi::RankId rank) {
   GCR_CHECK(members_of(rank).size() == 1);
   b.state = GroupState::kDown;
   b.rejoining = true;
-  GCR_INFO("churn: rank %d joining at t=%.3fs", rank,
-           sim::to_seconds(rt_->engine().now()));
   // Joins ride the ordinary restore queue: detect_s stands in for the
   // scheduler noticing the node, relaunch_s for process creation, and it
   // waits its turn behind restores.
@@ -545,8 +528,6 @@ sim::Co<void> RecoveryManager::run_merge_op(mpi::RankId rank) {
     // merged partition.
     protocol_->add_transitional_logging({rank}, into);
     group::GroupSet next = group::merge_rank(gs, rank, *target);
-    GCR_INFO("churn: merging rank %d into the group of rank %d at t=%.3fs",
-             rank, into.front(), sim::to_seconds(eng.now()));
     protocol_->install_groups(std::move(next));
     ++merges_installed_;
     break;

@@ -1,7 +1,5 @@
 #include "core/scheduler.hpp"
 
-#include "util/assert.hpp"
-
 namespace gcr::core {
 
 CheckpointScheduler CheckpointScheduler::for_groups(mpi::Runtime& rt,
@@ -40,32 +38,6 @@ CheckpointScheduler CheckpointScheduler::for_vcl(mpi::Runtime& rt,
 void CheckpointScheduler::start() {
   rt_->engine().call_after(sim::from_seconds(options_.first_at_s),
                            [this] { tick(); });
-}
-
-void CheckpointScheduler::start_per_group(
-    mpi::Runtime& rt, GroupProtocol& protocol,
-    const std::vector<double>& interval_s) {
-  GCR_CHECK(static_cast<int>(interval_s.size()) ==
-            protocol.groups().num_groups());
-  for (int g = 0; g < protocol.groups().num_groups(); ++g) {
-    const double period = interval_s[static_cast<std::size_t>(g)];
-    if (period <= 0) continue;  // group opted out of checkpointing
-    const mpi::RankId leader = protocol.groups().members(g).front();
-    rt.engine().call_after(sim::from_seconds(period), [&rt, &protocol, leader,
-                                                       period] {
-      group_tick(&rt, &protocol, leader, period);
-    });
-  }
-}
-
-void CheckpointScheduler::group_tick(mpi::Runtime* rt, GroupProtocol* protocol,
-                                     mpi::RankId leader, double interval_s) {
-  if (rt->job_finished()) return;
-  protocol->request_checkpoint(leader);
-  rt->engine().call_after(sim::from_seconds(interval_s),
-                          [rt, protocol, leader, interval_s] {
-                            group_tick(rt, protocol, leader, interval_s);
-                          });
 }
 
 void CheckpointScheduler::tick() {

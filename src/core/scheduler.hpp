@@ -6,7 +6,9 @@
 //
 // For the group protocol a round optionally staggers per-group requests
 // (mpirun spawns one child per group; propagation is serialized), which also
-// spreads checkpoint-server load across groups.
+// spreads checkpoint-server load across groups. Per-group intervals are one
+// scheduler per group whose round requests that group alone
+// (exp::run_experiment builds them).
 #pragma once
 
 #include <functional>
@@ -52,18 +54,8 @@ class CheckpointScheduler {
   /// Arms the first round.
   void start();
 
-  /// Per-group periodic schedules (paper §6: a flaky group can checkpoint
-  /// more often than the rest). `interval_s[g]` is the period of group g of
-  /// the partition at this call, named from then on by its leader; the
-  /// first request for each group fires after one period. Bypasses the
-  /// round-based `issue_round` path entirely.
-  static void start_per_group(mpi::Runtime& rt, GroupProtocol& protocol,
-                              const std::vector<double>& interval_s);
-
  private:
   void tick();
-  static void group_tick(mpi::Runtime* rt, GroupProtocol* protocol,
-                         mpi::RankId leader, double interval_s);
 
   mpi::Runtime* rt_;
   std::function<void()> issue_round_;

@@ -87,8 +87,7 @@ void VclProtocol::handle_ctrl(mpi::Rank& rank, const mpi::Message& msg) {
     if (round > st.pending_round) st.pending_round = round;
   } else {
     st.epoch = round;
-    rt_->engine().spawn("vclckpt" + std::to_string(rank.id()),
-                        run_checkpoint(rank));
+    rt_->engine().spawn(run_checkpoint(rank));
   }
 }
 
@@ -186,8 +185,7 @@ sim::Co<void> VclProtocol::run_checkpoint(mpi::Rank& rank) {
   // A round that arrived mid-snapshot runs now.
   if (st.pending_round > st.epoch && !rt_->job_finished()) {
     st.epoch = st.pending_round;
-    rt_->engine().spawn("vclckpt" + std::to_string(rank.id()),
-                        run_checkpoint(rank));
+    rt_->engine().spawn(run_checkpoint(rank));
   }
 }
 

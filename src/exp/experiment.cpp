@@ -7,7 +7,6 @@
 #include "mpi/runtime.hpp"
 #include "trace/tracer.hpp"
 #include "util/assert.hpp"
-#include "util/log.hpp"
 
 namespace gcr::exp {
 namespace {
@@ -65,6 +64,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   std::unique_ptr<core::GroupProtocol> group_protocol;
   std::unique_ptr<core::VclProtocol> vcl_protocol;
   std::unique_ptr<core::CheckpointScheduler> scheduler;
+  std::vector<std::unique_ptr<core::CheckpointScheduler>> group_schedulers;
   std::unique_ptr<core::RecoveryManager> recovery;
   std::unique_ptr<core::TrafficMatrix> traffic;
   std::unique_ptr<core::RegroupPlanner> planner;
@@ -77,8 +77,24 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
         metrics, config.protocol_options);
     runtime.set_protocol(group_protocol.get());
     if (!config.per_group_intervals.empty()) {
-      core::CheckpointScheduler::start_per_group(runtime, *group_protocol,
-                                                 config.per_group_intervals);
+      // One periodic schedule per group (paper §6: a flaky group can
+      // checkpoint more often than the rest), named by its leader rank; the
+      // first request fires after one period, and a period of 0 opts the
+      // group out.
+      core::GroupProtocol* p = group_protocol.get();
+      const group::GroupSet& groups = p->groups();
+      GCR_CHECK(static_cast<int>(config.per_group_intervals.size()) ==
+                groups.num_groups());
+      for (int g = 0; g < groups.num_groups(); ++g) {
+        const double period =
+            config.per_group_intervals[static_cast<std::size_t>(g)];
+        if (period <= 0) continue;
+        const mpi::RankId leader = groups.members(g).front();
+        group_schedulers.push_back(std::make_unique<core::CheckpointScheduler>(
+            runtime, [p, leader] { p->request_checkpoint(leader); },
+            core::SchedulerOptions{.first_at_s = period, .interval_s = period}));
+        group_schedulers.back()->start();
+      }
     } else if (config.checkpoints) {
       scheduler = std::make_unique<core::CheckpointScheduler>(
           core::CheckpointScheduler::for_groups(runtime, *group_protocol,

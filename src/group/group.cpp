@@ -34,12 +34,6 @@ std::size_t GroupSet::largest_group_size() const {
   return best;
 }
 
-std::size_t GroupSet::smallest_group_size() const {
-  std::size_t best = groups_.empty() ? 0 : groups_.front().size();
-  for (const auto& g : groups_) best = std::min(best, g.size());
-  return best;
-}
-
 std::string GroupSet::to_string() const {
   std::string out;
   for (const auto& g : groups_) {

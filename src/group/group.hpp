@@ -41,7 +41,6 @@ class GroupSet {
   }
 
   std::size_t largest_group_size() const;
-  std::size_t smallest_group_size() const;
 
   /// Human-readable summary, e.g. "{0,4,8} {1,5} {2,6} ...".
   std::string to_string() const;

@@ -17,6 +17,7 @@
 #include "mpi/message.hpp"
 #include "sim/awaitables.hpp"
 #include "sim/engine.hpp"
+#include "util/assert.hpp"
 
 namespace gcr::mpi {
 
@@ -47,8 +48,8 @@ class Rank {
 
   RankId id() const { return id_; }
   int node() const { return node_; }
-  /// The engine this rank's coroutines and channels are bound to. Observers
-  /// use it to stamp trace records.
+  /// The engine this rank's coroutines are bound to. Observers use it to
+  /// stamp trace records.
   sim::Engine& engine() const { return *engine_; }
   int nranks() const { return static_cast<int>(sent_.size()); }
 
@@ -62,11 +63,12 @@ class Rank {
   /// Where the app must resume from (0 on a fresh start).
   std::uint64_t start_iteration() const { return start_iteration_; }
 
+  /// Volume tables by peer; the peer id is checked against the run.
   const PeerVolume& sent_to(RankId peer) const {
-    return sent_[static_cast<std::size_t>(peer)];
+    return sent_[peer_index(peer)];
   }
   const PeerVolume& recvd_from(RankId peer) const {
-    return recvd_[static_cast<std::size_t>(peer)];
+    return recvd_[peer_index(peer)];
   }
 
   /// Bytes of the gap-free prefix of `peer`'s stream held here: what was
@@ -107,6 +109,11 @@ class Rank {
  private:
   friend class Runtime;
   friend class Recv;
+
+  std::size_t peer_index(RankId peer) const {
+    GCR_CHECK_MSG(peer >= 0 && peer < nranks(), "peer rank id outside the run");
+    return static_cast<std::size_t>(peer);
+  }
 
   sim::Engine* engine_;
   RankId id_;

@@ -1,21 +1,16 @@
 #include "mpi/runtime.hpp"
 
-#include <ostream>
 #include <utility>
 
 #include "util/assert.hpp"
-#include "util/log.hpp"
 
 namespace gcr::mpi {
 
 namespace {
 
-// Collective tags live far above the application tag space.
-constexpr int kTagBarrier = 1 << 20;
+// allreduce's tags live far above the application tag space.
 constexpr int kTagBcast = (1 << 20) + 1;
 constexpr int kTagReduce = (1 << 20) + 2;
-constexpr int kTagGather = (1 << 20) + 3;
-constexpr int kTagAlltoall = (1 << 20) + 4;
 
 // Small on-wire payloads for synchronization-only messages.
 constexpr std::int64_t kSyncBytes = 8;
@@ -78,21 +73,12 @@ double AppHandle::now_s() const {
 sim::Co<void> AppHandle::safepoint(std::uint64_t iteration) {
   return rt_->safepoint(*rank_, iteration);
 }
-sim::Co<void> AppHandle::barrier() { return rt_->barrier(*rank_); }
-sim::Co<void> AppHandle::bcast(RankId root, std::int64_t bytes) {
-  return rt_->bcast(*rank_, root, bytes);
-}
-sim::Co<void> AppHandle::reduce(RankId root, std::int64_t bytes) {
-  return rt_->reduce(*rank_, root, bytes);
+sim::Co<void> AppHandle::bcast(std::span<const RankId> members, int self,
+                               int root, std::int64_t bytes, int tag) {
+  return rt_->bcast(*rank_, members, self, root, bytes, tag);
 }
 sim::Co<void> AppHandle::allreduce(std::int64_t bytes) {
   return rt_->allreduce(*rank_, bytes);
-}
-sim::Co<void> AppHandle::gather(RankId root, std::int64_t bytes_per_rank) {
-  return rt_->gather(*rank_, root, bytes_per_rank);
-}
-sim::Co<void> AppHandle::alltoall(std::int64_t bytes_per_pair) {
-  return rt_->alltoall(*rank_, bytes_per_pair);
 }
 
 // ------------------------------------------------------------------ Runtime
@@ -103,9 +89,11 @@ Runtime::Runtime(sim::Cluster& cluster, int nranks) : cluster_(&cluster) {
   GCR_CHECK_MSG(cluster.num_nodes() >= nranks + 1,
                 "cluster must have nranks + 1 nodes (last is the driver)");
   ranks_.reserve(static_cast<std::size_t>(nranks));
+  world_.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
     ranks_.push_back(
         std::make_unique<Rank>(cluster.engine(), r, /*node=*/r, nranks));
+    world_.push_back(r);
   }
 }
 
@@ -139,8 +127,7 @@ void Runtime::note_app_finished(Rank& rank) {
 }
 
 void Runtime::spawn_app_coroutine(Rank& rank) {
-  rank.app_proc_ = engine().spawn("rank" + std::to_string(rank.id()),
-                                         app_wrapper(this, &rank));
+  rank.app_proc_ = engine().spawn(app_wrapper(this, &rank));
 }
 
 // ------------------------------------------------------------------- p2p
@@ -321,27 +308,20 @@ sim::Co<void> Runtime::safepoint(Rank& rank, std::uint64_t iteration) {
 
 // -------------------------------------------------------------- collectives
 
-sim::Co<void> Runtime::barrier(Rank& rank) {
-  // Dissemination barrier: log2(p) rounds of simultaneous exchanges.
-  const int p = nranks();
-  for (int mask = 1; mask < p; mask <<= 1) {
-    const RankId to = (rank.id() + mask) % p;
-    const RankId from = (rank.id() - mask % p + p) % p;
-    (void)co_await sendrecv(rank, to, kTagBarrier, kSyncBytes, from,
-                            kTagBarrier);
-  }
-}
-
-sim::Co<void> Runtime::bcast(Rank& rank, RankId root, std::int64_t bytes) {
-  // MPICH-style binomial broadcast.
-  const int p = nranks();
-  const int relative = (rank.id() - root + p) % p;
+sim::Co<void> Runtime::bcast(Rank& rank, std::span<const RankId> members,
+                             int self, int root, std::int64_t bytes, int tag) {
+  const int p = static_cast<int>(members.size());
+  GCR_CHECK_MSG(self >= 0 && self < p &&
+                    members[static_cast<std::size_t>(self)] == rank.id(),
+                "bcast caller is not members[self]");
+  GCR_CHECK(root >= 0 && root < p);
+  const int relative = (self - root + p) % p;
   int mask = 1;
   while (mask < p) {
     if (relative & mask) {
-      RankId src = rank.id() - mask;
+      int src = self - mask;
       if (src < 0) src += p;
-      (void)co_await recv(rank, src, kTagBcast);
+      (void)co_await recv(rank, members[static_cast<std::size_t>(src)], tag);
       break;
     }
     mask <<= 1;
@@ -349,70 +329,28 @@ sim::Co<void> Runtime::bcast(Rank& rank, RankId root, std::int64_t bytes) {
   mask >>= 1;
   while (mask > 0) {
     if (relative + mask < p) {
-      RankId dst = rank.id() + mask;
+      int dst = self + mask;
       if (dst >= p) dst -= p;
-      co_await send(rank, dst, kTagBcast, bytes);
+      co_await send(rank, members[static_cast<std::size_t>(dst)], tag, bytes);
     }
     mask >>= 1;
   }
 }
 
-sim::Co<void> Runtime::reduce(Rank& rank, RankId root, std::int64_t bytes) {
-  // Binomial reduction tree (commutative combine; payload size constant).
-  const int p = nranks();
-  const int relative = (rank.id() - root + p) % p;
-  int mask = 1;
-  while (mask < p) {
-    if ((relative & mask) == 0) {
-      const int src_rel = relative | mask;
-      if (src_rel < p) {
-        (void)co_await recv(rank, (src_rel + root) % p, kTagReduce);
-      }
-    } else {
-      co_await send(rank, ((relative & ~mask) + root) % p, kTagReduce, bytes);
-      break;
-    }
-    mask <<= 1;
-  }
-}
-
 sim::Co<void> Runtime::allreduce(Rank& rank, std::int64_t bytes) {
-  co_await reduce(rank, 0, bytes);
-  co_await bcast(rank, 0, bytes);
-}
-
-sim::Co<void> Runtime::gather(Rank& rank, RankId root,
-                              std::int64_t bytes_per_rank) {
-  // Binomial gather: forwarded payload grows with the subtree.
+  // Binomial reduction to rank 0 (commutative combine; payload size
+  // constant), then the broadcast back.
   const int p = nranks();
-  const int relative = (rank.id() - root + p) % p;
-  std::int64_t accumulated = bytes_per_rank;
-  int mask = 1;
-  while (mask < p) {
-    if ((relative & mask) == 0) {
-      const int src_rel = relative | mask;
-      if (src_rel < p) {
-        Message m = co_await recv(rank, (src_rel + root) % p, kTagGather);
-        accumulated += m.bytes;
-      }
+  const RankId me = rank.id();
+  for (int mask = 1; mask < p; mask <<= 1) {
+    if ((me & mask) == 0) {
+      if ((me | mask) < p) (void)co_await recv(rank, me | mask, kTagReduce);
     } else {
-      co_await send(rank, ((relative & ~mask) + root) % p, kTagGather,
-                    accumulated);
+      co_await send(rank, me & ~mask, kTagReduce, bytes);
       break;
     }
-    mask <<= 1;
   }
-}
-
-sim::Co<void> Runtime::alltoall(Rank& rank, std::int64_t bytes_per_pair) {
-  // Ring-pairwise exchange; works for any process count.
-  const int p = nranks();
-  for (int step = 1; step < p; ++step) {
-    const RankId to = (rank.id() + step) % p;
-    const RankId from = (rank.id() - step + p) % p;
-    (void)co_await sendrecv(rank, to, kTagAlltoall, bytes_per_pair, from,
-                            kTagAlltoall);
-  }
+  co_await bcast(rank, world_, me, /*root=*/0, bytes, kTagBcast);
 }
 
 // ------------------------------------------------------------ control plane
@@ -501,29 +439,6 @@ void Runtime::respawn_rank(Rank& rank) {
   rank.alive_ = true;
   if (protocol_) protocol_->rank_started(rank);
   spawn_app_coroutine(rank);
-}
-
-void Runtime::debug_dump(std::ostream& os) const {
-  for (const auto& rank : ranks_) {
-    os << "rank " << rank->id() << ": alive=" << rank->alive_
-       << " finished=" << rank->finished_ << " inc=" << rank->incarnation_
-       << " iter=" << rank->iteration_ << " pending=" << rank->pending_.size();
-    if (rank->waiting_) {
-      os << " BLOCKED-RECV(src=" << rank->waiting_->src
-         << " tag=" << rank->waiting_->tag << " consumed="
-         << rank->consumed_[static_cast<std::size_t>(rank->waiting_->src)]
-         << ")";
-    }
-    os << " gate_open=" << rank->resume_gate_.fired() << '\n';
-    if (!rank->pending_.empty()) {
-      os << "  pending:";
-      for (const Message& m : rank->pending_) {
-        os << " (src=" << m.src << " seq=" << m.seq << " tag=" << m.tag
-           << (m.is_replay ? " R" : "") << ")";
-      }
-      os << '\n';
-    }
-  }
 }
 
 }  // namespace gcr::mpi

@@ -1,5 +1,5 @@
 // MiniMPI runtime: rank management, matched point-to-point transport with
-// FIFO ordering per pair, tree-based collectives, and the lifecycle
+// FIFO ordering per pair, binomial-tree collectives, and the lifecycle
 // operations (kill / snapshot / restore / respawn) the checkpoint protocols
 // orchestrate.
 //
@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "mpi/hooks.hpp"
@@ -81,12 +82,11 @@ class AppHandle {
   sim::Co<void> safepoint(std::uint64_t iteration);
 
   // Collectives (built on p2p, so protocol hooks see every hop).
-  sim::Co<void> barrier();
-  sim::Co<void> bcast(RankId root, std::int64_t bytes);
-  sim::Co<void> reduce(RankId root, std::int64_t bytes);
+  /// Broadcast over `members` from `members[root]`; `self` is this rank's
+  /// index in `members` (see Runtime::bcast).
+  sim::Co<void> bcast(std::span<const RankId> members, int self, int root,
+                      std::int64_t bytes, int tag);
   sim::Co<void> allreduce(std::int64_t bytes);
-  sim::Co<void> gather(RankId root, std::int64_t bytes_per_rank);
-  sim::Co<void> alltoall(std::int64_t bytes_per_pair);
 
  private:
   Runtime* rt_;
@@ -112,7 +112,6 @@ class Runtime {
   int driver_node() const { return nranks(); }
 
   void set_protocol(Interposer* protocol) { protocol_ = protocol; }
-  Interposer* protocol() const { return protocol_; }
   void add_observer(Observer* obs) { observers_.push_back(obs); }
 
   /// Installs the application and spawns all ranks (fresh start).
@@ -132,12 +131,16 @@ class Runtime {
   sim::Co<void> safepoint(Rank& rank, std::uint64_t iteration);
 
   // ---- collectives ----
-  sim::Co<void> barrier(Rank& rank);
-  sim::Co<void> bcast(Rank& rank, RankId root, std::int64_t bytes);
-  sim::Co<void> reduce(Rank& rank, RankId root, std::int64_t bytes);
+  /// MPICH's binomial broadcast over an explicit member list (one process
+  /// row or column, or every rank), rooted at `members[root]`. `self` is
+  /// the caller's index in `members` (checked), so no call scans the list.
+  /// Every member calls with the same list, root, bytes and tag; the list
+  /// must outlive the call. n members exchange n - 1 messages.
+  sim::Co<void> bcast(Rank& rank, std::span<const RankId> members, int self,
+                      int root, std::int64_t bytes, int tag);
+  /// Binomial reduce to rank 0, then a broadcast from rank 0 over every
+  /// rank: 2(n - 1) messages with a constant payload.
   sim::Co<void> allreduce(Rank& rank, std::int64_t bytes);
-  sim::Co<void> gather(Rank& rank, RankId root, std::int64_t bytes_per_rank);
-  sim::Co<void> alltoall(Rank& rank, std::int64_t bytes_per_pair);
 
   // ---- control plane (used by protocols and the checkpoint driver) ----
   /// Sends a control message from one rank to another, for the protocol.
@@ -178,10 +181,6 @@ class Runtime {
   sim::Co<void> run_app_body(Rank& rank);
   void note_app_finished(Rank& rank);
 
-  /// Diagnostic dump of every rank's communication state (blocked receives,
-  /// queue depths, counters) — for debugging stuck simulations.
-  void debug_dump(std::ostream& os) const;
-
   /// Total app-plane bytes/messages ever sent (for reports).
   std::int64_t app_bytes_sent() const { return app_bytes_sent_; }
   std::int64_t app_messages_sent() const { return app_messages_sent_; }
@@ -211,6 +210,7 @@ class Runtime {
   Interposer* protocol_ = nullptr;
   std::vector<Observer*> observers_;
   std::vector<std::unique_ptr<Rank>> ranks_;
+  std::vector<RankId> world_;  ///< 0..n-1: allreduce's broadcast members
   AppBody app_body_;
   int finished_ranks_ = 0;
   std::int64_t app_bytes_sent_ = 0;

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -63,7 +62,8 @@ struct ClusterParams {
 class Cluster {
  public:
   explicit Cluster(const ClusterParams& params)
-      : params_(params),
+      : num_nodes_(params.num_nodes),
+        seed_(params.seed),
         network_(engine_, params.num_nodes, params.net),
         jitter_(params.jitter) {
     GCR_CHECK(params.num_nodes > 0);
@@ -71,28 +71,27 @@ class Cluster {
                   "every simulation runs on one engine (num_shards == 1)");
     local_disks_.reserve(static_cast<std::size_t>(params.num_nodes));
     for (int n = 0; n < params.num_nodes; ++n) {
-      local_disks_.push_back(std::make_unique<StorageDevice>(
-          engine_, "disk" + std::to_string(n), params.local_disk));
+      local_disks_.push_back(
+          std::make_unique<StorageDevice>(engine_, params.local_disk));
     }
     for (int s = 0; s < params.num_remote_servers; ++s) {
-      remote_servers_.push_back(std::make_unique<StorageDevice>(
-          engine_, "nfs" + std::to_string(s), params.remote_server));
+      remote_servers_.push_back(
+          std::make_unique<StorageDevice>(engine_, params.remote_server));
     }
     if (params.tiers.num_burst_buffers > 0) {
       node_buffers_.reserve(static_cast<std::size_t>(params.num_nodes));
       for (int n = 0; n < params.num_nodes; ++n) {
         node_buffers_.push_back(std::make_unique<StorageDevice>(
-            engine_, "nbuf" + std::to_string(n), params.tiers.node_buffer));
+            engine_, params.tiers.node_buffer));
       }
       for (int b = 0; b < params.tiers.num_burst_buffers; ++b) {
         burst_buffers_.push_back(std::make_unique<StorageDevice>(
-            engine_, "bb" + std::to_string(b), params.tiers.burst_buffer));
+            engine_, params.tiers.burst_buffer));
       }
-      pfs_ = std::make_unique<StorageDevice>(engine_, "pfs", params.tiers.pfs);
+      pfs_ = std::make_unique<StorageDevice>(engine_, params.tiers.pfs);
     }
   }
 
-  const ClusterParams& params() const { return params_; }
   /// The simulation's one event engine; every model object lives on it.
   Engine& engine() { return engine_; }
   /// The same engine under its old name, kept because perfbench/traced.cpp
@@ -100,7 +99,7 @@ class Cluster {
   Engine& shards() { return engine_; }
   Network& network() { return network_; }
 
-  int num_nodes() const { return params_.num_nodes; }
+  int num_nodes() const { return num_nodes_; }
 
   /// The node's private direct-attached disk.
   StorageDevice& local_disk(int node) {
@@ -143,14 +142,15 @@ class Cluster {
 
   /// Deterministic substream for a named consumer.
   Rng make_rng(std::uint64_t stream_id) const {
-    return Rng(mix_seed(params_.seed, stream_id));
+    return Rng(mix_seed(seed_, stream_id));
   }
 
   /// One jitter sample from the given stream.
   Time draw_jitter(Rng& rng) const { return jitter_.draw(rng); }
 
  private:
-  ClusterParams params_;
+  int num_nodes_;
+  std::uint64_t seed_;
   /// Declared before every device so the engine is destroyed last.
   Engine engine_;
   Network network_;

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "util/assert.hpp"
-#include "util/log.hpp"
 
 namespace gcr::sim {
 namespace {
@@ -327,8 +326,8 @@ void Engine::fire_at(Time t, WaiterHandle w) {
 
 // ------------------------------------------------------- process lifecycle
 
-ProcPtr Engine::spawn(std::string name, Co<void> body) {
-  auto proc = std::make_shared<Proc>(std::move(name));
+ProcPtr Engine::spawn(Co<void> body) {
+  auto proc = std::make_shared<Proc>();
   ++live_processes_;
   RootTask root = root_driver(*this, proc, std::move(body));
   const WaiterHandle w = alloc_waiter(root.handle, proc.get());

@@ -3,7 +3,7 @@
 // Single-threaded. Events are totally ordered by (time, insertion sequence),
 // so one seed gives bit-identical runs. The queue is two structures: events
 // scheduled at the current timestamp (claimed resumes, post(), zero-delay
-// timers — the bulk of channel/protocol traffic) go through an O(1) FIFO
+// timers — the bulk of protocol and message traffic) go through an O(1) FIFO
 // due ring, and future events land in a hierarchical timing wheel that
 // spans all of Time (11 levels x 64 slots, 6 bits of nanoseconds per level,
 // lazily cascaded toward level 0 as the cursor advances; see DESIGN.md
@@ -36,7 +36,7 @@
 // resumption; the awaitable's await_resume sees the flag (finish_wait) and
 // throws ProcessKilled, which unwinds the coroutine chain (RAII deregisters
 // everything) up to the root driver, which marks the Proc dead. Stale handles
-// left behind in channels or semaphore queues are neutralized by the
+// left behind in trigger or semaphore queues are neutralized by the
 // generation counter instead of shared ownership. See DESIGN.md §2.1.
 #pragma once
 
@@ -44,7 +44,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "sim/co.hpp"
@@ -73,15 +72,11 @@ struct WaiterHandle {
 /// Execution context of one simulated process (one coroutine chain).
 class Proc {
  public:
-  explicit Proc(std::string name) : name_(std::move(name)) {}
-
-  const std::string& name() const { return name_; }
   bool killed() const { return killed_; }
   bool alive() const { return alive_; }
 
  private:
   friend class Engine;
-  std::string name_;
   bool killed_ = false;
   bool alive_ = true;          // false once the root driver finishes/unwinds
   WaiterHandle active_wait_;   // innermost armed engine waiter, if suspended
@@ -117,7 +112,7 @@ class Engine {
   // --- process lifecycle ---
   /// Spawns a process executing `body` starting at the current time. The
   /// returned Proc's killed() and alive() tell how and whether it ended.
-  ProcPtr spawn(std::string name, Co<void> body);
+  ProcPtr spawn(Co<void> body);
 
   /// Marks the process killed and arranges for ProcessKilled to be thrown at
   /// its next (immediate) resumption. Idempotent. Must not be called by the
@@ -151,7 +146,7 @@ class Engine {
   /// True if no events remain.
   bool idle() const { return due_count_ == 0 && wheel_count_ == 0; }
 
-  // --- awaitable support (used by awaitables.hpp / channel.hpp etc.) ---
+  // --- awaitable support (used by awaitables.hpp, mpi::Recv, etc.) ---
   /// Registers the currently-running process's suspension in the waiter
   /// pool; returns the handle to give to a resumption source. Works for
   /// non-process coroutines too (proc == nullptr), which are then not
@@ -167,8 +162,8 @@ class Engine {
   void fire_at(Time t, WaiterHandle w);
 
   /// True if the handle still references its original, unclaimed waiter.
-  /// Queues that skip dead entries (channels, semaphores) test this instead
-  /// of holding shared ownership of a Waiter object.
+  /// Queues that skip dead entries (semaphores, the MiniMPI receive) test
+  /// this instead of holding shared ownership of a Waiter object.
   bool waiter_live(WaiterHandle w) const {
     return w.slot < waiter_pool_.size() &&
            waiter_pool_[w.slot].gen == w.gen && !waiter_pool_[w.slot].fired;

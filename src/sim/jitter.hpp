@@ -27,13 +27,12 @@ class JitterModel {
   static constexpr double kSpikeMinS = 0.10;
   static constexpr double kSpikeMaxS = 6.00;
 
-  explicit JitterModel(const JitterParams& params = {}) : params_(params) {}
-
-  const JitterParams& params() const { return params_; }
+  explicit JitterModel(const JitterParams& params = {})
+      : enabled_(params.enabled) {}
 
   /// One coordination-step delay sample from the given process's stream.
   Time draw(gcr::Rng& rng) const {
-    if (!params_.enabled) return 0;
+    if (!enabled_) return 0;
     // Consume both variates unconditionally so the stream position does not
     // depend on the spike branch (keeps substreams comparable across runs).
     const double spike_roll = rng.next_double();
@@ -47,7 +46,7 @@ class JitterModel {
   }
 
  private:
-  JitterParams params_;
+  bool enabled_;
 };
 
 }  // namespace gcr::sim

@@ -16,10 +16,8 @@ constexpr double kDoneEps = 0.5;
 
 }  // namespace
 
-StorageDevice::StorageDevice(Engine& engine, std::string name,
-                             const StorageParams& params)
-    : engine_(&engine), name_(std::move(name)), params_(params),
-      slot_(engine, params.concurrency) {
+StorageDevice::StorageDevice(Engine& engine, const StorageParams& params)
+    : engine_(&engine), params_(params), slot_(engine, params.concurrency) {
   GCR_CHECK_MSG(params_.bandwidth_Bps > 0, "storage bandwidth must be > 0");
   GCR_CHECK_MSG(params_.concurrency >= 1, "storage concurrency must be >= 1");
 }

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/awaitables.hpp"
@@ -40,15 +39,10 @@ struct StorageParams {
 
 class StorageDevice {
  public:
-  /// `engine` must outlive the device. Negative/zero bandwidth or
-  /// concurrency is a configuration bug (asserted in the constructor).
-  StorageDevice(Engine& engine, std::string name, const StorageParams& params);
-
-  const std::string& name() const { return name_; }
-  const StorageParams& params() const { return params_; }
-  /// The engine this device's queueing and timers run on — IO against the
-  /// device must be issued from coroutines on this engine.
-  Engine& engine() { return *engine_; }
+  /// `engine` must outlive the device, and IO against the device must be
+  /// issued from coroutines on it. Negative/zero bandwidth or concurrency
+  /// is a configuration bug (asserted in the constructor).
+  StorageDevice(Engine& engine, const StorageParams& params);
 
   /// Writes `bytes`; completes when the data is durable on this device.
   /// Queues FIFO behind the admission limit, then fair-shares bandwidth
@@ -104,7 +98,6 @@ class StorageDevice {
   void abandon(std::uint64_t id);
 
   Engine* engine_;
-  std::string name_;
   StorageParams params_;
   Semaphore slot_;
   std::int64_t bytes_written_ = 0;

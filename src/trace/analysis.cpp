@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <unordered_map>
 
-#include "util/assert.hpp"
-
 namespace gcr::trace {
 
 std::vector<PairVolume> aggregate_pairs(const Trace& trace) {
@@ -37,22 +35,6 @@ std::vector<PairVolume> aggregate_pairs(const Trace& trace) {
     return x.b < y.b;
   });
   return out;
-}
-
-std::vector<std::vector<std::int64_t>> comm_matrix(const Trace& trace,
-                                                   int nranks) {
-  GCR_CHECK(nranks > 0);
-  std::vector<std::vector<std::int64_t>> m(
-      static_cast<std::size_t>(nranks),
-      std::vector<std::int64_t>(static_cast<std::size_t>(nranks), 0));
-  for (const TraceRecord& rec : trace) {
-    if (rec.kind != EventKind::kSend) continue;
-    if (rec.rank < 0 || rec.rank >= nranks) continue;
-    if (rec.peer < 0 || rec.peer >= nranks) continue;
-    m[static_cast<std::size_t>(rec.rank)][static_cast<std::size_t>(rec.peer)] +=
-        rec.bytes;
-  }
-  return m;
 }
 
 std::int64_t total_send_bytes(const Trace& trace) {

@@ -1,5 +1,5 @@
 // Trace analysis: pair-volume aggregation (the preprocessing step of the
-// paper's Algorithm 2) and communication matrices.
+// paper's Algorithm 2) and send-volume totals.
 #pragma once
 
 #include <cstdint>
@@ -21,10 +21,6 @@ struct PairVolume {
 /// Builds the (pair, count, size) list from send records, sorted descending
 /// by size, then count, then pair (the exact ordering Algorithm 2 requires).
 std::vector<PairVolume> aggregate_pairs(const Trace& trace);
-
-/// nranks x nranks matrix of bytes sent (row = source, column = destination).
-std::vector<std::vector<std::int64_t>> comm_matrix(const Trace& trace,
-                                                   int nranks);
 
 /// Total bytes on send records.
 std::int64_t total_send_bytes(const Trace& trace);

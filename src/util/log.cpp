@@ -1,48 +1,17 @@
 #include "util/log.hpp"
 
+#include <cstdarg>
 #include <cstdio>
 
 namespace gcr {
-namespace {
 
-LogLevel g_level = LogLevel::kWarn;
-
-const char* level_name(LogLevel level) {
-  switch (level) {
-    case LogLevel::kTrace: return "TRACE";
-    case LogLevel::kDebug: return "DEBUG";
-    case LogLevel::kInfo: return "INFO";
-    case LogLevel::kWarn: return "WARN";
-    case LogLevel::kError: return "ERROR";
-    case LogLevel::kOff: return "OFF";
-  }
-  return "?";
-}
-
-}  // namespace
-
-void set_log_level(LogLevel level) { g_level = level; }
-
-LogLevel log_level() { return g_level; }
-
-void log_message(LogLevel level, const char* fmt, ...) {
-  if (level < g_level) return;
-  std::fprintf(stderr, "[%s] ", level_name(level));
+void log_warn(const char* fmt, ...) {
+  std::fputs("[WARN] ", stderr);
   va_list args;
   va_start(args, fmt);
   std::vfprintf(stderr, fmt, args);
   va_end(args);
   std::fputc('\n', stderr);
-}
-
-LogLevel parse_log_level(const std::string& name) {
-  if (name == "trace") return LogLevel::kTrace;
-  if (name == "debug") return LogLevel::kDebug;
-  if (name == "info") return LogLevel::kInfo;
-  if (name == "warn") return LogLevel::kWarn;
-  if (name == "error") return LogLevel::kError;
-  if (name == "off") return LogLevel::kOff;
-  return LogLevel::kWarn;
 }
 
 }  // namespace gcr

@@ -1,7 +1,6 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace gcr {
 
@@ -13,47 +12,7 @@ void RunningStats::add(double x) {
     max_ = std::max(max_, x);
   }
   ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double n1 = static_cast<double>(count_);
-  const double n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double percentile(std::vector<double> samples, double p) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  if (p <= 0.0) return samples.front();
-  if (p >= 100.0) return samples.back();
-  const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const double frac = rank - static_cast<double>(lo);
-  if (lo + 1 >= samples.size()) return samples.back();
-  return samples[lo] * (1.0 - frac) + samples[lo + 1] * frac;
+  mean_ += (x - mean_) / static_cast<double>(count_);
 }
 
 }  // namespace gcr

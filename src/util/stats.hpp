@@ -1,39 +1,27 @@
-// Streaming and batch statistics used by the experiment harness.
+// Streaming statistics used by the experiment harness.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace gcr {
 
-/// Welford streaming accumulator: mean/variance/min/max without storing
-/// samples. Used for per-repetition aggregation in benches.
+/// Streaming accumulator: count/mean/min/max without storing samples. The
+/// mean is Welford's running update. Used for per-repetition aggregation in
+/// benches.
 class RunningStats {
  public:
   void add(double x);
 
   std::size_t count() const { return count_; }
   double mean() const { return count_ ? mean_ : 0.0; }
-  double variance() const;  ///< Sample variance (n-1); 0 when n < 2.
-  double stddev() const;
   double min() const { return count_ ? min_ : 0.0; }
   double max() const { return count_ ? max_ : 0.0; }
-  double sum() const { return sum_; }
-
-  /// Merges another accumulator into this one (parallel Welford).
-  void merge(const RunningStats& other);
 
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-  double sum_ = 0.0;
 };
-
-/// Returns the p-th percentile (0..100) by linear interpolation on a copy of
-/// the data. Empty input returns 0.
-double percentile(std::vector<double> samples, double p);
 
 }  // namespace gcr

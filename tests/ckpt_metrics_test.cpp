@@ -37,7 +37,7 @@ TEST(Checkpointer, LocalImageTimeIsSetupPlusBandwidth) {
   ckpt::Checkpointer ck(cluster);
   sim::Time done = 0;
   cluster.engine().spawn(
-      "w", timed_write(ck, 0, 100'000'000, &done, cluster.engine()));
+      timed_write(ck, 0, 100'000'000, &done, cluster.engine()));
   cluster.engine().run();
   // 100MB @ 100MB/s after the per-image setup.
   EXPECT_NEAR(sim::to_seconds(done), ckpt::Checkpointer::kSetupS + 1.0, 1e-6);
@@ -53,8 +53,8 @@ TEST(Checkpointer, RemoteImagesContendOnSharedServers) {
   ckpt::Checkpointer ck(cluster, opts);
   std::vector<sim::Time> done(4, 0);
   for (int node = 0; node < 4; ++node) {
-    cluster.engine().spawn("w", timed_write(ck, node, 12'500'000, &done[node],
-                                            cluster.engine()));
+    cluster.engine().spawn(
+        timed_write(ck, node, 12'500'000, &done[node], cluster.engine()));
   }
   cluster.engine().run();
   const double setup = ckpt::Checkpointer::kSetupS;

@@ -20,7 +20,6 @@
 #include "counting_allocator.hpp"
 #include "exp/experiment.hpp"
 #include "sim/awaitables.hpp"
-#include "sim/channel.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
 
@@ -49,7 +48,7 @@ TEST(EngineStress, TenThousandInterleavedTimers) {
   }
   std::vector<Time> co_times;
   for (int p = 0; p < 50; ++p) {
-    eng.spawn("p", periodic(eng, 1 + p % 7, 100, &co_times));
+    eng.spawn(periodic(eng, 1 + p % 7, 100, &co_times));
   }
   eng.run();
   EXPECT_EQ(cb_fired, 5000);
@@ -76,7 +75,7 @@ TEST(EngineStress, SameTimestampStormIsFifo) {
     co_await tr.wait();
     ord->push_back(id);
   };
-  for (int i = 0; i < 1000; ++i) eng.spawn("w", waiterproc(t, &order, i));
+  for (int i = 0; i < 1000; ++i) eng.spawn(waiterproc(t, &order, i));
   eng.call_at(5_ms, [&] { t.fire(); });  // resumes enqueue FIFO at 5ms
   for (int i = 1000; i < 2000; ++i) {
     eng.call_at(5_ms, [&order, i] { order.push_back(i); });
@@ -103,7 +102,7 @@ TEST(EngineStress, KillWhileQueuedRecyclesCleanly) {
     eng.call_at(wave * 1_ms, [&] {
       std::vector<ProcPtr> procs;
       for (int i = 0; i < 20; ++i) {
-        procs.push_back(eng.spawn("v", periodic(eng, 10_us, 5, nullptr)));
+        procs.push_back(eng.spawn(periodic(eng, 10_us, 5, nullptr)));
       }
       for (std::size_t i = 0; i < procs.size(); i += 2) eng.kill(*procs[i]);
       all.insert(all.end(), procs.begin(), procs.end());
@@ -136,7 +135,7 @@ TEST(EngineStress, CancelledWaitersReusePooledSlots) {
       co_await delay(e, 1_us);
     }
   };
-  eng.spawn("looper", loop(eng, t, 10000));
+  eng.spawn(loop(eng, t, 10000));
   for (int i = 0; i < 10000; ++i) {
     eng.call_at(i * 2_us, [&t] { t.fire(); });
   }
@@ -158,12 +157,12 @@ TEST(EngineStress, SteadyStateTimerPathIsAllocationFree) {
   Engine eng;
   eng.reserve(4096, 512);
   for (int p = 0; p < 100; ++p) {
-    eng.spawn("t", periodic(eng, 1 + p % 7, 2000, nullptr));
+    eng.spawn(periodic(eng, 1 + p % 7, 2000, nullptr));
   }
   Trigger gate(eng);
   int woken = 0;
   for (int p = 0; p < 200; ++p) {
-    eng.spawn("g", await_trigger(gate, &woken));
+    eng.spawn(await_trigger(gate, &woken));
   }
   eng.call_at(2000, [&gate] { gate.fire(); });  // 200 same-time resumes
   eng.run(500);  // warm-up: pools sized, vectors at steady capacity
@@ -185,7 +184,7 @@ TEST(EngineStress, WarmLockstepLoopIsAllocationFree) {
   Engine eng;
   eng.reserve(256, 256);
   for (int p = 0; p < 128; ++p) {
-    eng.spawn("l", periodic(eng, 10_us, 1000, nullptr));
+    eng.spawn(periodic(eng, 10_us, 1000, nullptr));
   }
   eng.run(50 * 10_us);  // warm-up
   const std::uint64_t before_events = eng.events_processed();
@@ -374,11 +373,15 @@ TEST(EngineStress, DispatchOrderMatchesTimeSeqModel) {
   }
 }
 
-Co<void> chatter(Engine& eng, Channel<int>& in, Channel<int>& out, Rng* rng,
+// Two processes hand a token back and forth through two triggers, each
+// drawing its next pause from one shared stream, so the draw order (and the
+// run) depends on the dispatch order.
+Co<void> chatter(Engine& eng, Trigger& in, Trigger& out, Rng* rng,
                  int rounds) {
   for (int i = 0; i < rounds; ++i) {
-    out.push(i);
-    (void)co_await in.pop();
+    out.fire();
+    co_await in.wait();
+    in.reset();
     co_await delay(eng, 1 + static_cast<Time>(rng->next_below(50)));
   }
 }
@@ -386,12 +389,12 @@ Co<void> chatter(Engine& eng, Channel<int>& in, Channel<int>& out, Rng* rng,
 std::uint64_t stress_run(std::vector<std::pair<Time, std::uint64_t>>* log) {
   Engine eng;
   Rng rng(1234);
-  Channel<int> a(eng), b(eng);
-  eng.spawn("x", chatter(eng, a, b, &rng, 500));
-  eng.spawn("y", chatter(eng, b, a, &rng, 500));
+  Trigger a(eng), b(eng);
+  eng.spawn(chatter(eng, a, b, &rng, 500));
+  eng.spawn(chatter(eng, b, a, &rng, 500));
   std::vector<ProcPtr> victims;
   for (int i = 0; i < 50; ++i) {
-    victims.push_back(eng.spawn("v", periodic(eng, 3, 1000, nullptr)));
+    victims.push_back(eng.spawn(periodic(eng, 3, 1000, nullptr)));
   }
   for (int i = 0; i < 50; ++i) {
     eng.call_at(10 + i * 7, [&eng, &victims, i] { eng.kill(*victims[static_cast<size_t>(i)]); });

@@ -29,7 +29,7 @@ TEST(Strategies, SequentialSplitsEvenly) {
   GroupSet g = make_sequential(10, 4);  // sizes 3,3,2,2
   EXPECT_EQ(g.num_groups(), 4);
   EXPECT_EQ(g.largest_group_size(), 3u);
-  EXPECT_EQ(g.smallest_group_size(), 2u);
+  EXPECT_EQ(g.members(3), (std::vector<mpi::RankId>{8, 9}));
   EXPECT_TRUE(g.same_group(0, 2));
   EXPECT_FALSE(g.same_group(2, 3));
 }
@@ -48,7 +48,7 @@ TEST(Strategies, BlocksOfWidth) {
   EXPECT_EQ(g.num_groups(), 3);
   EXPECT_TRUE(g.same_group(0, 3));
   EXPECT_FALSE(g.same_group(3, 4));
-  EXPECT_EQ(g.smallest_group_size(), 2u);
+  EXPECT_EQ(g.members(2), (std::vector<mpi::RankId>{8, 9}));
 }
 
 // Partition surgery renumbers groups: a GroupSet orders its groups by

@@ -1,6 +1,7 @@
 // Allocation-free MiniMPI message path (DESIGN.md §2, §3): once warm, a
-// multi-rank send/recv/sendrecv loop through mpi::Runtime makes zero global
-// operator new calls — with no protocol, and under GroupProtocol in NORM
+// multi-rank send/recv/sendrecv/allreduce/broadcast loop through
+// mpi::Runtime makes zero global operator new calls — with no protocol,
+// and under GroupProtocol in NORM
 // (one group, nothing logged) — as does a storm of control sends, and a
 // freed coroutine frame's block is handed to the next frame of its size
 // class. Under GP1, where every message is logged, the sender logs grow by
@@ -10,6 +11,7 @@
 // (counting_allocator.hpp).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <coroutine>
 #include <cstdint>
 #include <vector>
@@ -32,10 +34,14 @@ using sim::operator""_ms;
 constexpr int kRanks = 6;
 constexpr std::uint64_t kIterations = 4000;
 
+/// The even ranks: a member list for the subset broadcast.
+constexpr std::array<RankId, kRanks / 2> kEvenRanks = {0, 2, 4};
+
 /// Ring shift (sendrecv) plus a blocking send/recv pair between partners,
-/// with a compute step and a safe point per iteration: every message-path
-/// shape an app uses — buffered-then-matched, matched on arrival, and a
-/// sender waiting out its NIC egress.
+/// an allreduce and a broadcast over the even ranks, with a compute step
+/// and a safe point per iteration: every message-path shape an app uses —
+/// buffered-then-matched, matched on arrival, a sender waiting out its NIC
+/// egress, and both collectives.
 sim::Co<void> chatter(AppHandle h) {
   const RankId me = h.id();
   const int n = h.nranks();
@@ -49,10 +55,12 @@ sim::Co<void> chatter(AppHandle h) {
     if (me % 2 == 0) {
       co_await h.send(partner, 2, 512);
       (void)co_await h.recv(partner, 3);
+      co_await h.bcast(kEvenRanks, me / 2, static_cast<int>(it % 3), 1024, 4);
     } else {
       (void)co_await h.recv(partner, 2);
       co_await h.send(partner, 3, 512);
     }
+    co_await h.allreduce(8);
   }
   co_await h.safepoint(kIterations);
 }
@@ -213,7 +221,7 @@ TEST(MpiAlloc, FreedFrameIsReusedByNextFrameOfItsClass) {
   void* first = nullptr;
   void* second = nullptr;
   std::size_t allocs = 1;
-  eng.spawn("frames", two_frames(&first, &second, &allocs));
+  eng.spawn(two_frames(&first, &second, &allocs));
   eng.run();
   ASSERT_NE(first, nullptr);
   EXPECT_EQ(first, second);

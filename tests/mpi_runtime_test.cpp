@@ -447,7 +447,7 @@ TEST(RuntimeDeathTest, TwoOutstandingRecvsForbidden) {
     co_await h.safepoint(0);
     if (h.id() == 1) {
       // Spawn a second coroutine on the same rank doing a recv.
-      f.cluster.engine().spawn("second", second_recv(&f.rt, &h.rank()));
+      f.cluster.engine().spawn(second_recv(&f.rt, &h.rank()));
       (void)co_await h.recv(0, 2);
     }
     co_await h.safepoint(1);
@@ -477,6 +477,15 @@ TEST(RuntimeDeathTest, RankLookupChecksTheId) {
   Fixture f(2);
   EXPECT_DEATH((void)f.rt.rank(-1), "rank id outside the run");
   EXPECT_DEATH((void)f.rt.rank(2), "rank id outside the run");
+}
+
+TEST(RuntimeDeathTest, RankVolumeLookupsCheckThePeer) {
+  Fixture f(2);
+  const Rank& rank = f.rt.rank(0);
+  EXPECT_DEATH((void)rank.sent_to(2), "peer rank id outside the run");
+  EXPECT_DEATH((void)rank.recvd_from(-1), "peer rank id outside the run");
+  EXPECT_DEATH((void)rank.recvd_prefix_bytes(kExternalSource),
+               "peer rank id outside the run");
 }
 
 TEST(RuntimeDeathTest, SendCtrlChecksTheDestination) {

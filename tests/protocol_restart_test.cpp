@@ -8,6 +8,7 @@
 #include "apps/simple.hpp"
 #include "exp/experiment.hpp"
 #include "group/strategies.hpp"
+#include "mpi/runtime.hpp"
 
 namespace gcr::exp {
 namespace {
@@ -164,6 +165,30 @@ TEST(Restart, DeterministicRestartMetrics) {
   EXPECT_DOUBLE_EQ(a.restart_aggregate_s, b.restart_aggregate_s);
   EXPECT_EQ(a.metrics.resend_bytes, b.metrics.resend_bytes);
   EXPECT_EQ(a.metrics.resend_ops, b.metrics.resend_ops);
+}
+
+// A control message's source indexes the protocol's per-peer state only
+// through a checked lookup: an exchange reply from the driver, which is no
+// rank, dies in every build instead of indexing out of bounds.
+TEST(RestartDeathTest, ExchangeReplyFromOutsideTheRunDies) {
+  constexpr int kRanks = 4;
+  sim::ClusterParams cp;
+  cp.num_nodes = kRanks + 1;
+  sim::Cluster cluster(cp);
+  mpi::Runtime rt(cluster, kRanks);
+  const apps::AppSpec app = apps::make_ring(kRanks, apps::RingParams{});
+  ckpt::Checkpointer checkpointer(cluster);
+  ckpt::ImageRegistry registry;
+  core::Metrics metrics;
+  core::GroupProtocol protocol(rt, group::make_blocks(kRanks, 2), checkpointer,
+                               registry, app.image_bytes, metrics);
+  mpi::Message reply;
+  reply.ctrl = mpi::CtrlKind::kExchangeReply;
+  reply.src = mpi::kExternalSource;
+  reply.dst = 0;
+  reply.ctrl_data = {0};
+  EXPECT_DEATH(protocol.on_deliver(rt.rank(0), reply),
+               "control message source outside the run");
 }
 
 }  // namespace

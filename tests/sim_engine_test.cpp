@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "sim/awaitables.hpp"
-#include "sim/channel.hpp"
 #include "sim/co.hpp"
 #include "sim/engine.hpp"
 
@@ -91,7 +90,7 @@ Co<void> delayer(Engine& eng, Time dt, int* out) {
 TEST(Engine, SpawnedProcessRunsAndFinishes) {
   Engine eng;
   int done = 0;
-  ProcPtr p = eng.spawn("p", delayer(eng, 5_ms, &done));
+  ProcPtr p = eng.spawn(delayer(eng, 5_ms, &done));
   EXPECT_EQ(eng.live_process_count(), 1u);
   EXPECT_TRUE(p->alive());
   eng.run();
@@ -119,7 +118,7 @@ Co<void> nested_outer(Engine& eng, std::vector<int>* log) {
 TEST(Engine, NestedCoroutinesPropagate) {
   Engine eng;
   std::vector<int> log;
-  eng.spawn("outer", nested_outer(eng, &log));
+  eng.spawn(nested_outer(eng, &log));
   eng.run();
   EXPECT_EQ(log, (std::vector<int>{0, 1, 2, 3, 4}));
   EXPECT_EQ(eng.now(), 2_ms);
@@ -140,7 +139,7 @@ Co<void> sleeper_with_raii(Engine& eng, bool* destroyed) {
 TEST(Engine, KillUnwindsRaiiAndReportsKilled) {
   Engine eng;
   bool destroyed = false;
-  auto p = eng.spawn("victim", sleeper_with_raii(eng, &destroyed));
+  auto p = eng.spawn(sleeper_with_raii(eng, &destroyed));
   eng.call_at(3_ms, [&] { eng.kill(*p); });
   eng.run(10_ms);
   EXPECT_TRUE(destroyed);
@@ -159,7 +158,7 @@ TEST(Engine, KillBeforeStartNeverRunsBody) {
   // Spawn and kill within the same callback, before the start event runs.
   ProcPtr p;
   eng.call_at(1_ms, [&] {
-    p = eng.spawn("never", body(eng, &ran));
+    p = eng.spawn(body(eng, &ran));
     eng.kill(*p);
   });
   eng.run();
@@ -172,7 +171,7 @@ TEST(Engine, KillBeforeStartNeverRunsBody) {
 TEST(Engine, KillIsIdempotent) {
   Engine eng;
   bool destroyed = false;
-  auto p = eng.spawn("victim", sleeper_with_raii(eng, &destroyed));
+  auto p = eng.spawn(sleeper_with_raii(eng, &destroyed));
   eng.call_at(1_ms, [&] {
     eng.kill(*p);
     eng.kill(*p);
@@ -185,40 +184,25 @@ TEST(Engine, KillIsIdempotent) {
   EXPECT_EQ(eng.live_process_count(), 0u);
 }
 
-Co<void> chan_consumer(Engine& eng, Channel<int>& ch, std::vector<int>* got,
-                       int count) {
-  (void)eng;
+Co<void> trigger_consumer(Trigger& t, int* woken, int count) {
   for (int i = 0; i < count; ++i) {
-    got->push_back(co_await ch.pop());
+    co_await t.wait();
+    t.reset();
+    ++*woken;
   }
-}
-
-TEST(Engine, KilledChannelWaiterDoesNotConsume) {
-  Engine eng;
-  Channel<int> ch(eng);
-  std::vector<int> got_a;
-  std::vector<int> got_b;
-  auto a = eng.spawn("a", chan_consumer(eng, ch, &got_a, 1));
-  eng.call_at(1_ms, [&] { eng.kill(*a); });
-  eng.call_at(2_ms, [&] {
-    eng.spawn("b", chan_consumer(eng, ch, &got_b, 1));
-  });
-  eng.call_at(3_ms, [&] { ch.push(42); });
-  eng.run();
-  EXPECT_TRUE(got_a.empty());
-  EXPECT_EQ(got_b, (std::vector<int>{42}));
 }
 
 TEST(Engine, DeterministicEventCounts) {
   auto run_once = [] {
     Engine eng;
-    Channel<int> ch(eng);
-    std::vector<int> got;
-    eng.spawn("c", chan_consumer(eng, ch, &got, 3));
+    Trigger t(eng);
+    int woken = 0;
+    eng.spawn(trigger_consumer(t, &woken, 3));
     for (int i = 0; i < 3; ++i) {
-      eng.call_at((i + 1) * 1_ms, [&ch, i] { ch.push(i); });
+      eng.call_at((i + 1) * 1_ms, [&t] { t.fire(); });
     }
     eng.run();
+    EXPECT_EQ(woken, 3);
     return eng.events_processed();
   };
   EXPECT_EQ(run_once(), run_once());
@@ -316,7 +300,7 @@ TEST(TimingWheel, CancelAfterCascade) {
     co_await delay(e, 70'000);
     *flag = true;
   };
-  ProcPtr proc = eng.spawn("sleeper", body(eng, &resumed_normally));
+  ProcPtr proc = eng.spawn(body(eng, &resumed_normally));
   // 69'700 shares the timer's level-2 slot: reaching it cascades the slot,
   // dragging the cursor (and the 70'000 timer) down a level before the
   // kill lands.

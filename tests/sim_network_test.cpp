@@ -78,9 +78,9 @@ TEST(Network, LoopbackBypassesNic) {
   Network net(eng, 2, fast_params());
   Time arrived = -1;
   Time egress = -1;
-  eng.spawn("sender",
-            time_egress(net.send(0, 0, 1'000'000, [&] { arrived = eng.now(); }),
-                        eng, &egress));
+  eng.spawn(
+      time_egress(net.send(0, 0, 1'000'000, [&] { arrived = eng.now(); }),
+                  eng, &egress));
   eng.run();
   // 1 MB at the loopback copy rate, + the loopback latency.
   EXPECT_EQ(arrived, from_seconds(Network::kLoopbackLatencyS +
@@ -108,8 +108,8 @@ TEST(Network, ZeroByteMessageStillPaysLatency) {
   Network net(eng, 2, fast_params());
   Time arrived = -1;
   Time egress = -1;
-  eng.spawn("sender", time_egress(net.send(0, 1, 0, [&] { arrived = eng.now(); }),
-                                  eng, &egress));
+  eng.spawn(time_egress(net.send(0, 1, 0, [&] { arrived = eng.now(); }),
+                        eng, &egress));
   eng.run();
   EXPECT_EQ(arrived, kPerMessage + 100_us);
   EXPECT_EQ(egress, kPerMessage);
@@ -147,7 +147,7 @@ TEST(Network, RoutedEgressFiresAtCompletionAndDeliveryPaysEveryHop) {
   // Cross-pod: 6 hops. 1 MB at 10 MB/s clears the bottleneck at 100 ms.
   Network::Egress wait = net.send(0, 4, 1'000'000, [&] { arrived = eng.now(); });
   EXPECT_EQ(net.active_transfers(), 1);  // admitted without a step
-  eng.spawn("sender", time_egress(wait, eng, &egress));
+  eng.spawn(time_egress(wait, eng, &egress));
   eng.run();
   EXPECT_EQ(egress, 100_ms);
   EXPECT_EQ(arrived, 100_ms + routed_tail(6));
@@ -171,7 +171,7 @@ TEST(Network, RoutedEgressAwaitedAfterCompletionIsReady) {
     co_await first;
     *at = e.now();
   };
-  eng.spawn("sender", sender(net, eng, &egress, &second_arrived));
+  eng.spawn(sender(net, eng, &egress, &second_arrived));
   eng.run();
   EXPECT_EQ(egress, 120_ms);
   EXPECT_EQ(second_arrived, 220_ms + routed_tail(6));
@@ -191,11 +191,11 @@ TEST(Network, KilledRoutedEgressWaiterIsNeverResumed) {
     co_await n.send(0, 4, 1'000'000, [at, ep = &e] { *at = ep->now(); });
     *after = true;
   };
-  ProcPtr proc = eng.spawn("sender", sender(net, &arrived, eng, &resumed));
+  ProcPtr proc = eng.spawn(sender(net, &arrived, eng, &resumed));
   eng.call_at(50_ms, [&] { eng.kill(*proc); });
   Time bystander_woke = -1;
   eng.call_at(60_ms, [&] {
-    eng.spawn("bystander", [](Engine& e, Time* at) -> Co<void> {
+    eng.spawn([](Engine& e, Time* at) -> Co<void> {
       co_await delay(e, 150_ms);
       *at = e.now();
     }(eng, &bystander_woke));
@@ -242,9 +242,9 @@ Co<void> do_write(StorageDevice& dev, std::int64_t bytes, Time* done,
 TEST(Storage, WriteTimeIsLatencyPlusBandwidth) {
   Engine eng;
   StorageParams p{/*bandwidth_Bps=*/50e6, /*latency_s=*/5e-3};
-  StorageDevice dev(eng, "d", p);
+  StorageDevice dev(eng, p);
   Time done = -1;
-  eng.spawn("w", do_write(dev, 50'000'000, &done, eng));
+  eng.spawn(do_write(dev, 50'000'000, &done, eng));
   eng.run();
   EXPECT_EQ(done, 1_s + 5_ms);
   EXPECT_EQ(dev.bytes_written(), 50'000'000);
@@ -253,10 +253,10 @@ TEST(Storage, WriteTimeIsLatencyPlusBandwidth) {
 TEST(Storage, RequestsSerializeFifo) {
   Engine eng;
   StorageParams p{/*bandwidth_Bps=*/50e6, /*latency_s=*/0};
-  StorageDevice dev(eng, "d", p);
+  StorageDevice dev(eng, p);
   Time d1 = -1, d2 = -1;
-  eng.spawn("w1", do_write(dev, 50'000'000, &d1, eng));
-  eng.spawn("w2", do_write(dev, 50'000'000, &d2, eng));
+  eng.spawn(do_write(dev, 50'000'000, &d1, eng));
+  eng.spawn(do_write(dev, 50'000'000, &d2, eng));
   eng.run();
   EXPECT_EQ(d1, 1_s);
   EXPECT_EQ(d2, 2_s);  // queued behind the first

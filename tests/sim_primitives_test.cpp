@@ -1,10 +1,9 @@
-// Awaitable primitives: Trigger, Semaphore, Channel edge cases.
+// Awaitable primitives: Delay, Trigger, Semaphore edge cases.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "sim/awaitables.hpp"
-#include "sim/channel.hpp"
 #include "sim/engine.hpp"
 
 namespace gcr::sim {
@@ -21,7 +20,7 @@ TEST(Delay, ZeroStillYieldsThroughQueue) {
   // queue, so same-time work scheduled earlier runs first.
   Engine eng;
   std::vector<int> log;
-  eng.spawn("z", delay_then_mark(eng, 0, &log, 1));
+  eng.spawn(delay_then_mark(eng, 0, &log, 1));
   eng.call_at(0, [&] { log.push_back(0); });
   eng.run();
   // The spawn's start event runs, suspends on delay(0); the callback
@@ -33,8 +32,8 @@ TEST(Delay, ZeroStillYieldsThroughQueue) {
 TEST(Delay, OneTickBoundaryOrdersAfterZero) {
   Engine eng;
   std::vector<int> log;
-  eng.spawn("one", delay_then_mark(eng, 1, &log, 1));
-  eng.spawn("zero", delay_then_mark(eng, 0, &log, 0));
+  eng.spawn(delay_then_mark(eng, 1, &log, 1));
+  eng.spawn(delay_then_mark(eng, 0, &log, 0));
   eng.run();
   EXPECT_EQ(log, (std::vector<int>{0, 1}));  // 0-tick before 1-tick
   EXPECT_EQ(eng.now(), 1);
@@ -54,7 +53,7 @@ TEST(Trigger, BroadcastsToAllWaiters) {
   Engine eng;
   Trigger t(eng);
   int woken = 0;
-  for (int i = 0; i < 5; ++i) eng.spawn("w", wait_trigger(t, &woken));
+  for (int i = 0; i < 5; ++i) eng.spawn(wait_trigger(t, &woken));
   eng.call_at(1_ms, [&] { t.fire(); });
   eng.run();
   EXPECT_EQ(woken, 5);
@@ -65,7 +64,7 @@ TEST(Trigger, AlreadyFiredReturnsImmediately) {
   Trigger t(eng);
   t.fire();
   int woken = 0;
-  eng.spawn("w", wait_trigger(t, &woken));
+  eng.spawn(wait_trigger(t, &woken));
   eng.run();
   EXPECT_EQ(woken, 1);
 }
@@ -76,7 +75,7 @@ TEST(Trigger, ResetReArms) {
   t.fire();
   t.reset();
   int woken = 0;
-  eng.spawn("w", wait_trigger(t, &woken));
+  eng.spawn(wait_trigger(t, &woken));
   eng.run();
   EXPECT_EQ(woken, 0);  // still suspended
   t.fire();
@@ -97,7 +96,7 @@ TEST(Semaphore, SerializesFifo) {
   Semaphore sem(eng, 1);
   std::vector<int> order;
   for (int i = 0; i < 4; ++i) {
-    eng.spawn("h", hold_resource(eng, sem, 10_ms, &order, i));
+    eng.spawn(hold_resource(eng, sem, 10_ms, &order, i));
   }
   eng.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
@@ -110,7 +109,7 @@ TEST(Semaphore, MultiplePermitsOverlap) {
   Semaphore sem(eng, 2);
   std::vector<int> order;
   for (int i = 0; i < 4; ++i) {
-    eng.spawn("h", hold_resource(eng, sem, 10_ms, &order, i));
+    eng.spawn(hold_resource(eng, sem, 10_ms, &order, i));
   }
   eng.run();
   EXPECT_EQ(eng.now(), 20_ms);  // two at a time
@@ -121,8 +120,8 @@ TEST(Semaphore, KilledHolderReleasesPermit) {
   Engine eng;
   Semaphore sem(eng, 1);
   std::vector<int> order;
-  auto victim = eng.spawn("v", hold_resource(eng, sem, 1000_s, &order, 0));
-  eng.spawn("h", hold_resource(eng, sem, 10_ms, &order, 1));
+  auto victim = eng.spawn(hold_resource(eng, sem, 1000_s, &order, 0));
+  eng.spawn(hold_resource(eng, sem, 10_ms, &order, 1));
   eng.call_at(5_ms, [&] { eng.kill(*victim); });
   eng.run(1_s);
   EXPECT_EQ(order, (std::vector<int>{0, 1}));  // 1 ran after the kill
@@ -133,51 +132,13 @@ TEST(Semaphore, KilledQueuedWaiterSkipped) {
   Engine eng;
   Semaphore sem(eng, 1);
   std::vector<int> order;
-  eng.spawn("a", hold_resource(eng, sem, 10_ms, &order, 0));
-  auto queued = eng.spawn("q", hold_resource(eng, sem, 10_ms, &order, 1));
-  eng.spawn("b", hold_resource(eng, sem, 10_ms, &order, 2));
+  eng.spawn(hold_resource(eng, sem, 10_ms, &order, 0));
+  auto queued = eng.spawn(hold_resource(eng, sem, 10_ms, &order, 1));
+  eng.spawn(hold_resource(eng, sem, 10_ms, &order, 2));
   eng.call_at(1_ms, [&] { eng.kill(*queued); });
   eng.run();
   EXPECT_EQ(order, (std::vector<int>{0, 2}));
   EXPECT_EQ(sem.available(), 1);
-}
-
-Co<void> pop_n(Channel<int>& ch, int n, std::vector<int>* out) {
-  for (int i = 0; i < n; ++i) out->push_back(co_await ch.pop());
-}
-
-TEST(Channel, BufferedValuesFifo) {
-  Engine eng;
-  Channel<int> ch(eng);
-  for (int i = 0; i < 5; ++i) ch.push(i);
-  std::vector<int> out;
-  eng.spawn("c", pop_n(ch, 5, &out));
-  eng.run();
-  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(Channel, WaitersServedFifo) {
-  Engine eng;
-  Channel<int> ch(eng);
-  std::vector<int> a, b;
-  eng.spawn("a", pop_n(ch, 1, &a));
-  eng.spawn("b", pop_n(ch, 1, &b));
-  eng.call_at(1_ms, [&] {
-    ch.push(10);
-    ch.push(20);
-  });
-  eng.run();
-  EXPECT_EQ(a, (std::vector<int>{10}));
-  EXPECT_EQ(b, (std::vector<int>{20}));
-}
-
-TEST(Channel, ClearDropsBuffered) {
-  Engine eng;
-  Channel<int> ch(eng);
-  ch.push(1);
-  ch.push(2);
-  ch.clear();
-  EXPECT_TRUE(ch.empty());
 }
 
 }  // namespace

@@ -33,10 +33,10 @@ void expect_time_near(Time actual, Time expected) {
 TEST(StorageFairShare, EqualTransfersSplitBandwidthAndFinishTogether) {
   Engine eng;
   StorageParams p{/*bandwidth_Bps=*/100e6, /*latency_s=*/0, /*concurrency=*/2};
-  StorageDevice dev(eng, "d", p);
+  StorageDevice dev(eng, p);
   Time d1 = -1, d2 = -1;
-  eng.spawn("w1", write_at(eng, dev, 0, 100 * kMB, &d1));
-  eng.spawn("w2", write_at(eng, dev, 0, 100 * kMB, &d2));
+  eng.spawn(write_at(eng, dev, 0, 100 * kMB, &d1));
+  eng.spawn(write_at(eng, dev, 0, 100 * kMB, &d2));
   eng.run();
   // Each proceeds at 50 MB/s; both complete at 2 s (one alone: 1 s).
   expect_time_near(d1, 2_s);
@@ -48,11 +48,11 @@ TEST(StorageFairShare, EqualTransfersSplitBandwidthAndFinishTogether) {
 TEST(StorageFairShare, ConvergenceAtFullWidth) {
   Engine eng;
   StorageParams p{/*bandwidth_Bps=*/100e6, /*latency_s=*/0, /*concurrency=*/8};
-  StorageDevice dev(eng, "d", p);
+  StorageDevice dev(eng, p);
   Time done[8];
   for (int i = 0; i < 8; ++i) {
     done[i] = -1;
-    eng.spawn("w", write_at(eng, dev, 0, 50 * kMB, &done[i]));
+    eng.spawn(write_at(eng, dev, 0, 50 * kMB, &done[i]));
   }
   eng.run();
   // 8 × 50 MB fair-shared over 100 MB/s: every transfer ends at 4 s —
@@ -63,10 +63,10 @@ TEST(StorageFairShare, ConvergenceAtFullWidth) {
 TEST(StorageFairShare, ArrivalResettlesProgress) {
   Engine eng;
   StorageParams p{/*bandwidth_Bps=*/100e6, /*latency_s=*/0, /*concurrency=*/2};
-  StorageDevice dev(eng, "d", p);
+  StorageDevice dev(eng, p);
   Time dA = -1, dB = -1;
-  eng.spawn("A", write_at(eng, dev, 0, 200 * kMB, &dA));
-  eng.spawn("B", write_at(eng, dev, 1_s, 100 * kMB, &dB));
+  eng.spawn(write_at(eng, dev, 0, 200 * kMB, &dA));
+  eng.spawn(write_at(eng, dev, 1_s, 100 * kMB, &dB));
   eng.run();
   // A alone 0..1 s moves 100 MB; from 1 s both run at 50 MB/s and each has
   // 100 MB left, so both complete at 3 s.
@@ -77,11 +77,11 @@ TEST(StorageFairShare, ArrivalResettlesProgress) {
 TEST(StorageFairShare, QueueBeyondWidthStaysFifo) {
   Engine eng;
   StorageParams p{/*bandwidth_Bps=*/100e6, /*latency_s=*/0, /*concurrency=*/2};
-  StorageDevice dev(eng, "d", p);
+  StorageDevice dev(eng, p);
   Time d1 = -1, d2 = -1, d3 = -1;
-  eng.spawn("w1", write_at(eng, dev, 0, 100 * kMB, &d1));
-  eng.spawn("w2", write_at(eng, dev, 0, 100 * kMB, &d2));
-  eng.spawn("w3", write_at(eng, dev, 0, 100 * kMB, &d3));
+  eng.spawn(write_at(eng, dev, 0, 100 * kMB, &d1));
+  eng.spawn(write_at(eng, dev, 0, 100 * kMB, &d2));
+  eng.spawn(write_at(eng, dev, 0, 100 * kMB, &d3));
   eng.run();
   // Two admitted (done at 2 s); the third waits for a slot, then runs the
   // full bandwidth alone: 2 s + 1 s.
@@ -95,9 +95,9 @@ TEST(StorageFairShare, LatencyIsSerialPerRequest) {
   Engine eng;
   StorageParams p{/*bandwidth_Bps=*/100e6, /*latency_s=*/0.5,
                   /*concurrency=*/2};
-  StorageDevice dev(eng, "d", p);
+  StorageDevice dev(eng, p);
   Time d1 = -1;
-  eng.spawn("w1", write_at(eng, dev, 0, 100 * kMB, &d1));
+  eng.spawn(write_at(eng, dev, 0, 100 * kMB, &d1));
   eng.run();
   // Setup happens after admission, before joining the byte stream.
   expect_time_near(d1, 1_s + 500_ms);
@@ -110,10 +110,10 @@ Co<void> run_then_die(Engine& eng, StorageDevice& dev, std::int64_t bytes) {
 TEST(StorageFairShare, KilledTransferFreesItsShare) {
   Engine eng;
   StorageParams p{/*bandwidth_Bps=*/100e6, /*latency_s=*/0, /*concurrency=*/2};
-  StorageDevice dev(eng, "d", p);
+  StorageDevice dev(eng, p);
   Time dA = -1;
-  eng.spawn("A", write_at(eng, dev, 0, 400 * kMB, &dA));
-  ProcPtr victim = eng.spawn("B", run_then_die(eng, dev, 200 * kMB));
+  eng.spawn(write_at(eng, dev, 0, 400 * kMB, &dA));
+  ProcPtr victim = eng.spawn(run_then_die(eng, dev, 200 * kMB));
   eng.call_at(1_s, [&eng, victim] { eng.kill(*victim); });
   eng.run();
   // Shared until 1 s (A moved 50 MB); B dies, A gets the full pipe for its
@@ -126,11 +126,11 @@ TEST(StorageFairShare, KilledTransferFreesItsShare) {
 TEST(StorageFairShare, KilledWhileQueuedReleasesNothing) {
   Engine eng;
   StorageParams p{/*bandwidth_Bps=*/100e6, /*latency_s=*/0, /*concurrency=*/1};
-  StorageDevice dev(eng, "d", p);
+  StorageDevice dev(eng, p);
   Time d1 = -1, d3 = -1;
-  eng.spawn("w1", write_at(eng, dev, 0, 100 * kMB, &d1));
-  ProcPtr queued = eng.spawn("w2", run_then_die(eng, dev, 100 * kMB));
-  eng.spawn("w3", write_at(eng, dev, 0, 100 * kMB, &d3));
+  eng.spawn(write_at(eng, dev, 0, 100 * kMB, &d1));
+  ProcPtr queued = eng.spawn(run_then_die(eng, dev, 100 * kMB));
+  eng.spawn(write_at(eng, dev, 0, 100 * kMB, &d3));
   eng.call_at(500_ms, [&eng, queued] { eng.kill(*queued); });
   eng.run();
   // The killed waiter's admission slot passes to the next in line.
